@@ -1,9 +1,10 @@
 """Command-line surface: embed, verify, oracle, fuzz, gen, check-tree, bench.
 
-Exit codes: 0 success / all checks pass; 1 internal engine assertion (a
-counterexample bundle is dumped when possible); 2 verification mismatch or
-fuzz counterexample; 3 unreadable or unparsable input; 4 host minimum
-degree below the tree size.  RAINBOW_SEED overrides --seed everywhere.
+Exit codes: 0 success / all checks pass; 1 internal engine failure, any
+unexpected exception included (a counterexample bundle is dumped when
+possible); 2 verification mismatch or fuzz counterexample; 3 unreadable or
+unparsable input; 4 host minimum degree below the tree size.  RAINBOW_SEED
+overrides --seed everywhere.
 """
 
 from __future__ import annotations
@@ -80,8 +81,11 @@ def cmd_embed(args) -> int:
     except DegreeTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE
-    except RainbowCubeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a package error is a failed engine assertion; any other exception
+        # (KeyError, RecursionError, ...) is an engine bug too: both exit 1
+        kind = "" if isinstance(exc, RainbowCubeError) else f"{type(exc).__name__}: "
+        print(f"internal error: {kind}{exc}", file=sys.stderr)
         if args.bundle_dir:
             write_bundle(args.bundle_dir, g, t)
             print(f"bundle written to {args.bundle_dir}", file=sys.stderr)

@@ -211,11 +211,10 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
         seen_coords.add(q)
 
     r = len(req.witnesses)
-    delta = pe.graph.delta()
-    if len(req.x_col) + len(req.x_coor) - r >= delta:
+    if not pe.graph.delta_at_least(len(req.x_col) + len(req.x_coor) - r + 1):
         raise PreconditionViolated(
             f"step {req.label}: |x_col|={len(req.x_col)} + |x_coor|={len(req.x_coor)}"
-            f" - r={r} >= delta={delta}"
+            f" - r={r} >= delta={pe.graph.delta()}"
         )
 
     cands = candidate_edges(pe.graph, pe.image[v], req.x_col, req.x_coor)
@@ -247,7 +246,7 @@ def embed_half(
     """
     if not g.has_vertex(start):
         raise VertexNotInGraph(f"start vertex {start} not in host")
-    if g.delta() < t.n_edges():
+    if not g.delta_at_least(t.n_edges()):
         raise DegreeTooSmall(f"delta={g.delta()} < e(T)={t.n_edges()}")
     pe = PartialEmbedding(t, g, rng=rng, strict=strict)
     pe.image[0] = start
@@ -270,18 +269,35 @@ def certify_path_windows(coords: Sequence[int]) -> None:
 
     For every pair k < m of equal parity, the first (m-k)/2 + 1 coordinates
     of the connecting walk must be pairwise distinct; that forces the walk
-    open and hence the path injective.  Raises on violation.
+    open and hence the path injective.  Raises on violation, naming the
+    first failing (k, m) in order of k, then m.
+
+    Linear time, from two facts.  (1) For a fixed k the windows for
+    m = k+2, k+4, ... are the prefixes of length 2, 3, ... of coords[k:], so
+    all of them are distinct exactly when the longest one is; and if the
+    first repeat in coords[k:] sits at index j, the first window holding it
+    is the one with (m + k) // 2 >= j, that is m = max(2j - k, k + 2).
+    (2) The window for (k, m) holds L = (m - k)/2 + 1 distinct coordinates
+    of the walk coords[k:m], which has only m - k = 2(L - 1) edges; so more
+    than half of the walk's coordinates are distinct, and
+    endpoints_must_differ(coords[k:m]) follows from the window check.  It
+    is not checked again.
     """
     n = len(coords)
-    for k in range(n + 1):
-        for m in range(k + 2, n + 1, 2):
-            window = coords[k : (m + k) // 2 + 1]
-            if len(set(window)) != len(window):
-                raise PreconditionViolated(
-                    f"window [{k}, {m}] repeats a coordinate: {window}"
-                )
-            if not endpoints_must_differ(coords[k:m]):
-                raise PreconditionViolated(f"walk [{k}, {m}] could close: {coords[k:m]}")
+    # repeat[k]: least j such that coords[k : j + 1] repeats a coordinate (n if none)
+    repeat = [n] * (n + 1)
+    next_at: dict[int, int] = {}
+    for k in range(n - 1, -1, -1):
+        repeat[k] = min(repeat[k + 1], next_at.get(coords[k], n))
+        next_at[coords[k]] = k
+    for k in range(n - 1):
+        top = n - (n - k) % 2  # the largest m of k's parity
+        j = repeat[k]
+        if top >= k + 2 and j <= (top + k) // 2:
+            m = max(2 * j - k, k + 2)
+            raise PreconditionViolated(
+                f"window [{k}, {m}] repeats a coordinate: {coords[k : (m + k) // 2 + 1]}"
+            )
 
 
 def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
@@ -361,7 +377,7 @@ def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbe
     elif _fuel <= 0:
         raise RecursionDepthExceeded("spider recursion outlived its leg count")
     e_total = t.n_edges()
-    if g.delta() < e_total:
+    if not g.delta_at_least(e_total):
         raise PreconditionViolated(f"delta={g.delta()} < e(S)={e_total}")
 
     floor = half_floor(t)
@@ -413,7 +429,7 @@ def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbe
     rest_half_edges = [leg[i] for leg in rest for i in range(1, (len(leg) - 1) // 2 + 1)]
     view1 = g.restrict(pe.colors_of(rest_half_edges), pe.coords_of(rest_half_edges))
     leg1_len = len(leg1) - 1
-    if view1.delta() < leg1_len:
+    if not view1.delta_at_least(leg1_len):
         raise PreconditionViolated(
             f"leg-one view delta={view1.delta()} < leg length {leg1_len}"
         )
@@ -425,7 +441,7 @@ def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbe
     if rest:
         view2 = g.restrict(pe.colors_of(leg1[1:]), ())
         e_rest = e_total - leg1_len
-        if view2.delta() < e_rest:
+        if not view2.delta_at_least(e_rest):
             raise PreconditionViolated(
                 f"remaining-legs view delta={view2.delta()} < {e_rest}"
             )
@@ -479,9 +495,8 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
             raise PreconditionViolated("root image equals the blocked vertex")
         return pe
 
-    delta = g.delta()
-    if delta < e_total:
-        raise PreconditionViolated(f"delta={delta} < e(T)={e_total}")
+    if not g.delta_at_least(e_total):
+        raise PreconditionViolated(f"delta={g.delta()} < e(T)={e_total}")
     try:
         q = edge_coordinate(root_img, z_bad)
     except DifferingBitCount as exc:
@@ -510,13 +525,24 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
     for edges in b_sets.values():
         ab |= edges
 
+    # strict bookkeeping: raised, not asserted, so that `python -O` keeps it
     if pe.strict:
         for sc in cls.spiders:
-            assert 2 * len(a_sets[sc.vertex]) == t.subtree_edge_count(sc.vertex)
+            if 2 * len(a_sets[sc.vertex]) != t.subtree_edge_count(sc.vertex):
+                raise PreconditionViolated(
+                    f"strict: anchor set of spider child {sc.vertex} is not half its subtree"
+                )
         for v in cls.rest:
-            assert 2 * len(b_sets[v]) <= 1 + t.subtree_edge_count(v)
-        assert 2 * len(ab) <= e_total - k - ell
-        assert floor <= ab
+            if 2 * len(b_sets[v]) > 1 + t.subtree_edge_count(v):
+                raise PreconditionViolated(
+                    f"strict: anchor set of child {v} exceeds half its subtree"
+                )
+        if 2 * len(ab) > e_total - k - ell:
+            raise PreconditionViolated(
+                "strict: anchor sets exceed half of the edges outside leaves and mid-legs"
+            )
+        if not floor <= ab:
+            raise PreconditionViolated("strict: anchor sets miss part of the lower half")
 
     # step 1: finish the anchor sets, doubly distinct, dodging q
     for child in sorted(ab - floor, key=lambda v: (t.level[v], v)):
@@ -610,7 +636,7 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
         sub_vertices = t.subtree_preorder(sc.vertex)
         view = pruned_view(sub_vertices)
         e_sub = len(sub_vertices) - 1
-        if view.delta() < e_sub:
+        if not view.delta_at_least(e_sub):
             raise PreconditionViolated(
                 f"spider view delta={view.delta()} < e(S_i)={e_sub}"
             )
@@ -647,7 +673,7 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
                     ),
                 )
                 view = pruned_view(sub_vertices)
-                if view.delta() < e_sub:
+                if not view.delta_at_least(e_sub):
                     raise PreconditionViolated(
                         f"subtree view delta={view.delta()} < e(T_j)={e_sub}"
                     )
@@ -667,7 +693,7 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
         else:
             view = pruned_view(sub_vertices)
 
-        if view.delta() < e_sub:
+        if not view.delta_at_least(e_sub):
             raise PreconditionViolated(f"subtree view delta={view.delta()} < e(T_j)={e_sub}")
         sub = pe.lift(sub_vertices, view)
         extend_tree(sub, root_img, _fuel - 1)
@@ -682,7 +708,8 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
         for v in t.children[0]:
             branch = [v] + sorted(subtree_floor_edges(t, v))
             coords = [pe.coord_of[e] for e in branch]
-            assert len(set(coords)) == len(coords), "branch anchor set repeats a coordinate"
+            if len(set(coords)) != len(coords):
+                raise PreconditionViolated("strict: branch anchor set repeats a coordinate")
     return pe
 
 
@@ -720,7 +747,7 @@ def embed_rainbow_tree(
     embedding with its trace and the blocked vertex used.
     """
     e_total = t.n_edges()
-    if g.delta() < e_total:
+    if not g.delta_at_least(e_total):
         raise DegreeTooSmall(f"host delta={g.delta()} < e(T)={e_total}")
     if start is None:
         start = g.default_start()

@@ -64,7 +64,7 @@ class ColoredCubeGraph:
     to report instead of raising here.
     """
 
-    __slots__ = ("dimension", "_color", "_adj", "_vertices", "_bad_edges", "_delta")
+    __slots__ = ("dimension", "_color", "_adj", "_vertices", "_bad_edges", "_delta", "_proper")
 
     def __init__(
         self,
@@ -115,6 +115,7 @@ class ColoredCubeGraph:
             adj[v].append((q, u, c))
         self._adj = {v: tuple(sorted(items)) for v, items in adj.items()}
         self._delta: int | None = None
+        self._proper: bool | None = None
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -147,6 +148,10 @@ class ColoredCubeGraph:
         except KeyError:
             raise VertexNotInGraph(f"vertex {x} not in graph") from None
 
+    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> list[Incidence]:
+        """Incident edges at x avoiding `colors` and `coords`, by coordinate."""
+        return [rec for rec in self.incident(x) if rec[2] not in colors and rec[0] not in coords]
+
     def degree(self, x: int) -> int:
         return len(self.incident(x))
 
@@ -157,6 +162,30 @@ class ColoredCubeGraph:
         if self._delta is None:
             self._delta = min(len(items) for items in self._adj.values())
         return self._delta
+
+    def delta_at_least(self, k: int) -> bool:
+        return self.delta() >= k
+
+    def improper_witness(self) -> tuple[int, int, int, int] | None:
+        """(x, y1, y2, c) for the first vertex x with two edges xy1, xy2 of
+        color c, in vertex then coordinate order; None when the coloring is proper."""
+        for x in sorted(self._vertices):
+            seen: dict[int, int] = {}
+            for _, y, c in self._adj[x]:
+                if c in seen:
+                    return x, seen[c], y, c
+                seen[c] = y
+        return None
+
+    def is_proper(self) -> bool:
+        """No two edges at a vertex share a color; one pass, then cached.
+
+        Hosts are not checked for properness when built or parsed, so the
+        degree bound of :meth:`GraphView.delta_at_least` asks here first.
+        """
+        if self._proper is None:
+            self._proper = self.improper_witness() is None
+        return self._proper
 
     def delta_after_bans(self, banned_colors: frozenset[int], banned_coords: frozenset[int]) -> int:
         if not self._vertices:
@@ -211,9 +240,18 @@ class VirtualCayleyCube:
         return edge_coordinate(u, v)
 
     def incident(self, x: int) -> tuple[Incidence, ...]:
+        return tuple(self.admissible(x, frozenset(), frozenset()))
+
+    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> list[Incidence]:
+        """Incident edges at x avoiding `colors` and `coords`, by coordinate.
+
+        Colors coincide with coordinates, so the admissible coordinates are
+        one set difference; no record is built for a banned edge.
+        """
         if not self.has_vertex(x):
             raise VertexNotInGraph(f"vertex {x} not in graph")
-        return tuple((q, x ^ (1 << q), q) for q in range(self.dimension))
+        free = set(range(self.dimension)).difference(colors, coords)
+        return [(q, x ^ (1 << q), q) for q in sorted(free)]
 
     def degree(self, x: int) -> int:
         if not self.has_vertex(x):
@@ -222,6 +260,12 @@ class VirtualCayleyCube:
 
     def delta(self) -> int:
         return self.dimension
+
+    def delta_at_least(self, k: int) -> bool:
+        return self.dimension >= k
+
+    def is_proper(self) -> bool:
+        return True
 
     def delta_after_bans(self, banned_colors: frozenset[int], banned_coords: frozenset[int]) -> int:
         # colors coincide with coordinates; each vertex loses exactly one
@@ -269,15 +313,36 @@ class GraphView:
         return self.base.edge_color(u, v)
 
     def incident(self, x: int) -> tuple[Incidence, ...]:
-        return tuple(rec for rec in self.base.incident(x) if self._allows(rec[0], rec[2]))
+        return tuple(self.base.admissible(x, self.banned_colors, self.banned_coords))
+
+    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> list[Incidence]:
+        return self.base.admissible(x, colors | self.banned_colors, coords | self.banned_coords)
 
     def degree(self, x: int) -> int:
         return len(self.incident(x))
 
     def delta(self) -> int:
+        """Exact minimum degree of the view (a scan of an explicit host), cached."""
         if self._delta is None:
             self._delta = self.base.delta_after_bans(self.banned_colors, self.banned_coords)
         return self._delta
+
+    def delta_at_least(self, k: int) -> bool:
+        """Whether delta() >= k, without a host scan when a bound settles it.
+
+        Every vertex has at most one edge per coordinate (cube geometry) and,
+        when the base is properly colored, at most one edge per color.  So
+        each banned class removes at most one edge at each vertex, and
+        delta(view) >= delta(base) - |banned colors| - |banned coords|.  When
+        that bound falls short of k, or the base is improper (one banned
+        color can then take several edges at a vertex), the exact delta()
+        decides, so the answer is always the same as delta() >= k.
+        """
+        base = self.base
+        bound = base.delta() - len(self.banned_colors) - len(self.banned_coords)
+        if bound >= k and base.is_proper():
+            return True
+        return self.delta() >= k
 
     def restrict(self, banned_colors: Iterable[int] = (), banned_coords: Iterable[int] = ()):
         bc, bx = frozenset(banned_colors), frozenset(banned_coords)
@@ -353,16 +418,7 @@ def validate(g) -> VerificationReport:
         )
     )
 
-    improper = None
-    for x in sorted(g.vertices):
-        seen: dict[int, int] = {}
-        for q, y, c in g.incident(x):
-            if c in seen:
-                improper = (x, seen[c], y, c)
-                break
-            seen[c] = y
-        if improper:
-            break
+    improper = g.improper_witness()
     if improper:
         x, y1, y2, c = improper
         w = (
@@ -398,8 +454,7 @@ def candidate_edges(
     determines the neighbor, so this is also lexicographic-by-neighbor
     within each coordinate).
     """
-    fc, fx = frozenset(forbidden_colors), frozenset(forbidden_coords)
-    return [rec for rec in g.incident(x) if rec[2] not in fc and rec[0] not in fx]
+    return g.admissible(x, frozenset(forbidden_colors), frozenset(forbidden_coords))
 
 
 # --- text format ----------------------------------------------------------

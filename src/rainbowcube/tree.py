@@ -27,6 +27,7 @@ from .errors import (
     FormatError,
     IndexOutOfRange,
     LimitExceeded,
+    PreconditionViolated,
 )
 
 
@@ -305,9 +306,11 @@ def iota_injection(t: RootedTree) -> dict[int, int]:
         d, l = t.level[w], t.level_max[w]
         down = _max_level_path(t, w)  # w = v_d, ..., v_l
         image = down[l - d + 1 - d]   # v_{l-d+1}, indexed relative to v_d
-        assert image not in ceil_set
+        if image in ceil_set:
+            raise PreconditionViolated(f"iota maps edge {w} into the upper half")
         out[w] = image
-    assert len(set(out.values())) == len(out)
+    if len(set(out.values())) != len(out):
+        raise PreconditionViolated("iota is not injective")
     return out
 
 

@@ -89,6 +89,20 @@ class TestEmbedCommand:
         assert (bundle / "tree.txt").exists()
         assert (bundle / "embedding.txt").exists()
 
+    def test_unexpected_engine_exception_exits_1_with_bundle(self, q3, p4, tmp_path,
+                                                             monkeypatch, capsys):
+        import rainbowcube.cli as cli
+
+        def broken_engine(*args, **kwargs):
+            raise KeyError(42)
+
+        monkeypatch.setattr(cli, "embed_rainbow_tree", broken_engine)
+        bundle = tmp_path / "bundle"
+        assert main(["embed", q3, p4, "--bundle-dir", str(bundle)]) == 1
+        assert "internal error: KeyError: 42" in capsys.readouterr().err
+        assert (bundle / "graph.txt").read_text() == format_graph(cayley_coloring(3))
+        assert (bundle / "tree.txt").exists()
+
 
 class TestVerifyCommand:
     def test_pass_and_fail(self, q3, p4, tmp_path, capsys):

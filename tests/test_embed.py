@@ -1,9 +1,15 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rainbowcube
 from rainbowcube import (
     ColoredCubeGraph,
     ExtensionRequest,
@@ -28,10 +34,11 @@ from rainbowcube import (
     replay_trace,
     verify,
 )
-from rainbowcube.errors import DegreeTooSmall, PreconditionViolated
+from rainbowcube.errors import DegreeTooSmall, PreconditionViolated, RainbowCubeError
 from rainbowcube.gen import random_spider, random_tree, subgraph_min_degree
 from rainbowcube.prng import SplitMix64
 
+from test_hypercube import improper_cayley
 from test_tree import CLASSIFY_49
 
 
@@ -214,6 +221,50 @@ class TestExtendPath:
         certify_path_windows([0, 1, 2, 0])  # fine: repeats are far apart
         with pytest.raises(PreconditionViolated):
             certify_path_windows([0, 1, 0, 2])
+
+
+def certify_path_windows_reference(coords):
+    """The certificate checked pair by pair in O(n^3): every window, every walk."""
+    n = len(coords)
+    for k in range(n + 1):
+        for m in range(k + 2, n + 1, 2):
+            window = coords[k : (m + k) // 2 + 1]
+            if len(set(window)) != len(window):
+                raise PreconditionViolated(f"window [{k}, {m}] repeats a coordinate: {window}")
+            if not endpoints_must_differ(coords[k:m]):
+                raise PreconditionViolated(f"walk [{k}, {m}] could close: {coords[k:m]}")
+
+
+def certificate_verdict(check, coords):
+    try:
+        check(coords)
+    except PreconditionViolated as exc:
+        return str(exc)
+    return None
+
+
+class TestCertifyPathWindows:
+    def test_exhaustive_against_reference(self):
+        for n in range(10):
+            for coords in itertools.product(range(3), repeat=n):
+                coords = list(coords)
+                assert certificate_verdict(certify_path_windows, coords) == (
+                    certificate_verdict(certify_path_windows_reference, coords)
+                ), coords
+
+    def test_random_sequences_against_reference(self):
+        rng = SplitMix64(5)
+        passed = 0
+        for _ in range(400):
+            n = rng.randrange(50)
+            alphabet = 1 + rng.randrange(3 * n + 1)
+            coords = [rng.randrange(alphabet) for _ in range(n)]
+            if rng.randrange(2):
+                coords = tuple(coords)  # the message shows the window as given
+            expected = certificate_verdict(certify_path_windows_reference, coords)
+            assert certificate_verdict(certify_path_windows, coords) == expected, coords
+            passed += expected is None
+        assert 0 < passed < 400
 
 
 class TestExtendSpider:
@@ -481,6 +532,66 @@ class TestAdversarialShapes:
         for t in enumerate_trees(3):
             pe = embed_rainbow_tree(g, t)
             assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
+
+
+def improper_outcomes(g):
+    """sha256 over the engine's output, or its refusal, for every tree with at
+    most 4 edges from four start vertices, unseeded and with three seeds."""
+    h = hashlib.sha256()
+    for t in enumerate_trees(4):
+        for seed in (None, 1, 2, 3):
+            for start in sorted(g.vertices)[:4]:
+                try:
+                    pe = embed_rainbow_tree(g, t, seed=seed, start=start)
+                    out = format_embedding(pe, include_trace=True)
+                except RainbowCubeError as exc:
+                    out = f"{type(exc).__name__}: {exc}\n"
+                h.update(out.encode())
+    return h.hexdigest()
+
+
+class TestImproperHost:
+    # parse_graph does not check properness, so the engine meets improper
+    # hosts; there the degree bound of a view is unsound and must not be used
+    SHARED = {(0, 2), (13, 15)}
+    # the outcomes of the engine that checked every view degree by a scan
+    EXACT = "6611e2adc8116407a857b69cca7ba2d25cb56b0825960b50da3b973959d208a6"
+
+    def test_engine_decides_as_with_exact_checks(self):
+        assert improper_outcomes(improper_cayley(4, self.SHARED)) == self.EXACT
+
+    def test_the_bound_alone_would_decide_otherwise(self, monkeypatch):
+        monkeypatch.setattr(ColoredCubeGraph, "is_proper", lambda self: True)
+        assert improper_outcomes(improper_cayley(4, self.SHARED)) != self.EXACT
+
+
+# breaks the anchor bookkeeping (every child's anchor set becomes its whole
+# subtree), then embeds in strict mode
+BROKEN_ANCHORS = """
+import sys
+import rainbowcube.embed as embed
+from rainbowcube import VirtualCayleyCube, build_tree
+from rainbowcube.errors import PreconditionViolated
+embed.subtree_floor_edges = lambda t, v: frozenset(t.subtree_preorder(v)[1:])
+try:
+    embed.embed_rainbow_tree(VirtualCayleyCube(5), build_tree([0, 1, 1]), strict=True)
+except PreconditionViolated as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+class TestStrictChecks:
+    @pytest.mark.parametrize("optimize", [0, 1])
+    def test_broken_anchor_set_is_caught(self, optimize):
+        # under -O every assert statement is stripped; the strict checks must stay
+        src = Path(rainbowcube.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, *["-O"] * optimize, "-c", BROKEN_ANCHORS],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"{optimize} strict: anchor set of child 1"), out.stdout
 
 
 class TestTraceAndFormat:

@@ -1,0 +1,92 @@
+"""Golden corpus: the engine's embeddings and traces, byte for byte.
+
+One sha256 covers ``format_embedding(pe, include_trace=True)`` and the
+blocked vertex of every instance in a fixed corpus: implicit and explicit
+hosts, path, comb, star, spider, even-spider-forest and random trees, each
+run unseeded and with two tie-break seeds.  A change that must keep the
+engine's output (an optimisation, a refactor) keeps this digest; a change
+that means to alter the output replaces GOLDEN and says why.
+"""
+
+import hashlib
+
+from rainbowcube import (
+    VirtualCayleyCube,
+    build_tree,
+    cayley_coloring,
+    embed_rainbow_tree,
+    format_embedding,
+    path_tree,
+    verify,
+)
+from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph_min_degree
+
+GOLDEN = "1d3b114a8aa1854dcd7f1de84ee2449b2fb9c500edd49533e7875d4900e978ab"
+GOLDEN_CASES = 144
+SEEDS = (None, 1, 2)
+
+
+def comb(edges):
+    """A spine of ceil(edges/2) edges with a leaf off each spine vertex below the root."""
+    spine = (edges + 1) // 2
+    return build_tree(list(range(spine)) + list(range(1, edges - spine + 1)))
+
+
+def even_spider_forest(edges):
+    """Root children each topping a two-edge chain (the shape that reaches
+    step3 and step5), then leaves at the root until `edges` edges are used."""
+    parents = []
+    while len(parents) + 3 <= edges:
+        top = len(parents) + 1
+        parents += [0, top, top + 1]
+    return build_tree(parents + [0] * (edges - len(parents)))
+
+
+def trees(edges, seed):
+    yield path_tree(edges)
+    yield comb(edges)
+    yield build_tree([0] * edges)
+    yield random_spider((edges // 3, edges // 3, edges - 2 * (edges // 3)))
+    yield even_spider_forest(edges)
+    yield random_tree(edges, seed)
+
+
+def hosts():
+    yield "virtual24", VirtualCayleyCube(24)
+    yield "cayley6", cayley_coloring(6)
+    yield "refined7", refined_cayley(7, 3, 2)
+    yield "subgraph6", subgraph_min_degree(6, 5, 11)
+
+
+def corpus():
+    """(name, host, tree, seed) for every instance, in a fixed order."""
+    for name, g in hosts():
+        top = g.delta()
+        for edges in (top, top - 1):
+            for i, t in enumerate(trees(edges, 100 * edges + top)):
+                for seed in SEEDS:
+                    yield f"{name} e={edges} tree={i} seed={seed}", g, t, seed
+
+
+def corpus_digest():
+    h = hashlib.sha256()
+    cases = 0
+    for case, g, t, seed in corpus():
+        pe = embed_rainbow_tree(g, t, seed=seed)
+        assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok, case
+        h.update(f"case {case}\nz_bad {pe.z_bad}\n".encode())
+        h.update(format_embedding(pe, include_trace=True).encode())
+        cases += 1
+    return h.hexdigest(), cases
+
+
+def test_corpus_reaches_every_stage():
+    labels = set()
+    for _, g, t, seed in corpus():
+        labels.update(entry[0] for entry in embed_rainbow_tree(g, t, seed=seed).trace)
+    assert labels >= {"half", "step1", "step2", "step3", "step4", "step5", "step7-mid",
+                      "spider0", "path"}
+
+
+def test_golden_digest():
+    assert corpus_digest() == (GOLDEN, GOLDEN_CASES)

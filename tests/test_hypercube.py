@@ -20,7 +20,7 @@ from rainbowcube.errors import (
     LimitExceeded,
     VertexNotInGraph,
 )
-from rainbowcube.gen import subgraph_min_degree
+from rainbowcube.gen import greedy_proper, refined_cayley, subgraph_min_degree
 from rainbowcube.prng import SplitMix64
 
 
@@ -222,6 +222,123 @@ class TestViews:
         assert g.delta() == 50
         view = g.restrict({1, 2, 99}, {2, 3})
         assert view.delta() == 50 - 3  # classes 1, 2, 3; 99 is out of range
+
+
+def random_bans(rng, width, most=4):
+    return (
+        {rng.randrange(width) for _ in range(rng.randrange(most + 1))},
+        {rng.randrange(width) for _ in range(rng.randrange(most + 1))},
+    )
+
+
+def random_views(g, seed, count=12):
+    """Views of g, and views of those views, with random (some out-of-range) bans."""
+    rng = SplitMix64(seed)
+    width = g.dimension + 3
+    for _ in range(count):
+        view = g.restrict(*random_bans(rng, width))
+        if view is not g:
+            yield view
+            yield view.restrict(*random_bans(rng, width, 2))
+
+
+def host_id(g):
+    return f"{type(g).__name__}-{g.dimension}"
+
+
+PROPER_HOSTS = [
+    cayley_coloring(4),
+    refined_cayley(5, 3, 2),
+    greedy_proper(5, 8),
+    subgraph_min_degree(5, 3, 21),
+    VirtualCayleyCube(6),
+]
+
+
+class TestDeltaAtLeast:
+    @pytest.mark.parametrize("g", PROPER_HOSTS, ids=host_id)
+    def test_agrees_with_the_exact_delta(self, g):
+        for seed in range(6):
+            for view in random_views(g, seed):
+                exact = g.delta_after_bans(view.banned_colors, view.banned_coords)
+                for k in range(-1, g.delta() + 3):
+                    # a fresh view each time, so no cached delta answers
+                    fresh = g.restrict(view.banned_colors, view.banned_coords)
+                    assert fresh.delta_at_least(k) == (exact >= k)
+                assert view.delta() == exact
+
+    def test_hosts_answer_from_their_own_delta(self):
+        for g in PROPER_HOSTS:
+            assert g.is_proper()
+            for k in range(g.delta() + 2):
+                assert g.delta_at_least(k) == (g.delta() >= k)
+
+    def test_bound_settles_without_a_scan(self, monkeypatch):
+        g = refined_cayley(5, 3, 2)
+        view = g.restrict({0, 1}, {4})
+
+        def no_scan(*args):
+            raise AssertionError("the bound should have settled this check")
+
+        monkeypatch.setattr(ColoredCubeGraph, "delta_after_bans", no_scan)
+        assert view.delta_at_least(g.delta() - 3)
+
+    def test_improper_host_takes_the_exact_path(self):
+        # vertex 0 has two color-0 edges, so banning color 0 costs it two
+        # edges: the bound 4 - 1 = 3 overstates the view's delta of 2
+        g = improper_cayley(4, {(0, 2), (13, 15)})
+        assert not g.is_proper()
+        view = g.restrict({0})
+        assert not view.delta_at_least(3)
+        assert view.delta_at_least(2)
+        assert view.delta() == 2
+
+
+def improper_cayley(n, shared):
+    """The coordinate coloring of Q_n with the edges in `shared` recolored 0."""
+    return ColoredCubeGraph(
+        n, [(u, v, 0 if (u, v) in shared else q) for u, v, q in cayley_coloring(n).edges()]
+    )
+
+
+def filtered_incident(g, view, x, fc, fx):
+    """candidate_edges by its definition: the host's incident records at x,
+    filtered by the view's bans, then by the request's forbidden sets."""
+    if isinstance(g, VirtualCayleyCube):
+        records = [(q, x ^ (1 << q), q) for q in range(g.dimension)]
+    else:
+        records = list(g.incident(x))
+    live = [(q, y, c) for q, y, c in records
+            if c not in view.banned_colors and q not in view.banned_coords]
+    return [(q, y, c) for q, y, c in live if c not in fc and q not in fx]
+
+
+class TestAdmissibleScan:
+    @pytest.mark.parametrize("g", [VirtualCayleyCube(9), VirtualCayleyCube(40),
+                                   refined_cayley(5, 3, 2)], ids=host_id)
+    def test_candidate_edges_on_views_match_the_filter(self, g):
+        rng = SplitMix64(g.dimension)
+        for view in random_views(g, g.dimension, 20):
+            for _ in range(5):
+                x = rng.randrange(1 << min(g.dimension, 20))
+                fc, fx = random_bans(rng, g.dimension + 3, g.dimension // 2)
+                expected = filtered_incident(g, view, x, fc, fx)
+                assert candidate_edges(view, x, fc, fx) == expected
+                assert list(view.incident(x)) == filtered_incident(g, view, x, (), ())
+
+    def test_virtual_scan_builds_no_incident_tuple(self, monkeypatch):
+        g = VirtualCayleyCube(30)
+
+        def no_incident(self, x):
+            raise AssertionError("candidate_edges should not build the incident tuple")
+
+        monkeypatch.setattr(VirtualCayleyCube, "incident", no_incident)
+        got = candidate_edges(g.restrict({3}, {5}), 7, {0, 40}, {1})
+        assert [q for q, _, _ in got] == [q for q in range(30) if q not in {0, 1, 3, 5}]
+
+    def test_unknown_vertex_in_a_virtual_view(self):
+        with pytest.raises(VertexNotInGraph):
+            candidate_edges(VirtualCayleyCube(3).restrict({0}), 8)
 
 
 class TestVirtualCayley:
