@@ -6,12 +6,11 @@ a random 4-edge tree, embeds a rainbow copy, and certifies the result with
 the independent verifier.
 """
 
-from rainbowcube import embed_rainbow_tree, min_degree, vertex_str, verify
+from rainbowcube import embed_rainbow_tree, vertex_str, verify
 from rainbowcube.gen import random_tree, subgraph_min_degree
 
 host = subgraph_min_degree(n=5, d=4, seed=2024)
-summary = min_degree(host)
-print(f"host: subgraph of Q_5, {host.n_edges()} edges, min degree {summary.min_degree}")
+print(f"host: subgraph of Q_5, {host.n_edges()} edges, min degree {host.delta()}")
 
 tree = random_tree(m_edges=4, seed=7)
 print(f"tree: parents {list(tree.parent[1:])}")

@@ -23,7 +23,6 @@ from .embed import (
     replay_trace,
 )
 from .gen import (
-    GenSpec,
     generate,
     greedy_proper,
     random_spider,
@@ -33,14 +32,12 @@ from .gen import (
 )
 from .hypercube import (
     ColoredCubeGraph,
-    DegreeSummary,
     GraphView,
     VirtualCayleyCube,
     candidate_edges,
     cayley_coloring,
     edge_coordinate,
     format_graph,
-    min_degree,
     parse_graph,
     validate,
     vertex_str,

@@ -3,8 +3,10 @@
 Exit codes: 0 success / all checks pass; 1 internal engine failure, any
 unexpected exception included (a counterexample bundle is dumped when
 possible); 2 verification mismatch or fuzz counterexample; 3 unreadable or
-unparsable input; 4 host minimum degree below the tree size.  RAINBOW_SEED
-overrides --seed everywhere.
+unparsable input, or a generator parameter out of range (`gen`); 4 host
+minimum degree below the tree size.  `oracle --budget` that runs out is not
+an error: it reports exhausted=False and exits 0.  RAINBOW_SEED overrides
+--seed everywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import gen as genmod
 from .embed import embed_rainbow_tree, format_embedding, parse_embedding
-from .errors import DegreeTooSmall, FormatError, RainbowCubeError
+from .errors import BudgetExceeded, DegreeTooSmall, FormatError, LimitExceeded, RainbowCubeError
 from .hypercube import format_graph, parse_graph, parse_vertex
 from .prng import derive_seed
 from .tree import (
@@ -70,12 +72,8 @@ def _seed(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        g = _load_graph(args.graph, args.strict_vertices)
-        t = _load_tree(args.tree)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g = _load_graph(args.graph, args.strict_vertices)
+    t = _load_tree(args.tree)
     try:
         pe = embed_rainbow_tree(g, t, seed=_seed(args), strict=args.strict)
     except DegreeTooSmall as exc:
@@ -110,33 +108,28 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _load_graph(args.graph, args.strict_vertices)
-        t = _load_tree(args.tree)
-        image, n_edges, dim = parse_embedding(_read(args.embedding))
-        z = parse_vertex(args.z_bad, dim) if args.z_bad else None
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g = _load_graph(args.graph, args.strict_vertices)
+    t = _load_tree(args.tree)
+    image, n_edges, dim = parse_embedding(_read(args.embedding))
+    z = parse_vertex(args.z_bad, dim) if args.z_bad else None
     report = verify(g, t, image, require_path_distinct=args.require_path_distinct, z_bad=z)
     print(report)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def cmd_oracle(args) -> int:
+    g = _load_graph(args.graph, args.strict_vertices)
+    t = _load_tree(args.tree)
     try:
-        g = _load_graph(args.graph, args.strict_vertices)
-        t = _load_tree(args.tree)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    result = oracle_find(g, t, budget=args.budget, symmetry_reduction=args.symmetry)
+        result = oracle_find(g, t, budget=args.budget)
+    except BudgetExceeded as exc:
+        result = exc.partial
     print(f"found={result.found} exhausted={result.exhausted} nodes={result.nodes_explored}")
     return EXIT_OK
 
 
-def _fuzz_trial(params: tuple) -> tuple[int, tuple[str, ...], str, str]:
-    """One seeded trial; returns (trial, mismatches, graph text, tree text)."""
+def _fuzz_trial(params: tuple):
+    """One seeded trial; returns (trial, mismatches, host, tree)."""
     n, master, trial = params
     seed = derive_seed(master, trial)
     rng = genmod.SplitMix64(seed)
@@ -145,7 +138,7 @@ def _fuzz_trial(params: tuple) -> tuple[int, tuple[str, ...], str, str]:
     t = genmod.random_tree(rng.randrange(d + 1), rng.next_u64())
     run_oracle = t.n_edges() <= 8 and g.n_vertices() <= 64
     summary = cross_check(g, t, run_oracle=run_oracle)
-    return trial, summary.mismatches, format_graph(g), format_tree(t)
+    return trial, summary.mismatches, g, t
 
 
 def cmd_fuzz(args) -> int:
@@ -182,17 +175,12 @@ def cmd_fuzz(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fuzz_trial, params))
-    for trial, mismatches, graph_text, tree_text in results:
+    for trial, mismatches, g, t in results:
         for msg in mismatches:
             failures += 1
             print(f"counterexample trial {trial}: {msg}")
             if args.bundle_dir:
-                case_dir = os.path.join(args.bundle_dir, f"trial{trial}")
-                os.makedirs(case_dir, exist_ok=True)
-                with open(os.path.join(case_dir, "graph.txt"), "w") as fh:
-                    fh.write(graph_text)
-                with open(os.path.join(case_dir, "tree.txt"), "w") as fh:
-                    fh.write(tree_text)
+                write_bundle(os.path.join(args.bundle_dir, f"trial{trial}"), g, t)
     print(f"fuzz: {args.trials} trials, {failures} counterexamples")
     return EXIT_MISMATCH if failures else EXIT_OK
 
@@ -201,31 +189,35 @@ def cmd_gen(args) -> int:
     params: dict = {}
     if args.kind in ("cayley", "refined_cayley", "greedy_proper", "subgraph_min_degree"):
         if args.n is None:
-            print("error: --n required", file=sys.stderr)
-            return EXIT_PARSE
+            raise FormatError("--n required")
         params["n"] = args.n
     if args.kind == "refined_cayley":
         params["splits"] = args.splits
     if args.kind == "subgraph_min_degree":
         if args.min_degree is None:
-            print("error: --min-degree required", file=sys.stderr)
-            return EXIT_PARSE
+            raise FormatError("--min-degree required")
         params["d"] = args.min_degree
     if args.kind == "random_tree":
         if args.edges is None:
-            print("error: --edges required", file=sys.stderr)
-            return EXIT_PARSE
+            raise FormatError("--edges required")
         params["edges"] = args.edges
-    if args.kind == "random_spider":
-        if not args.legs:
-            print("error: --legs required", file=sys.stderr)
-            return EXIT_PARSE
-        params["legs"] = tuple(int(x) for x in args.legs.split(","))
+    if args.kind == "random_spider" and not args.legs:
+        raise FormatError("--legs required")
 
-    spec = genmod.GenSpec(args.kind, _seed(args), params)
+    seed = _seed(args)
+    try:
+        if args.kind == "random_spider":
+            params["legs"] = tuple(int(x) for x in args.legs.split(","))
+        artifact = genmod.generate(args.kind, seed, params)
+    except (ValueError, LimitExceeded) as exc:
+        raise FormatError(str(exc)) from exc
     if args.emit_spec:
-        print(spec.canonical_line())
-    artifact = genmod.generate(spec)
+        line = [f"gen {args.kind}"]
+        for key, value in sorted(params.items()):
+            if isinstance(value, tuple):
+                value = ",".join(str(x) for x in value)
+            line.append(f"{key}={value}")
+        print(" ".join(line + [f"seed={seed}"]))
     text = format_tree(artifact) if hasattr(artifact, "parent") else format_graph(artifact)
     if args.out:
         with open(args.out, "w") as fh:
@@ -236,12 +228,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_tree(args) -> int:
-    try:
-        t = _load_tree(args.tree)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    t = _load_tree(args.tree)
     floor, ceil = half_floor(t), half_ceil(t)
     lines = [
         "format=1",
@@ -339,7 +326,6 @@ def build_parser() -> _Parser:
                    help="reject edges touching undeclared vertices")
     p.add_argument("tree")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--symmetry", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fuzz", help="randomized engine-vs-oracle cross-checks")
@@ -379,7 +365,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .hypercube import candidate_edges, edge_coordinate, parse_vertex, vertex_str
 from .prng import SplitMix64
+from .records import read_records
 from .tree import (
     RootedTree,
     as_spider,
@@ -795,12 +796,17 @@ def format_embedding(pe: PartialEmbedding, *, include_trace: bool = False) -> st
             f"edge {t.parent[child]} {child} {pe.color_of[child]} {pe.coord_of[child]}"
         )
     if include_trace:
-        for label, child, src, dst, ncol, ncoor, r in pe.trace:
-            lines.append(
-                f"trace {label} {child} {vertex_str(src, dim)} {vertex_str(dst, dim)}"
-                f" {ncol} {ncoor} {r}"
-            )
+        lines += format_trace(pe)
     return "\n".join(lines) + "\n"
+
+
+def format_trace(pe: PartialEmbedding) -> list[str]:
+    """The `trace` lines of an embedding file, one per recorded step."""
+    dim = pe.graph.dimension
+    return [
+        f"trace {label} {child} {vertex_str(src, dim)} {vertex_str(dst, dim)} {ncol} {ncoor} {r}"
+        for label, child, src, dst, ncol, ncoor, r in pe.trace
+    ]
 
 
 def parse_embedding(text: str) -> tuple[dict[int, int], int, int]:
@@ -810,36 +816,16 @@ def parse_embedding(text: str) -> tuple[dict[int, int], int, int]:
     always recomputed from the host, never trusted.
     """
     image: dict[int, int] = {}
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "embedding":
-                if header is not None:
-                    raise FormatError("duplicate embedding header")
-                if len(fields) != 3:
-                    raise FormatError("embedding header needs two fields")
-                header = (int(fields[1]), int(fields[2]))
-            elif fields[0] == "map":
-                if header is None:
-                    raise FormatError("map before embedding header")
-                if len(fields) != 3:
-                    raise FormatError("map needs two fields")
-                v = int(fields[1])
-                if v in image:
-                    raise FormatError(f"duplicate map for vertex {v}")
-                image[v] = parse_vertex(fields[2], header[1])
-            elif fields[0] in ("edge", "trace"):
-                continue
-            else:
-                raise FormatError(f"unknown record {fields[0]!r}")
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    if header is None:
-        raise FormatError("missing embedding header")
-    return image, header[0], header[1]
+
+    def embedding(edges_text: str, dim_text: str) -> tuple[int, int]:
+        return int(edges_text), int(dim_text)
+
+    def map_line(header: tuple[int, int], v_text: str, y_text: str) -> None:
+        v = int(v_text)
+        if v in image:
+            raise FormatError(f"duplicate map for vertex {v}")
+        image[v] = parse_vertex(y_text, header[1])
+
+    records = {"embedding": (2, embedding), "map": (2, map_line)}
+    n_edges, dim = read_records(text, "embedding", records, skip=("edge", "trace"))
+    return image, n_edges, dim

@@ -7,8 +7,6 @@ platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .hypercube import ColoredCubeGraph, cayley_coloring
 from .prng import SplitMix64
 from .tree import RootedTree, build_tree
@@ -23,46 +21,23 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """A reproducible generator invocation: same (kind, params, seed) in,
-    bit-identical artifact out."""
-
-    kind: str
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-
-    def canonical_line(self) -> str:
-        parts = [f"gen {self.kind}"]
-        for key in sorted(self.params):
-            value = self.params[key]
-            if isinstance(value, (list, tuple)):
-                value = ",".join(str(x) for x in value)
-            parts.append(f"{key}={value}")
-        parts.append(f"seed={self.seed}")
-        return " ".join(parts)
-
-
-def generate(spec: GenSpec):
-    """Materialize a GenSpec into a graph or tree."""
-    p = spec.params
-    if spec.kind == "cayley":
+def generate(kind: str, seed: int = 0, params: dict | None = None):
+    """Build the graph or tree of generator `kind`: same (kind, seed, params)
+    in, bit-identical artifact out."""
+    p = params or {}
+    if kind == "cayley":
         return cayley_coloring(p["n"])
-    if spec.kind == "refined_cayley":
-        return refined_cayley(p["n"], spec.seed, p.get("splits", 2))
-    if spec.kind == "greedy_proper":
-        return greedy_proper(p["n"], spec.seed, keep_percent=p.get("keep_percent", 75))
-    if spec.kind == "random_tree":
-        return random_tree(p["edges"], spec.seed)
-    if spec.kind == "random_spider":
+    if kind == "refined_cayley":
+        return refined_cayley(p["n"], seed, p.get("splits", 2))
+    if kind == "greedy_proper":
+        return greedy_proper(p["n"], seed, keep_percent=p.get("keep_percent", 75))
+    if kind == "random_tree":
+        return random_tree(p["edges"], seed)
+    if kind == "random_spider":
         return random_spider(p["legs"])
-    if spec.kind == "subgraph_min_degree":
-        return subgraph_min_degree(p["n"], p["d"], spec.seed)
-    raise ValueError(spec.kind)
+    if kind == "subgraph_min_degree":
+        return subgraph_min_degree(p["n"], p["d"], seed)
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:

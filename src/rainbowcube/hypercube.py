@@ -14,7 +14,6 @@ large.  ``restrict`` produces O(1) filtered views; no host is ever copied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     LimitExceeded,
     VertexNotInGraph,
 )
+from .records import read_records
 from .report import Check, VerificationReport
 
 Edge = tuple[int, int]
@@ -55,7 +55,22 @@ def parse_vertex(text: str, dimension: int) -> int:
     return int(text, 2)
 
 
-class ColoredCubeGraph:
+class _Host:
+    """Queries shared by the two host flavors; each defines delta()."""
+
+    __slots__ = ()
+
+    def delta_at_least(self, k: int) -> bool:
+        return self.delta() >= k
+
+    def restrict(self, banned_colors: Iterable[int] = (), banned_coords: Iterable[int] = ()):
+        bc, bx = frozenset(banned_colors), frozenset(banned_coords)
+        if not bc and not bx:
+            return self
+        return GraphView(self, bc, bx)
+
+
+class ColoredCubeGraph(_Host):
     """Explicit edge-colored subgraph of Q_N.  Immutable after construction.
 
     ``edges`` is an iterable of (u, v, color) triples; endpoints are added to
@@ -163,9 +178,6 @@ class ColoredCubeGraph:
             self._delta = min(len(items) for items in self._adj.values())
         return self._delta
 
-    def delta_at_least(self, k: int) -> bool:
-        return self.delta() >= k
-
     def improper_witness(self) -> tuple[int, int, int, int] | None:
         """(x, y1, y2, c) for the first vertex x with two edges xy1, xy2 of
         color c, in vertex then coordinate order; None when the coloring is proper."""
@@ -195,19 +207,13 @@ class ColoredCubeGraph:
             for items in self._adj.values()
         )
 
-    def restrict(self, banned_colors: Iterable[int] = (), banned_coords: Iterable[int] = ()):
-        bc, bx = frozenset(banned_colors), frozenset(banned_coords)
-        if not bc and not bx:
-            return self
-        return GraphView(self, bc, bx)
-
     def default_start(self) -> int:
         if not self._vertices:
             raise EmptyGraph("graph has no vertices")
         return min(self._vertices)
 
 
-class VirtualCayleyCube:
+class VirtualCayleyCube(_Host):
     """The full cube Q_n with color(e) == coordinate(e), stored implicitly.
 
     Holds no vertex or edge tables, so n may be large; only neighborhood
@@ -261,9 +267,6 @@ class VirtualCayleyCube:
     def delta(self) -> int:
         return self.dimension
 
-    def delta_at_least(self, k: int) -> bool:
-        return self.dimension >= k
-
     def is_proper(self) -> bool:
         return True
 
@@ -272,12 +275,6 @@ class VirtualCayleyCube:
         # edge per banned class that names a real coordinate
         lost = {c for c in banned_colors | banned_coords if 0 <= c < self.dimension}
         return self.dimension - len(lost)
-
-    def restrict(self, banned_colors: Iterable[int] = (), banned_coords: Iterable[int] = ()):
-        bc, bx = frozenset(banned_colors), frozenset(banned_coords)
-        if not bc and not bx:
-            return self
-        return GraphView(self, bc, bx)
 
     def default_start(self) -> int:
         return 0
@@ -354,12 +351,6 @@ class GraphView:
         return self.base.default_start()
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    min_degree: int
-    degrees: dict[int, int]
-
-
 def cayley_coloring(n: int) -> ColoredCubeGraph:
     """Full Q_n where every edge is colored by its coordinate.
 
@@ -432,16 +423,6 @@ def validate(g) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def min_degree(g) -> DegreeSummary:
-    """Exact degree map and minimum.  Degree map omitted for implicit hosts."""
-    if isinstance(g, VirtualCayleyCube):
-        return DegreeSummary(g.dimension, {})
-    if not g.vertices:
-        raise EmptyGraph("graph has no vertices")
-    degrees = {v: g.degree(v) for v in sorted(g.vertices)}
-    return DegreeSummary(min(degrees.values()), degrees)
-
-
 def candidate_edges(
     g,
     x: int,
@@ -480,53 +461,31 @@ def format_graph(g: ColoredCubeGraph) -> str:
 
 
 def parse_graph(text: str, *, strict_vertices: bool = False) -> ColoredCubeGraph:
-    dimension = None
     declared: set[int] = set()
     edges: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "cube":
-                if dimension is not None:
-                    raise FormatError("duplicate cube header")
-                if len(fields) != 2:
-                    raise FormatError("cube header needs one field")
-                dimension = int(fields[1])
-                if dimension < 1:
-                    raise FormatError("dimension must be >= 1")
-            elif kind == "vertex":
-                if dimension is None:
-                    raise FormatError("vertex before cube header")
-                if len(fields) != 2:
-                    raise FormatError("vertex needs one field")
-                declared.add(parse_vertex(fields[1], dimension))
-            elif kind == "edge":
-                if dimension is None:
-                    raise FormatError("edge before cube header")
-                if len(fields) != 4:
-                    raise FormatError("edge needs three fields")
-                u = parse_vertex(fields[1], dimension)
-                v = parse_vertex(fields[2], dimension)
-                c = int(fields[3])
-                if c < 0:
-                    raise FormatError("color must be nonnegative")
-                edge_coordinate(u, v)  # reject malformed pairs
-                if strict_vertices and not (u in declared and v in declared):
-                    raise FormatError("edge uses undeclared vertex under strict-vertices")
-                declared.update((u, v))
-                edges.append((u, v, c))
-            else:
-                raise FormatError(f"unknown record {kind!r}")
-        except (ValueError, DifferingBitCount) as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    if dimension is None:
-        raise FormatError("missing cube header")
+
+    def cube(n_text: str) -> int:
+        dimension = int(n_text)
+        if dimension < 1:
+            raise FormatError("dimension must be >= 1")
+        return dimension
+
+    def vertex(dimension: int, v_text: str) -> None:
+        declared.add(parse_vertex(v_text, dimension))
+
+    def edge(dimension: int, u_text: str, v_text: str, c_text: str) -> None:
+        u = parse_vertex(u_text, dimension)
+        v = parse_vertex(v_text, dimension)
+        c = int(c_text)
+        if c < 0:
+            raise FormatError("color must be nonnegative")
+        edge_coordinate(u, v)  # reject malformed pairs
+        if strict_vertices and not (u in declared and v in declared):
+            raise FormatError("edge uses undeclared vertex under strict-vertices")
+        declared.update((u, v))
+        edges.append((u, v, c))
+
+    dimension = read_records(text, "cube", {"cube": (1, cube), "vertex": (1, vertex), "edge": (3, edge)})
     try:
         return ColoredCubeGraph(dimension, edges, declared)
     except ValueError as exc:

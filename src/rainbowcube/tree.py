@@ -29,6 +29,7 @@ from .errors import (
     LimitExceeded,
     PreconditionViolated,
 )
+from .records import read_records
 
 
 class RootedTree:
@@ -395,36 +396,21 @@ def format_tree(t: RootedTree) -> str:
 
 
 def parse_tree(text: str) -> RootedTree:
-    n = None
     parents = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "tree":
-                if n is not None:
-                    raise FormatError("duplicate tree header")
-                if len(fields) != 2:
-                    raise FormatError("tree header needs one field")
-                n = int(fields[1])
-                if n < 1:
-                    raise FormatError("vertex count must be >= 1")
-            elif fields[0] == "parents":
-                if n is None:
-                    raise FormatError("parents before tree header")
-                if parents is not None:
-                    raise FormatError("duplicate parents line")
-                parents = [int(x) for x in fields[1:]]
-            else:
-                raise FormatError(f"unknown record {fields[0]!r}")
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    if n is None:
-        raise FormatError("missing tree header")
+
+    def tree(n_text: str) -> int:
+        n = int(n_text)
+        if n < 1:
+            raise FormatError("vertex count must be >= 1")
+        return n
+
+    def parents_line(n: int, *values: str) -> None:
+        nonlocal parents
+        if parents is not None:
+            raise FormatError("duplicate parents line")
+        parents = [int(x) for x in values]
+
+    n = read_records(text, "tree", {"tree": (1, tree), "parents": (None, parents_line)})
     parents = parents or []
     if len(parents) != n - 1:
         raise DisconnectedInput(f"tree {n} needs {n - 1} parents, got {len(parents)}")

@@ -8,12 +8,11 @@ the embedding engine is tested against.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .embed import embed_rainbow_tree, format_embedding
+from .embed import embed_rainbow_tree, format_embedding, format_trace
 from .errors import BudgetExceeded, DegreeTooSmall, LimitExceeded
 from .hypercube import edge_coordinate, format_graph, vertex_str
 from .report import Check, VerificationReport
@@ -166,26 +165,15 @@ class OracleResult:
     exhausted: bool
 
 
-def oracle_find(
-    g,
-    t: RootedTree,
-    budget: int | None = None,
-    *,
-    symmetry_reduction: bool = False,
-) -> OracleResult:
+def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
     """Exhaustive rainbow-embedding search by backtracking over vertex images.
 
     Tree vertices are placed in (level, id) order; a branch dies when it
-    repeats a vertex or a color.  With `symmetry_reduction` the root image
-    ranges over one representative per orbit of the color-preserving cube
-    automorphisms (computed by brute force); off by default since plain
-    exhaustion is the safer ground truth.
+    repeats a vertex or a color.  Every host vertex is tried as the root's
+    image: plain exhaustion is the ground truth.
     """
+    # order[0] is the root 0, the only level-0 vertex, since the key is (level, id)
     order = sorted(range(t.n), key=lambda v: (t.level[v], v))
-    assert order[0] == 0
-    roots = sorted(g.vertices)
-    if symmetry_reduction:
-        roots = color_orbit_representatives(g)
     nodes = 0
     budget_left = [budget if budget is not None else -1]
 
@@ -220,7 +208,7 @@ def oracle_find(
             used_colors.discard(c)
         return False
 
-    for r in roots:
+    for r in sorted(g.vertices):
         nodes += 1
         image = {0: r}
         used_vertices = {r}
@@ -228,52 +216,6 @@ def oracle_find(
         if place(1):
             return OracleResult(True, dict(image), nodes, True)
     return OracleResult(False, None, nodes, True)
-
-
-def color_orbit_representatives(g) -> list[int]:
-    """One vertex per orbit of the automorphisms of Q_n that preserve the
-    edge coloring (coordinate permutation composed with a translation).
-
-    Brute force over all n! * 2^n candidate maps; only sensible for small n.
-    """
-    n = g.dimension
-    if n > 6:
-        raise LimitExceeded("orbit computation is brute force; dimension > 6 refused")
-    edges = [(u, v, c) for u, v, c in g.edges()]
-    verts = sorted(g.vertices)
-    vert_set = set(verts)
-
-    def permute_bits(x: int, perm) -> int:
-        y = 0
-        for i, p in enumerate(perm):
-            if (x >> p) & 1:
-                y |= 1 << i
-        return y
-
-    autos = []
-    for perm in itertools.permutations(range(n)):
-        for shift in range(1 << n):
-            ok = True
-            for u, v, c in edges:
-                uu, vv = permute_bits(u, perm) ^ shift, permute_bits(v, perm) ^ shift
-                if uu not in vert_set or vv not in vert_set:
-                    ok = False
-                    break
-                if not g.has_edge(uu, vv) or g.edge_color(uu, vv) != c:
-                    ok = False
-                    break
-            if ok:
-                autos.append((perm, shift))
-
-    reps = []
-    seen: set[int] = set()
-    for v in verts:
-        if v in seen:
-            continue
-        reps.append(v)
-        for perm, shift in autos:
-            seen.add(permute_bits(v, perm) ^ shift)
-    return reps
 
 
 def oracle_no_rainbow_cycle(g, max_len: int) -> bool:
@@ -381,17 +323,10 @@ def cross_check(g, t: RootedTree, *, seed: int | None = None, run_oracle: bool =
 def write_bundle(directory: str, g, t: RootedTree, pe=None) -> None:
     """Serialize a counterexample: graph.txt, tree.txt, embedding.txt, trace.txt."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "graph.txt"), "w") as fh:
-        fh.write(format_graph(g))
-    with open(os.path.join(directory, "tree.txt"), "w") as fh:
-        fh.write(format_tree(t))
+    files = {"graph.txt": format_graph(g), "tree.txt": format_tree(t)}
     if pe is not None:
-        with open(os.path.join(directory, "embedding.txt"), "w") as fh:
-            fh.write(format_embedding(pe))
-        with open(os.path.join(directory, "trace.txt"), "w") as fh:
-            dim = pe.graph.dimension
-            for label, child, src, dst, ncol, ncoor, r in pe.trace:
-                fh.write(
-                    f"trace {label} {child} {vertex_str(src, dim)}"
-                    f" {vertex_str(dst, dim)} {ncol} {ncoor} {r}\n"
-                )
+        files["embedding.txt"] = format_embedding(pe)
+        files["trace.txt"] = "".join(line + "\n" for line in format_trace(pe))
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w") as fh:
+            fh.write(text)

@@ -3,6 +3,8 @@ import pytest
 from rainbowcube import (
     build_tree,
     cayley_coloring,
+    cross_check,
+    enumerate_trees,
     format_graph,
     format_tree,
     parse_embedding,
@@ -139,6 +141,14 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "found=False" in out and "exhausted=True" in out
 
+    def test_budget_ran_out(self, q3, tmp_path, capsys):
+        t = tmp_path / "p5.tree"
+        t.write_text(format_tree(path_tree(4)))
+        assert main(["oracle", q3, str(t), "--budget", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "found=False exhausted=False nodes=5\n"
+        assert captured.err == ""
+
 
 class TestFuzzCommand:
     def test_random_trials(self, capsys):
@@ -165,6 +175,40 @@ class TestFuzzCommand:
         assert main(["fuzz", "--n", "4", "--trials", "5", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_bundles_on_counterexamples(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import rainbowcube.cli as cli
+
+        seen = []
+
+        def always_mismatch(g, t, **kwargs):
+            seen.append((g, t))
+            summary = cross_check(g, t, **kwargs)
+            return dataclasses.replace(summary, mismatches=("forced",))
+
+        monkeypatch.setattr(cli, "cross_check", always_mismatch)
+        bundle = tmp_path / "bundle"
+        assert main(["fuzz", "--n", "4", "--trials", "3", "--seed", "5",
+                     "--bundle-dir", str(bundle)]) == 2
+        assert "counterexample trial 2: forced" in capsys.readouterr().out
+        assert len(seen) == 3
+        for trial, (g, t) in enumerate(seen):
+            case = bundle / f"trial{trial}"
+            assert sorted(p.name for p in case.iterdir()) == ["graph.txt", "tree.txt"]
+            assert (case / "graph.txt").read_text() == format_graph(g)
+            assert (case / "tree.txt").read_text() == format_tree(t)
+
+        seen.clear()
+        assert main(["fuzz", "--exhaustive", "--n", "2", "--bundle-dir", str(bundle)]) == 2
+        assert len(seen) == 21 * len(list(enumerate_trees(2)))
+        for checked, (g, t) in enumerate(seen, 1):
+            case = bundle / f"case{checked}"
+            assert sorted(p.name for p in case.iterdir()) == [
+                "embedding.txt", "graph.txt", "trace.txt", "tree.txt"]
+            assert (case / "graph.txt").read_text() == format_graph(g)
+            assert (case / "tree.txt").read_text() == format_tree(t)
+
     def test_reserved_mutation_flag_rejected(self):
         with pytest.raises(SystemExit) as info:
             main(["fuzz", "--mutate-engine-off"])
@@ -190,6 +234,30 @@ class TestGenCommand:
 
     def test_missing_parameter(self):
         assert main(["gen", "random_tree"]) == 3
+
+    @pytest.mark.parametrize("argv, message", [
+        (["random_tree", "--edges", "-1"], "edge count must be >= 0, got -1"),
+        (["cayley", "--n", "0"], "n must be >= 1, got 0"),
+        (["cayley", "--n", "20"],
+         "cayley_coloring materializes 2^20 vertices; use VirtualCayleyCube"),
+        (["subgraph_min_degree", "--n", "4", "-d", "9"], "need 1 <= d <= n, got d=9, n=4"),
+        (["random_spider", "--legs", "2,x"], "invalid literal for int() with base 10: 'x'"),
+        (["refined_cayley", "--n", "3", "--splits", "0"], "splits must be >= 1, got 0"),
+        (["cayley"], "--n required"),
+        (["subgraph_min_degree", "--n", "4"], "--min-degree required"),
+        (["random_tree"], "--edges required"),
+        (["random_spider"], "--legs required"),
+    ])
+    def test_bad_values_exit_3(self, argv, message, capsys):
+        assert main(["gen", *argv, "--emit-spec"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_spider_spec_line(self, capsys):
+        assert main(["gen", "random_spider", "--legs", "2,3", "--emit-spec"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "gen random_spider legs=2,3 seed=0", "tree 6"]
 
     def test_determinism_across_calls(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

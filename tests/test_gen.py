@@ -1,12 +1,10 @@
 import pytest
 
 from rainbowcube import (
-    GenSpec,
     cayley_coloring,
     deficiency,
     format_graph,
     generate,
-    min_degree,
     validate,
 )
 from rainbowcube.gen import (
@@ -61,7 +59,7 @@ class TestRefinedCayley:
         assert 3 <= n_colors <= 6
 
     def test_degrees_unchanged(self):
-        assert min_degree(refined_cayley(4, 5, 4)).min_degree == 4
+        assert refined_cayley(4, 5, 4).delta() == 4
 
     def test_deterministic(self):
         a = list(refined_cayley(4, 9, 3).edges())
@@ -84,12 +82,12 @@ class TestSubgraphMinDegree:
     def test_degree_floor_holds(self):
         for seed in range(20):
             g = subgraph_min_degree(4, 3, seed)
-            assert min_degree(g).min_degree >= 3
+            assert g.delta() >= 3
             assert validate(g).ok
 
     def test_full_degree_request(self):
         g = subgraph_min_degree(3, 3, 11)
-        assert min_degree(g).min_degree == 3
+        assert g.delta() == 3
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -122,18 +120,12 @@ class TestRandomTrees:
 
 class TestGenSpec:
     def test_dispatch_matches_direct_call(self):
-        spec = GenSpec("refined_cayley", 7, {"n": 3, "splits": 2})
-        assert list(generate(spec).edges()) == list(refined_cayley(3, 7, 2).edges())
-
-    def test_canonical_line(self):
-        spec = GenSpec("subgraph_min_degree", 5, {"n": 4, "d": 2})
-        assert spec.canonical_line() == "gen subgraph_min_degree d=2 n=4 seed=5"
+        g = generate("refined_cayley", 7, {"n": 3, "splits": 2})
+        assert list(g.edges()) == list(refined_cayley(3, 7, 2).edges())
 
     def test_spider_spec(self):
-        spec = GenSpec("random_spider", 0, {"legs": (2, 3)})
-        assert generate(spec).n_edges() == 5
-        assert "legs=2,3" in spec.canonical_line()
+        assert generate("random_spider", 0, {"legs": (2, 3)}).n_edges() == 5
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            GenSpec("mystery", 0, {})
+            generate("mystery", 0, {})

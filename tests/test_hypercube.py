@@ -9,7 +9,6 @@ from rainbowcube import (
     cayley_coloring,
     edge_coordinate,
     format_graph,
-    min_degree,
     parse_graph,
     validate,
 )
@@ -114,25 +113,25 @@ class TestValidate:
 
 class TestMinDegree:
     def test_cayley_regular(self):
-        assert min_degree(cayley_coloring(4)).min_degree == 4
+        assert cayley_coloring(4).delta() == 4
 
     def test_missing_edge(self):
         g3 = cayley_coloring(3)
         edges = [(u, v, c) for u, v, c in g3.edges()][1:]
         g = ColoredCubeGraph(3, edges, vertices=g3.vertices)
-        assert min_degree(g).min_degree == 2
+        assert g.delta() == 2
 
     def test_isolated_vertex(self):
         g = ColoredCubeGraph(3, [], vertices=[0])
-        assert min_degree(g).min_degree == 0
+        assert g.delta() == 0
 
     def test_empty(self):
         with pytest.raises(EmptyGraph):
-            min_degree(ColoredCubeGraph(3))
+            ColoredCubeGraph(3).delta()
 
     def test_degree_map(self):
-        summary = min_degree(cayley_coloring(2))
-        assert summary.degrees == {0: 2, 1: 2, 2: 2, 3: 2}
+        g = cayley_coloring(2)
+        assert {v: g.degree(v) for v in g.vertices} == {0: 2, 1: 2, 2: 2, 3: 2}
 
 
 class TestCandidateEdges:
