@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import gen as genmod
 from .embed import embed_rainbow_tree, format_embedding, parse_embedding
 from .errors import BudgetExceeded, DegreeTooSmall, FormatError, LimitExceeded, RainbowCubeError
-from .hypercube import format_graph, parse_graph, parse_vertex
+from .hypercube import MAX_EXPLICIT_DIMENSION, format_graph, parse_graph, parse_vertex
 from .prng import derive_seed
 from .tree import (
     as_spider,
@@ -66,16 +66,29 @@ def _load_tree(path: str):
 
 def _seed(args) -> int:
     env = os.environ.get("RAINBOW_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise FormatError(f"RAINBOW_SEED must be an integer, got {env!r}") from None
+
+
+def _check_trials(args) -> None:
+    """fuzz and bench draw hosts of dimension --n, which cayley_coloring
+    must be able to build, and run --trials trials."""
+    if not 1 <= args.n <= MAX_EXPLICIT_DIMENSION:
+        raise FormatError(f"--n must be in [1, {MAX_EXPLICIT_DIMENSION}], got {args.n}")
+    if args.trials < 0:
+        raise FormatError(f"--trials must be >= 0, got {args.trials}")
 
 
 def cmd_embed(args) -> int:
     g = _load_graph(args.graph, args.strict_vertices)
     t = _load_tree(args.tree)
+    seed = _seed(args)
     try:
-        pe = embed_rainbow_tree(g, t, seed=_seed(args), strict=args.strict)
+        pe = embed_rainbow_tree(g, t, seed=seed, strict=args.strict)
     except DegreeTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE
@@ -142,6 +155,7 @@ def _fuzz_trial(params: tuple):
 
 
 def cmd_fuzz(args) -> int:
+    _check_trials(args)
     master = _seed(args)
     failures = 0
     jobs = max(args.jobs, 1)
@@ -269,6 +283,7 @@ def cmd_check_tree(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_trials(args)
     master = _seed(args)
     times = []
     for trial in range(args.trials):

@@ -14,6 +14,14 @@ blocked vertex next to the root's image.  The strategy:
     distinct coordinates cannot close in a cube, and the coordinate
     bookkeeping keeps enough of them distinct that injectivity follows.
 
+Each level of that recursion is a *frame*: a subtree, the legs of a spider
+or a single leg, under the tree's own vertex ids, together with a view of
+the host that bans what the rest of the tree already uses.  Every frame
+writes into the one PartialEmbedding of the whole tree and keeps only its
+own sets of mapped edges, colors and coordinates, which its counting
+bounds are about.  Frames are generators that one loop, `_run`, drives depth
+first on an explicit stack, so a deep tree needs no interpreter recursion.
+
 Every choice is deterministic (first admissible edge in coordinate order)
 unless a seed asks for randomized tie-breaking.  The per-step counting
 requirements are checked at runtime and raise PreconditionViolated when
@@ -23,9 +31,9 @@ counting argument, not that the input was bad.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeTooSmall,
@@ -33,7 +41,6 @@ from .errors import (
     FormatError,
     NoCandidate,
     PreconditionViolated,
-    RecursionDepthExceeded,
     VertexNotInGraph,
 )
 from .hypercube import candidate_edges, edge_coordinate, parse_vertex, vertex_str
@@ -42,7 +49,7 @@ from .records import read_records
 from .tree import (
     RootedTree,
     as_spider,
-    build_tree,
+    build_tree,  # noqa: F401 -- perfbench/test_smoke.py reads embed.build_tree
     classify_children,
     half_floor,
     subtree_ceil_edges,
@@ -84,11 +91,17 @@ TraceEntry = tuple[str, int, int, int, int, int, int]
 
 @dataclass
 class PartialEmbedding:
-    """Partial map from tree vertices to cube vertices with rainbow bookkeeping.
+    """Partial map from tree vertices to cube vertices with rainbow
+    bookkeeping, seen through one frame.
 
     Tree edges are named by child endpoint; `color_of`/`coord_of` cover the
-    mapped edges.  `used_colors` never gains a duplicate, so the mapped part
-    stays rainbow at all times.  Confined to a single embedding run.
+    mapped edges.  The maps, the trace and the RNG belong to the whole tree
+    and every frame that `lift` opens shares them.  Per frame: `graph` is
+    its view of the host, `vertices` its vertices, subroot first (all of
+    them in id order for the whole tree), and `used_colors` the colors of
+    its mapped edges.  `all_colors`, the colors of every mapped edge, never
+    gains a duplicate, so the mapped part stays rainbow at all times.
+    Confined to a single embedding run.
     """
 
     tree: RootedTree
@@ -101,12 +114,28 @@ class PartialEmbedding:
     rng: SplitMix64 | None = None
     strict: bool = False
     z_bad: int | None = None
+    vertices: Sequence[int] | None = None
+    # a lifted frame's mapped edges and their coordinates; the whole tree
+    # (edges None) reads its own from coord_of
+    edges: set[int] | None = None
+    coords: set[int] | None = None
+    all_colors: set[int] | None = None
+
+    def __post_init__(self):
+        if self.vertices is None:
+            self.vertices = range(self.tree.n)
+        if self.all_colors is None:
+            self.all_colors = self.used_colors
+
+    @property
+    def root(self) -> int:
+        return self.vertices[0]
 
     def mapped_edges(self) -> set[int]:
-        return set(self.coord_of)
+        return set(self.coord_of if self.edges is None else self.edges)
 
-    def used_coords(self) -> set[int]:
-        return set(self.coord_of.values())
+    def used_coords(self) -> frozenset[int]:
+        return frozenset(self.coord_of.values() if self.coords is None else self.coords)
 
     def coords_of(self, edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.coord_of[e] for e in edges)
@@ -118,12 +147,17 @@ class PartialEmbedding:
         return len(self.image) == self.tree.n
 
     def record(self, child: int, y: int, color: int, coord: int, entry: TraceEntry):
-        if color in self.used_colors:
+        # checked against every frame's colors, so no color is reused across frames either
+        if color in self.all_colors:
             raise PreconditionViolated(f"color {color} reused at edge {child}")
         self.image[child] = y
         self.color_of[child] = color
         self.coord_of[child] = coord
         self.used_colors.add(color)
+        self.all_colors.add(color)
+        if self.edges is not None:
+            self.edges.add(child)
+            self.coords.add(coord)
         self.trace.append(entry)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):
@@ -134,49 +168,70 @@ class PartialEmbedding:
             raise PreconditionViolated(f"{context}: mapped edges are not doubly distinct")
 
     def lift(self, vertices: Sequence[int], view) -> "PartialEmbedding":
-        """Restriction to `vertices` (first entry becomes the new root) as a
-        fresh embedding over `view`.
+        """Open a frame on `vertices` over `view`.
 
-        `vertices` must be parent-closed below its first entry.  Pre-mapped
-        edge images must survive in the view; that is asserted here because
-        a banned pre-mapped edge means a bookkeeping error upstream.
+        `vertices` lists the frame's subroot first and is parent-closed
+        below it.  The frame writes into this embedding's maps and trace;
+        its own edge, color and coordinate sets start from the edges already
+        mapped inside it.  Those pre-mapped edges must survive in the view;
+        that is checked here because a banned pre-mapped edge means a
+        bookkeeping error upstream.
+
+        Every edge of a lifted frame is an edge of its host, with the color
+        and coordinate the host gives it: lift checked the pre-mapped ones,
+        extend_one took the others from the candidates of views of that
+        host, and so did the inner frames whose edges it adopts (the engine
+        keeps one host throughout).  So when `view` views the same host, a
+        pre-mapped edge survives exactly when its color and coordinate
+        escape the view's bans, and two set tests decide the check.  The
+        whole tree's edges may come from a caller and are looked up one by
+        one, as they are for a view of another host.
         """
-        index = {v: i for i, v in enumerate(vertices)}
-        parents = [index[self.tree.parent[w]] for w in vertices[1:]]
-        sub = PartialEmbedding(build_tree(parents), view, rng=self.rng, strict=self.strict)
-        for i, w in enumerate(vertices):
-            if w in self.image:
-                sub.image[i] = self.image[w]
-        for i, w in enumerate(vertices[1:], start=1):
-            if w in self.coord_of:
-                if not view.has_edge(self.image[self.tree.parent[w]], self.image[w]):
+        image, color_of, coord_of = self.image, self.color_of, self.coord_of
+        parent = self.tree.parent
+        premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
+        colors, coords = {color_of[w] for w in premapped}, {coord_of[w] for w in premapped}
+        if self.edges is None or view.base is not self.graph.base or not (
+            colors.isdisjoint(view.banned_colors) and coords.isdisjoint(view.banned_coords)
+        ):
+            for w in premapped:
+                if not view.has_edge(image[parent[w]], image[w]):
                     raise PreconditionViolated(
                         f"pre-mapped edge {w} was banned from the restricted host"
                     )
-                sub.color_of[i] = self.color_of[w]
-                sub.coord_of[i] = self.coord_of[w]
-                sub.used_colors.add(self.color_of[w])
-        return sub
+        return PartialEmbedding(
+            self.tree, view, image, color_of, coord_of, colors, self.trace, self.rng, self.strict,
+            vertices=vertices, edges=set(premapped), coords=coords, all_colors=self.all_colors,
+        )
 
-    def adopt(self, sub: "PartialEmbedding", vertices: Sequence[int]):
-        """Merge a completed lift back, translating ids and trace entries."""
-        for i, w in enumerate(vertices):
-            if w in self.image:
-                if self.image[w] != sub.image[i]:
-                    raise PreconditionViolated(f"lift remapped vertex {w}")
-            else:
-                self.image[w] = sub.image[i]
-        for i, w in enumerate(vertices[1:], start=1):
-            if w in self.coord_of:
-                continue
-            color = sub.color_of[i]
-            if color in self.used_colors:
-                raise PreconditionViolated(f"lift reused color {color} at edge {w}")
-            self.color_of[w] = color
-            self.coord_of[w] = sub.coord_of[i]
-            self.used_colors.add(color)
-        for label, child, src, dst, ncol, ncoor, r in sub.trace:
-            self.trace.append((label, vertices[child], src, dst, ncol, ncoor, r))
+    def adopt(self, sub: "PartialEmbedding"):
+        """Close a frame opened by `lift`: its edges, colors and coordinates
+        join this frame's.
+
+        The frame wrote into the shared maps, so there is nothing to copy
+        and nothing to compare.  It cannot have remapped a vertex, since
+        extend_one, the only caller of `record`, refuses a target that is
+        already mapped; and `record` refused any color used in any frame.
+        """
+        self.used_colors |= sub.used_colors
+        if self.edges is not None:
+            self.edges |= sub.edges
+            self.coords |= sub.coords
+
+
+Frame = Iterator["Frame"]  # a frame's steps; it yields each frame it opens
+
+
+def _run(frame: Frame) -> None:
+    """Run a frame and, depth first, every frame it opens, on an explicit
+    stack: a frame resumes once the frame it yielded has finished."""
+    stack = [frame]
+    while stack:
+        opened = next(stack[-1], None)
+        if opened is None:
+            stack.pop()
+        else:
+            stack.append(opened)
 
 
 def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
@@ -232,6 +287,15 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     return pe
 
 
+def _extend(pe: PartialEmbedding, target: int, x_coor: frozenset[int], label: str,
+            witnesses: tuple[int, ...] = ()) -> PartialEmbedding:
+    """extend_one from `target`'s parent, dodging `x_coor` and, as every step
+    of every stage does, each color the frame has used."""
+    request = ExtensionRequest(pe.tree.parent[target], target, frozenset(pe.used_colors),
+                               x_coor, witnesses, label)
+    return extend_one(pe, request)
+
+
 def embed_half(
     g,
     t: RootedTree,
@@ -252,16 +316,7 @@ def embed_half(
     pe = PartialEmbedding(t, g, rng=rng, strict=strict)
     pe.image[0] = start
     for child in sorted(half_floor(t), key=lambda v: (t.level[v], v)):
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=t.parent[child],
-                target=child,
-                x_col=frozenset(pe.used_colors),
-                x_coor=frozenset(pe.used_coords()),
-                label="half",
-            ),
-        )
+        _extend(pe, child, pe.used_coords(), "half")
     return pe
 
 
@@ -304,20 +359,22 @@ def certify_path_windows(coords: Sequence[int]) -> None:
 def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
     """Complete a path whose first floor(n/2) + 1 edges are doubly distinct.
 
-    Edge i then forbids all previous colors plus the coordinates of the
-    trailing window of edges 2i-n-1 .. i-1; that is exactly n classes with
-    one witness inside both sets, so a candidate always exists, and the
-    window overlap keeps every closing walk open.
+    The path is the frame's vertices in order (for the whole tree, the ids
+    in order).  Edge i then forbids all previous colors
+    plus the coordinates of the trailing window of edges 2i-n-1 .. i-1; that
+    is exactly n classes with one witness inside both sets, so a candidate
+    always exists, and the window overlap keeps every closing walk open.
     """
     t = pe.tree
-    n = t.n - 1
-    for i in range(1, t.n):
-        if t.parent[i] != i - 1:
+    path = pe.vertices
+    n = len(path) - 1
+    for i in range(1, n + 1):
+        if t.parent[path[i]] != path[i - 1]:
             raise PreconditionViolated("extend_path needs a path tree with ids in order")
     if n == 0:
         return pe
     nprime = min(n // 2 + 1, n)
-    expected = set(range(1, nprime + 1))
+    expected = set(path[1 : nprime + 1])
     if pe.mapped_edges() != expected:
         raise PreconditionViolated(
             f"path domain must be the first {nprime} edges, got {sorted(pe.mapped_edges())}"
@@ -326,21 +383,10 @@ def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
 
     for i in range(nprime + 1, n + 1):
         lo = max(2 * i - n - 1, 1)
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=i - 1,
-                target=i,
-                x_col=frozenset(pe.used_colors),
-                x_coor=pe.coords_of(range(lo, i)),
-                witnesses=(i - 1,),
-                label="path",
-            ),
-        )
+        _extend(pe, path[i], pe.coords_of(path[lo:i]), "path", (path[i - 1],))
 
-    coords = [pe.coord_of[i] for i in range(1, n + 1)]
-    certify_path_windows(coords)
-    images = [pe.image[i] for i in range(t.n)]
+    certify_path_windows([pe.coord_of[w] for w in path[1:]])
+    images = [pe.image[w] for w in path]
     if len(set(images)) != len(images):
         raise PreconditionViolated("path embedding not injective")
     return pe
@@ -351,7 +397,20 @@ def _leg_first_missing(leg: tuple[int, ...]) -> int:
     return leg[(len(leg) - 1) // 2 + 1]
 
 
-def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbedding:
+def _check_injective(pe: PartialEmbedding, what: str) -> list[int]:
+    """The images of a completed frame, checked for a repeat.
+
+    Checked once, by the function that runs the outermost frame: the
+    vertices of every frame it opens lie inside it, so a repeat in any of
+    them is a repeat here.
+    """
+    images = [pe.image[w] for w in pe.vertices]
+    if len(set(images)) != len(images):
+        raise PreconditionViolated(f"{what} embedding not injective")
+    return images
+
+
+def extend_spider(pe: PartialEmbedding) -> PartialEmbedding:
     """Complete a spider from its doubly distinct lower half.
 
     The partial map must cover the lower half, plus optionally the first
@@ -367,28 +426,34 @@ def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbe
 
     Openness of the cross-leg walks then gives injectivity.
     """
+    _run(_spider_frame(pe))
+    _check_injective(pe, "spider")
+    return pe
+
+
+def _spider_frame(pe: PartialEmbedding, legs: Sequence[tuple[int, ...]] | None = None) -> Frame:
+    """extend_spider on a frame: the spider below its subroot, or these legs
+    of it.  A frame for the remaining legs has fewer legs than its opener."""
     t, g = pe.tree, pe.graph
-    if t.n == 1:
-        return pe
-    shape = as_spider(t)
-    if shape is None:
-        raise PreconditionViolated("extend_spider needs a spider")
-    if _fuel is None:
-        _fuel = len(shape.legs)  # recursion drops one leg per level
-    elif _fuel <= 0:
-        raise RecursionDepthExceeded("spider recursion outlived its leg count")
-    e_total = t.n_edges()
+    if legs is None:
+        if not t.children[pe.root]:
+            return
+        shape = as_spider(t, pe.root)
+        if shape is None:
+            raise PreconditionViolated("extend_spider needs a spider")
+        legs = shape.legs
+    e_total = sum(len(leg) - 1 for leg in legs)
     if not g.delta_at_least(e_total):
         raise PreconditionViolated(f"delta={g.delta()} < e(S)={e_total}")
 
-    floor = half_floor(t)
+    # the lower half of a spider: the first floor(len/2) edges of every leg
+    floor = {leg[i] for leg in legs for i in range(1, (len(leg) - 1) // 2 + 1)}
     mapped = pe.mapped_edges()
     extra = mapped - floor
     if not floor <= mapped or len(extra) > 1:
         raise PreconditionViolated("spider domain must be the lower half plus at most one edge")
     pe.require_doubly_distinct(mapped, "extend_spider input")
 
-    legs = list(shape.legs)
     if extra:
         (x,) = extra
         first = [leg for leg in legs if _leg_first_missing(leg) == x]
@@ -414,17 +479,7 @@ def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbe
             witnesses = (rest[0][1],)
         else:
             witnesses = ()
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=t.parent[e1],
-                target=e1,
-                x_col=frozenset(pe.used_colors),
-                x_coor=frozenset(pe.used_coords()),
-                witnesses=witnesses,
-                label="spider0",
-            ),
-        )
+        _extend(pe, e1, pe.used_coords(), "spider0", witnesses)
 
     # step 1: finish leg one as a path, shielded from the other legs' halves
     rest_half_edges = [leg[i] for leg in rest for i in range(1, (len(leg) - 1) // 2 + 1)]
@@ -436,7 +491,7 @@ def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbe
         )
     sub = pe.lift(leg1, view1)
     extend_path(sub)
-    pe.adopt(sub, leg1)
+    pe.adopt(sub)
 
     # step 2: recurse on the remaining legs, shielded from leg one's colors
     if rest:
@@ -446,18 +501,12 @@ def extend_spider(pe: PartialEmbedding, _fuel: int | None = None) -> PartialEmbe
             raise PreconditionViolated(
                 f"remaining-legs view delta={view2.delta()} < {e_rest}"
             )
-        vertices = (0,) + tuple(v for leg in rest for v in leg[1:])
-        sub = pe.lift(vertices, view2)
-        extend_spider(sub, _fuel - 1)
-        pe.adopt(sub, vertices)
-
-    images = list(pe.image.values())
-    if len(set(images)) != len(images):
-        raise PreconditionViolated("spider embedding not injective")
-    return pe
+        sub = pe.lift(leg1[:1] + tuple(v for leg in rest for v in leg[1:]), view2)
+        yield _spider_frame(sub, rest)
+        pe.adopt(sub)
 
 
-def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> PartialEmbedding:
+def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
     """Extend a doubly distinct lower-half embedding to all of the tree,
     avoiding `z_bad`, path-distinct on the upper-closed half.
 
@@ -484,17 +533,26 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
          vertex of every recursion is the root's image;
       8. finish t_m by recursion, blocking the root's image.
     """
+    _run(_tree_frame(pe, z_bad))
+    # checked once too: the blocked vertex of every inner frame is the image
+    # of its opener's subroot, which lies outside it and inside this frame
+    if z_bad in _check_injective(pe, "tree"):
+        raise PreconditionViolated("embedding touched the blocked vertex")
+    return pe
+
+
+def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
+    """extend_tree on the subtree at a frame's subroot.  Every frame it
+    opens is rooted at a child, so frames nest no deeper than the tree."""
     t, g = pe.tree, pe.graph
-    if _fuel is None:
-        _fuel = t.level_max[0]  # recursion strictly lowers the tree height
-    elif _fuel <= 0:
-        raise RecursionDepthExceeded("tree recursion outlived the tree height")
-    root_img = pe.image[0]
-    e_total = t.n_edges()
+    root = pe.root
+    order, pos, end, _ = t.preorder()
+    root_img = pe.image[root]
+    e_total = end[root] - pos[root] - 1
     if e_total == 0:
         if root_img == z_bad:
             raise PreconditionViolated("root image equals the blocked vertex")
-        return pe
+        return
 
     if not g.delta_at_least(e_total):
         raise PreconditionViolated(f"delta={g.delta()} < e(T)={e_total}")
@@ -504,14 +562,14 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
         raise PreconditionViolated("blocked vertex is not a cube neighbor of the root image") from exc
     if g.has_edge(root_img, z_bad):
         raise PreconditionViolated("blocked vertex is joined to the root image in the host")
-    floor = half_floor(t)
-    if pe.mapped_edges() != set(floor):
+    floor = half_floor(t, root)
+    if pe.mapped_edges() != floor:
         raise PreconditionViolated("extend_tree domain must be exactly the lower half")
     pe.require_doubly_distinct(floor, "extend_tree input")
     if q in pe.used_coords():
         raise PreconditionViolated("blocked coordinate already used by the lower half")
 
-    cls = classify_children(t)
+    cls = classify_children(t, root)
     k, ell, m = len(cls.spiders), len(cls.leaves), len(cls.rest)
 
     a_sets = {
@@ -520,11 +578,7 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
         for sc in cls.spiders
     }
     b_sets = {v: frozenset({v}) | subtree_floor_edges(t, v) for v in cls.rest}
-    ab: set[int] = set()
-    for edges in a_sets.values():
-        ab |= edges
-    for edges in b_sets.values():
-        ab |= edges
+    ab = set().union(*a_sets.values(), *b_sets.values())
 
     # strict bookkeeping: raised, not asserted, so that `python -O` keeps it
     if pe.strict:
@@ -545,18 +599,12 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
         if not floor <= ab:
             raise PreconditionViolated("strict: anchor sets miss part of the lower half")
 
-    # step 1: finish the anchor sets, doubly distinct, dodging q
-    for child in sorted(ab - floor, key=lambda v: (t.level[v], v)):
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=t.parent[child],
-                target=child,
-                x_col=frozenset(pe.used_colors),
-                x_coor=frozenset(pe.used_coords() | {q}),
-                label="step1",
-            ),
-        )
+    # step 1: finish the anchor sets, doubly distinct, dodging q; ties in
+    # level go by id in the whole tree and by preorder position in a frame
+    # below it, the order the golden digests pin
+    rank = range(t.n) if pe.edges is None else pos
+    for child in sorted(ab - floor, key=lambda v: (t.level[v], rank[v])):
+        _extend(pe, child, pe.used_coords() | {q}, "step1")
 
     def leg_witness(sc) -> int:
         # the leg edge above the mid-leg edge, or the root edge of the child
@@ -565,153 +613,67 @@ def extend_tree(pe: PartialEmbedding, z_bad: int, _fuel: int | None = None) -> P
     # step 2: the first spider's mid-leg edge
     if k >= 1:
         sc = cls.spiders[0]
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=t.parent[sc.mid_edge],
-                target=sc.mid_edge,
-                x_col=frozenset(pe.used_colors),
-                x_coor=frozenset(pe.used_coords() | {q}),
-                witnesses=(leg_witness(sc),),
-                label="step2",
-            ),
-        )
-    anchor_coords = frozenset(pe.used_coords())  # coordinates of anchors + e_1
+        _extend(pe, sc.mid_edge, pe.used_coords() | {q}, "step2", (leg_witness(sc),))
+    anchor_coords = pe.used_coords()  # coordinates of anchors + e_1
 
     # step 3: the other spiders' mid-leg edges
     for sc in cls.spiders[1:]:
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=t.parent[sc.mid_edge],
-                target=sc.mid_edge,
-                x_col=frozenset(pe.used_colors),
-                x_coor=anchor_coords,
-                witnesses=(leg_witness(sc),),
-                label="step3",
-            ),
-        )
+        _extend(pe, sc.mid_edge, anchor_coords, "step3", (leg_witness(sc),))
 
     # step 4: the root-leaf edges, witness-backed by earlier root edges
-    done_leaves: list[int] = []
+    witnesses = tuple(sc.vertex for sc in cls.spiders)
     for u in cls.leaves:
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=0,
-                target=u,
-                x_col=frozenset(pe.used_colors),
-                x_coor=frozenset(pe.used_coords()),
-                witnesses=tuple(sc.vertex for sc in cls.spiders) + tuple(done_leaves),
-                label="step4",
-            ),
-        )
-        done_leaves.append(u)
+        _extend(pe, u, pe.used_coords(), "step4", witnesses)
+        witnesses += (u,)
 
     # step 5: the edges after the mid-leg edges, spiders 2..k
     for idx, sc in enumerate(cls.spiders[1:], start=1):
-        later_anchor = set()
-        for sc2 in cls.spiders[idx:]:
-            later_anchor |= a_sets[sc2.vertex]
-        for v in cls.rest:
-            later_anchor |= b_sets[v]
-        later_anchor.add(sc.mid_edge)
-        extend_one(
-            pe,
-            ExtensionRequest(
-                source=t.parent[sc.after_mid_edge],
-                target=sc.after_mid_edge,
-                x_col=frozenset(pe.used_colors),
-                x_coor=pe.coords_of(later_anchor),
-                witnesses=(sc.mid_edge,),
-                label="step5",
-            ),
+        later_anchor = {sc.mid_edge}.union(
+            *(a_sets[sc2.vertex] for sc2 in cls.spiders[idx:]), *b_sets.values()
         )
+        _extend(pe, sc.after_mid_edge, pe.coords_of(later_anchor), "step5", (sc.mid_edge,))
 
-    def pruned_view(sub_vertices: Sequence[int]):
-        own = pe.colors_of(c for c in sub_vertices[1:] if c in pe.coord_of)
-        return g.restrict(frozenset(pe.used_colors) - own, ())
+    def lift_child(v: int, banned_coords, what: str, part: str) -> PartialEmbedding:
+        # a frame on v's subtree in the view that bans every color used
+        # outside it, plus `banned_coords`
+        sub_vertices = order[pos[v] : end[v]]
+        own = pe.colors_of(filter(pe.coord_of.__contains__, sub_vertices[1:]))
+        view = g.restrict(frozenset(pe.used_colors) - own, banned_coords)
+        e_sub = len(sub_vertices) - 1
+        if not view.delta_at_least(e_sub):
+            raise PreconditionViolated(f"{what} view delta={view.delta()} < e({part})={e_sub}")
+        return pe.lift(sub_vertices, view)
 
     # step 6: finish the spiders
     for sc in cls.spiders:
-        sub_vertices = t.subtree_preorder(sc.vertex)
-        view = pruned_view(sub_vertices)
-        e_sub = len(sub_vertices) - 1
-        if not view.delta_at_least(e_sub):
-            raise PreconditionViolated(
-                f"spider view delta={view.delta()} < e(S_i)={e_sub}"
-            )
-        sub = pe.lift(sub_vertices, view)
-        extend_spider(sub)
-        pe.adopt(sub, sub_vertices)
+        sub = lift_child(sc.vertex, (), "spider", "S_i")
+        yield _spider_frame(sub)
+        pe.adopt(sub)
 
     # steps 7 and 8: the remaining subtrees, in deficiency order
     for j, v in enumerate(cls.rest, start=1):
-        sub_vertices = t.subtree_preorder(v)
-        e_sub = len(sub_vertices) - 1
         sub_floor = b_sets[v] - {v}
-        last = j == m
+        sub_ceil = subtree_ceil_edges(t, v) if j < m else sub_floor
+        later_coords = ()
+        lone_odd_leg = sub_ceil != sub_floor and end[v] - pos[v] - 1 - 2 * len(sub_floor) == 1
+        if lone_odd_leg:
+            # map its middle edge first, then spider-extend
+            (mid,) = sub_ceil - sub_floor
+            later_b = set().union(*(b_sets[v2] for v2 in cls.rest[j - 1 :]))
+            _extend(pe, mid, pe.coords_of(later_b), "step7-mid", (t.parent[mid],))
+        elif sub_ceil != sub_floor:
+            # deficiency >= 2: also shield the later anchors' coordinates
+            later_coords = pe.coords_of(chain([v], *(b_sets[v2] for v2 in cls.rest[j:])))
+        sub = lift_child(v, later_coords, "subtree", "T_j")
+        yield _spider_frame(sub) if lone_odd_leg else _tree_frame(sub, root_img)
+        pe.adopt(sub)
 
-        if not last:
-            sub_ceil = subtree_ceil_edges(t, v)
-            defic = e_sub - 2 * len(sub_floor)
-            if sub_ceil != sub_floor and defic == 1:
-                # lone odd leg: map its middle edge first, then spider-extend
-                (mid,) = sub_ceil - sub_floor
-                later_b = set()
-                for v2 in cls.rest[j - 1 :]:
-                    later_b |= b_sets[v2]
-                parent_edge = t.parent[mid] if t.parent[mid] != v else v
-                extend_one(
-                    pe,
-                    ExtensionRequest(
-                        source=t.parent[mid],
-                        target=mid,
-                        x_col=frozenset(pe.used_colors),
-                        x_coor=pe.coords_of(later_b),
-                        witnesses=(parent_edge,),
-                        label="step7-mid",
-                    ),
-                )
-                view = pruned_view(sub_vertices)
-                if not view.delta_at_least(e_sub):
-                    raise PreconditionViolated(
-                        f"subtree view delta={view.delta()} < e(T_j)={e_sub}"
-                    )
-                sub = pe.lift(sub_vertices, view)
-                extend_spider(sub)
-                pe.adopt(sub, sub_vertices)
-                continue
-            if sub_ceil != sub_floor:
-                # deficiency >= 2: also shield the later anchors' coordinates
-                later_coords = {pe.coord_of[v]}
-                for v2 in cls.rest[j:]:
-                    later_coords |= {pe.coord_of[e] for e in b_sets[v2]}
-                own = pe.colors_of(c for c in sub_vertices[1:] if c in pe.coord_of)
-                view = g.restrict(frozenset(pe.used_colors) - own, later_coords)
-            else:
-                view = pruned_view(sub_vertices)
-        else:
-            view = pruned_view(sub_vertices)
-
-        if not view.delta_at_least(e_sub):
-            raise PreconditionViolated(f"subtree view delta={view.delta()} < e(T_j)={e_sub}")
-        sub = pe.lift(sub_vertices, view)
-        extend_tree(sub, root_img, _fuel - 1)
-        pe.adopt(sub, sub_vertices)
-
-    images = list(pe.image.values())
-    if len(set(images)) != len(images):
-        raise PreconditionViolated("tree embedding not injective")
-    if z_bad in pe.image.values():
-        raise PreconditionViolated("embedding touched the blocked vertex")
     if pe.strict:
-        for v in t.children[0]:
+        for v in t.children[root]:
             branch = [v] + sorted(subtree_floor_edges(t, v))
             coords = [pe.coord_of[e] for e in branch]
             if len(set(coords)) != len(coords):
                 raise PreconditionViolated("strict: branch anchor set repeats a coordinate")
-    return pe
 
 
 def choose_z_bad(g, pe: PartialEmbedding) -> tuple[int, int]:
@@ -752,11 +714,6 @@ def embed_rainbow_tree(
         raise DegreeTooSmall(f"host delta={g.delta()} < e(T)={e_total}")
     if start is None:
         start = g.default_start()
-    # recursion depth is linear in the tree size (one level per height step
-    # or per spider leg); deep spines need more interpreter headroom
-    needed = 2 * t.n + 200
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
     rng = SplitMix64(seed) if seed is not None else None
     pe = embed_half(g, t, start, rng=rng, strict=strict)
     if e_total == 0:

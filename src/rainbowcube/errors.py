@@ -53,10 +53,6 @@ class NoCandidate(RainbowCubeError):
     """No admissible edge existed although the counting bound promised one."""
 
 
-class RecursionDepthExceeded(RainbowCubeError):
-    """Guard tripped: the engine recursed deeper than its own structure allows."""
-
-
 class BudgetExceeded(RainbowCubeError):
     """Search budget ran out; `partial` carries the statistics so far."""
 

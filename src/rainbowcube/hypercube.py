@@ -30,6 +30,9 @@ Edge = tuple[int, int]
 # incident-edge record: (coordinate, neighbor, color)
 Incidence = tuple[int, int, int]
 
+# the widest cube built explicitly (2^16 vertices); VirtualCayleyCube goes beyond
+MAX_EXPLICIT_DIMENSION = 16
+
 
 def edge_coordinate(u: int, v: int) -> int:
     """Index of the unique bit where u and v differ."""
@@ -59,6 +62,14 @@ class _Host:
     """Queries shared by the two host flavors; each defines delta()."""
 
     __slots__ = ()
+
+    # read as a view, a host is its own base with nothing banned
+    banned_colors: frozenset[int] = frozenset()
+    banned_coords: frozenset[int] = frozenset()
+
+    @property
+    def base(self):
+        return self
 
     def delta_at_least(self, k: int) -> bool:
         return self.delta() >= k
@@ -355,11 +366,12 @@ def cayley_coloring(n: int) -> ColoredCubeGraph:
     """Full Q_n where every edge is colored by its coordinate.
 
     Uses n colors, each class a perfect matching of 2^(n-1) edges, and the
-    coloring is proper.  Guarded to n <= 16; use VirtualCayleyCube beyond.
+    coloring is proper.  Guarded to n <= MAX_EXPLICIT_DIMENSION; use
+    VirtualCayleyCube beyond.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > 16:
+    if n > MAX_EXPLICIT_DIMENSION:
         raise LimitExceeded(f"cayley_coloring materializes 2^{n} vertices; use VirtualCayleyCube")
     edges = []
     for u in range(1 << n):

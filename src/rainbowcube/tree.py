@@ -12,13 +12,18 @@ level(v) <= ceil(level_max(v)/2): the first halves of all root-to-leaf
 paths, excluding resp. including the middle edges of odd-length paths.
 The *deficiency* e(T) - 2*e(lower half) is >= 0, zero exactly for spiders
 whose legs all have even length.
+
+The same notions apply to the subtree at any vertex v, with levels taken
+relative to v.  A tree's preorder, computed once, makes every subtree a
+contiguous slice, so these subtree quantities need no walk of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from itertools import compress
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     CycleDetected,
@@ -32,10 +37,27 @@ from .errors import (
 from .records import read_records
 
 
-class RootedTree:
-    """Immutable rooted tree with cached level and level_max."""
+class Preorder(NamedTuple):
+    """A tree's vertices depth first (children in id order), with subtree intervals.
 
-    __slots__ = ("n", "parent", "children", "level", "level_max")
+    The subtree at v is order[pos[v]:end[v]].  half_level[i] is
+    2*level(w) - level_max(w) for w = order[i]: w lies in the lower half of
+    the subtree at a proper ancestor v exactly when level(v) >= half_level[i],
+    and in its upper-closed half when level(v) + 1 >= half_level[i].  (With
+    a = level(v): level(w) - a <= (level_max(w) - a) // 2 holds iff
+    2*(level(w) - a) <= level_max(w) - a, and the ceiling adds one.)
+    """
+
+    order: tuple[int, ...]
+    pos: tuple[int, ...]
+    end: tuple[int, ...]
+    half_level: tuple[int, ...]
+
+
+class RootedTree:
+    """Immutable rooted tree with cached level, level_max and preorder."""
+
+    __slots__ = ("n", "parent", "children", "level", "level_max", "_preorder")
 
     def __init__(self, parent: tuple, children: tuple, level: tuple, level_max: tuple):
         self.n = len(parent)
@@ -43,6 +65,30 @@ class RootedTree:
         self.children = children        # sorted tuples
         self.level = level
         self.level_max = level_max
+        self._preorder = None
+
+    def preorder(self) -> Preorder:
+        """The preorder and subtree intervals, computed on first use."""
+        if self._preorder is None:
+            order = []
+            stack = [0]
+            while stack:
+                w = stack.pop()
+                order.append(w)
+                stack.extend(reversed(self.children[w]))
+            pos = [0] * self.n
+            for i, w in enumerate(order):
+                pos[w] = i
+            size = [1] * self.n
+            for w in reversed(order[1:]):
+                size[self.parent[w]] += size[w]
+            self._preorder = Preorder(
+                tuple(order),
+                tuple(pos),
+                tuple(p + k for p, k in zip(pos, size)),
+                tuple(2 * self.level[w] - self.level_max[w] for w in order),
+            )
+        return self._preorder
 
     @property
     def root(self) -> int:
@@ -69,16 +115,12 @@ class RootedTree:
 
     def subtree_preorder(self, v: int) -> tuple[int, ...]:
         """v and its descendants, depth-first with children in id order."""
-        out = []
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            out.append(w)
-            stack.extend(reversed(self.children[w]))
-        return tuple(out)
+        order, pos, end, _ = self.preorder()
+        return order[pos[v] : end[v]]
 
     def subtree_edge_count(self, v: int) -> int:
-        return len(self.subtree_preorder(v)) - 1
+        _, pos, end, _ = self.preorder()
+        return end[v] - pos[v] - 1
 
     def root_path(self, v: int) -> tuple[int, ...]:
         """Vertices from the root to v, inclusive."""
@@ -145,39 +187,36 @@ def path_tree(length: int) -> RootedTree:
 # --- halves and deficiency --------------------------------------------------
 
 
-def subtree_floor_edges(t: RootedTree, v: int) -> frozenset[int]:
-    """Edges of the lower half of the subtree rooted at v, in t's vertex ids."""
-    base = t.level[v]
-    return frozenset(
-        w
-        for w in t.subtree_preorder(v)
-        if w != v and (t.level[w] - base) <= (t.level_max[w] - base) // 2
-    )
+def _in_half(t: RootedTree, v: int, ceil: int):
+    """The proper descendants of v and, in step, whether each lies in the
+    lower (ceil=0) or upper-closed (ceil=1) half of v's subtree."""
+    order, pos, end, half_level = t.preorder()
+    lo, hi = pos[v] + 1, end[v]
+    return order[lo:hi], map((t.level[v] + ceil).__ge__, half_level[lo:hi])
 
 
-def subtree_ceil_edges(t: RootedTree, v: int) -> frozenset[int]:
-    """Edges of the upper-closed half of the subtree rooted at v."""
-    base = t.level[v]
-    return frozenset(
-        w
-        for w in t.subtree_preorder(v)
-        if w != v and (t.level[w] - base) <= -((base - t.level_max[w]) // 2)
-    )
+def half_floor(t: RootedTree, v: int = 0) -> frozenset[int]:
+    """Edge set of the lower half of the subtree at v, by default of all of
+    t (edges named by child endpoint, in t's vertex ids)."""
+    return frozenset(compress(*_in_half(t, v, 0)))
 
 
-def half_floor(t: RootedTree) -> frozenset[int]:
-    """Edge set of the lower half of t (edges named by child endpoint)."""
-    return frozenset(v for v in range(1, t.n) if t.level[v] <= t.level_max[v] // 2)
+def half_ceil(t: RootedTree, v: int = 0) -> frozenset[int]:
+    """Edge set of the upper-closed half of the subtree at v (all of t by default)."""
+    return frozenset(compress(*_in_half(t, v, 1)))
 
 
-def half_ceil(t: RootedTree) -> frozenset[int]:
-    """Edge set of the upper-closed half of t."""
-    return frozenset(v for v in range(1, t.n) if t.level[v] <= -(-t.level_max[v] // 2))
+# the halves of a child's subtree, under the names the extension's anchor
+# bookkeeping looks them up by
+subtree_floor_edges = half_floor
+subtree_ceil_edges = half_ceil
 
 
-def deficiency(t: RootedTree) -> int:
-    """e(T) - 2*e(lower half); nonnegative, and counts odd legs on spiders."""
-    return t.n_edges() - 2 * len(half_floor(t))
+def deficiency(t: RootedTree, v: int = 0) -> int:
+    """e - 2*e(lower half) of the subtree at v; nonnegative, and counts odd
+    legs on spiders."""
+    vertices, in_floor = _in_half(t, v, 0)
+    return len(vertices) - 2 * sum(in_floor)
 
 
 # --- spiders -----------------------------------------------------------------
@@ -198,24 +237,31 @@ class SpiderShape:
         return sum(length % 2 for length in self.leg_lengths)
 
 
-def as_spider(t: RootedTree) -> SpiderShape | None:
-    """Leg decomposition if every non-root vertex has degree <= 2, else None.
+def as_spider(t: RootedTree, v: int = 0) -> SpiderShape | None:
+    """Leg decomposition of the subtree at v (all of t by default) if every
+    vertex below v has degree <= 2, else None.
 
     Legs are listed in order of their first vertex, so the decomposition is
     deterministic.  The legs partition the edge set.
     """
-    if t.n == 1:
+    if not t.children[v]:
         raise EmptyTree("single-vertex tree has no legs")
-    for v in range(1, t.n):
-        if t.degree(v) > 2:
-            return None
+    if _branches_below(t, v) is not None:
+        return None
     legs = []
-    for c in t.children[0]:
-        leg = [0, c]
+    for c in t.children[v]:
+        leg = [v, c]
         while t.children[leg[-1]]:
             leg.append(t.children[leg[-1]][0])
         legs.append(tuple(leg))
-    return SpiderShape(0, tuple(legs), tuple(len(leg) - 1 for leg in legs))
+    return SpiderShape(v, tuple(legs), tuple(len(leg) - 1 for leg in legs))
+
+
+def _branches_below(t: RootedTree, v: int) -> int | None:
+    """A proper descendant of v with two or more children, or None."""
+    order, pos, end, _ = t.preorder()
+    children = t.children
+    return next((w for w in order[pos[v] + 1 : end[v]] if len(children[w]) > 1), None)
 
 
 # --- classification of the root's children ----------------------------------
@@ -245,27 +291,24 @@ class ChildClassification:
     rest: tuple[int, ...]   # deficiency >= 1, sorted by (deficiency, id)
 
 
-def _subtree_deficiency(t: RootedTree, v: int) -> int:
-    return t.subtree_edge_count(v) - 2 * len(subtree_floor_edges(t, v))
-
-
-def classify_children(t: RootedTree) -> ChildClassification:
-    """Partition the root's children into leaves, even-spider subtrees, rest."""
-    if t.n == 1:
+def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
+    """Partition the children of `root` (by default t's root) into leaves,
+    even-spider subtrees, rest."""
+    if not t.children[root]:
         raise EmptyTree("no edges to classify")
     leaves = []
     spiders = []
     rest = []
-    for v in t.children[0]:
+    for v in t.children[root]:
         if not t.children[v]:
             leaves.append(v)
             continue
-        d = _subtree_deficiency(t, v)
+        d = deficiency(t, v)
         if d == 0:
             # zero deficiency forces an even spider below v; check it live
-            for w in t.subtree_preorder(v):
-                if w != v and len(t.children[w]) > 1:
-                    raise AssertionError(f"deficiency 0 but vertex {w} branches below {v}")
+            w = _branches_below(t, v)
+            if w is not None:
+                raise AssertionError(f"deficiency 0 but vertex {w} branches below {v}")
             leg = [v]
             while t.children[leg[-1]]:
                 leg.append(t.children[leg[-1]][0])
@@ -275,9 +318,9 @@ def classify_children(t: RootedTree) -> ChildClassification:
             half = length // 2
             spiders.append(SpiderChild(v, tuple(leg), half, leg[half], leg[half + 1]))
         else:
-            rest.append(v)
-    rest.sort(key=lambda v: (_subtree_deficiency(t, v), v))
-    return ChildClassification(tuple(leaves), tuple(spiders), tuple(rest))
+            rest.append((d, v))
+    rest.sort()
+    return ChildClassification(tuple(leaves), tuple(spiders), tuple(v for _, v in rest))
 
 
 # --- the reflection injection ------------------------------------------------

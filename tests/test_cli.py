@@ -316,3 +316,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 3
+
+
+class TestBadNumbersExit3:
+    """Out-of-range numbers print one error line, nothing on stdout, exit 3."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "--n", "0", "--trials", "1"], "--n must be in [1, 16], got 0"),
+        (["fuzz", "--n", "17", "--trials", "1"], "--n must be in [1, 16], got 17"),
+        (["fuzz", "--n", "3", "--trials", "-2"], "--trials must be >= 0, got -2"),
+        (["bench", "--n", "0", "--trials", "1"], "--n must be in [1, 16], got 0"),
+        (["bench", "--n", "3", "--trials", "-1"], "--trials must be >= 0, got -1"),
+    ])
+    def test_fuzz_and_bench(self, argv, message, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "cayley", "--n", "2"],
+        ["fuzz", "--n", "3", "--trials", "1"],
+        ["bench", "--n", "3", "--trials", "1"],
+        ["embed", "GRAPH", "TREE"],
+    ])
+    def test_seed_that_is_not_an_integer(self, argv, q3, p4, monkeypatch, capsys):
+        monkeypatch.setenv("RAINBOW_SEED", "abc")
+        argv = [{"GRAPH": q3, "TREE": p4}.get(a, a) for a in argv]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RAINBOW_SEED must be an integer, got 'abc'\n"

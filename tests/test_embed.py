@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rainbowcube
+import rainbowcube.embed as embed
 from rainbowcube import (
     ColoredCubeGraph,
     ExtensionRequest,
@@ -38,6 +39,7 @@ from rainbowcube.errors import DegreeTooSmall, PreconditionViolated, RainbowCube
 from rainbowcube.gen import random_spider, random_tree, subgraph_min_degree
 from rainbowcube.prng import SplitMix64
 
+from test_golden import comb
 from test_hypercube import improper_cayley
 from test_tree import CLASSIFY_49
 
@@ -623,3 +625,168 @@ class TestTraceAndFormat:
         pe = embed_rainbow_tree(g, t)
         labels = {entry[0] for entry in pe.trace}
         assert "half" in labels
+
+
+# embeds a deep tree under a recursion limit far below its height
+LOW_RECURSION_LIMIT = """
+import sys
+sys.setrecursionlimit(400)
+from rainbowcube import VirtualCayleyCube, embed_rainbow_tree, path_tree, verify
+g, t = VirtualCayleyCube(1500), path_tree(1500)
+pe = embed_rainbow_tree(g, t)
+print(verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok,
+      sys.getrecursionlimit())
+"""
+
+
+class TestDeepTrees:
+    # the extension runs its frames on an explicit stack: a tree as high as
+    # the host is wide needs no interpreter recursion and changes no limit
+    @pytest.mark.parametrize("tree", [comb(1500), path_tree(1500)], ids=["comb", "path"])
+    def test_embeds_without_raising_the_recursion_limit(self, tree):
+        g = VirtualCayleyCube(1500)
+        limit = sys.getrecursionlimit()
+        pe = embed_rainbow_tree(g, tree)
+        assert sys.getrecursionlimit() == limit
+        assert verify(g, tree, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
+
+    def test_embeds_under_a_low_recursion_limit(self):
+        src = Path(rainbowcube.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", LOW_RECURSION_LIMIT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "400"]
+
+
+def mapped_path(g, edges, mapped):
+    """The path 0-1-..-edges with its first `mapped` edges mapped greedily from vertex 0."""
+    t = path_tree(edges)
+    pe = PartialEmbedding(t, g)
+    pe.image[0] = 0
+    for v in range(1, mapped + 1):
+        extend_one(pe, ExtensionRequest(v - 1, v, frozenset(pe.used_colors), frozenset()))
+    return pe
+
+
+class TestFrames:
+    """`lift` opens a frame on the shared map and `adopt` closes it."""
+
+    def test_frame_shares_the_map_and_keeps_its_own_sets(self):
+        g = cayley_coloring(4)
+        pe = mapped_path(g, 3, 2)
+        sub = pe.lift((1, 2, 3), g.restrict({pe.color_of[1]}, ()))
+        assert sub.root == 1 and sub.mapped_edges() == {2} and sub.used_coords() == {1}
+        extend_one(sub, ExtensionRequest(2, 3, frozenset(sub.used_colors), sub.used_coords()))
+        assert pe.image[3] == sub.image[3] and pe.trace[-1][1] == 3
+        assert sub.used_colors == {1, 2} and pe.all_colors == {0, 1, 2}
+        pe.adopt(sub)
+        assert pe.mapped_edges() == {1, 2, 3}
+
+    def test_premapped_edge_banned_from_the_view(self):
+        g = cayley_coloring(3)
+        pe = mapped_path(g, 2, 2)
+        with pytest.raises(PreconditionViolated, match="pre-mapped edge 1 was banned"):
+            pe.lift((0, 1, 2), g.restrict({pe.color_of[1]}, ()))
+        frame = pe.lift((0, 1, 2), g.restrict((), {7}))
+        # a view that narrows the frame's view, and one that does not
+        for view in (frame.graph.restrict((), {pe.coord_of[2]}),
+                     g.restrict((), {pe.coord_of[2]})):
+            with pytest.raises(PreconditionViolated, match="pre-mapped edge 2 was banned"):
+                frame.lift((1, 2), view)
+
+    def test_edges_mapped_by_a_caller_are_looked_up(self):
+        # the whole tree's pre-mapped edges may not come from extend_one, so
+        # a frame opened on the whole tree looks each one up in the view
+        edges = [(u, v, c) for u, v, c in cayley_coloring(3).edges() if (u, v) != (0, 1)]
+        g = ColoredCubeGraph(3, edges)
+        pe = premapped(cayley_coloring(3), path_tree(1), {0: 0, 1: 1})
+        pe.graph = g
+        with pytest.raises(PreconditionViolated, match="pre-mapped edge 1 was banned"):
+            pe.lift((0, 1), g.restrict({5}, ()))
+
+    @pytest.mark.parametrize("frame_bans", [(), (7,)], ids=["host", "view"])
+    def test_a_view_of_another_host_is_looked_up(self, frame_bans):
+        # edges of a frame's view need not be edges of another host
+        g = cayley_coloring(3)
+        pe = mapped_path(g, 2, 2)
+        frame = pe.lift((0, 1, 2), g.restrict((), frame_bans))
+        gone = {pe.image[1], pe.image[2]}
+        other = ColoredCubeGraph(3, [(u, v, c) for u, v, c in g.edges() if {u, v} != gone])
+        with pytest.raises(PreconditionViolated, match="pre-mapped edge 2 was banned"):
+            frame.lift((1, 2), other.restrict((), {7}))
+
+    def test_lift_decides_as_the_view_does(self):
+        # frames lifted from frames decide by two set tests; they must agree
+        # with looking every pre-mapped edge up in the view
+        rng = SplitMix64(11)
+        for _ in range(200):
+            t = random_tree(8, rng.next_u64())
+            g = VirtualCayleyCube(10)
+            pe = embed_rainbow_tree(g, t)
+            v = 1 + rng.randrange(t.n_edges())
+            vertices = t.subtree_preorder(v)
+            own = {pe.color_of[w] for w in vertices[1:]}
+            frame = pe.lift(vertices, g.restrict(set(range(10)) - own - {rng.randrange(10)}, ()))
+            for w in vertices[1:]:
+                if t.children[w]:
+                    inner = t.subtree_preorder(w)
+                    view = frame.graph.restrict({rng.randrange(12)}, {rng.randrange(12)})
+                    live = all(view.has_edge(pe.image[t.parent[x]], pe.image[x]) for x in inner[1:])
+                    try:
+                        frame.lift(inner, view)
+                        assert live
+                    except PreconditionViolated:
+                        assert not live
+
+    def test_color_reused_across_frames(self):
+        # the frame's own colors are fresh, but record checks every frame's:
+        # leaving vertex 1 by coordinate 0 goes back over edge 1's color
+        g = cayley_coloring(3)
+        pe = mapped_path(g, 2, 1)
+        sub = pe.lift((1, 2), g)
+        assert not sub.used_colors
+        with pytest.raises(PreconditionViolated, match="color 0 reused at edge 2"):
+            extend_one(sub, ExtensionRequest(1, 2, frozenset(), frozenset()))
+
+    def test_a_frame_cannot_remap_a_vertex(self):
+        # adopt no longer compares images: the map is shared, and extend_one
+        # refuses a target that is already mapped
+        g = cayley_coloring(3)
+        pe = mapped_path(g, 2, 2)
+        sub = pe.lift((1, 2), g)
+        with pytest.raises(PreconditionViolated, match="not a frontier edge"):
+            extend_one(sub, ExtensionRequest(1, 2, frozenset(), frozenset()))
+
+    @pytest.mark.parametrize("back", [1, 2], ids=["blocked vertex", "further up"])
+    def test_a_repeat_inside_an_inner_frame_is_caught_once(self, back, monkeypatch):
+        # inner frames check neither injectivity nor their blocked vertex;
+        # the function running the outermost frame finds the repeat
+        t = comb(12)
+        g = VirtualCayleyCube(12)
+        calls = []
+        engine = embed.extend_one
+
+        def counting(pe, req):
+            calls.append(req.target)
+            return engine(pe, req)
+
+        monkeypatch.setattr(embed, "extend_one", counting)
+        embed_rainbow_tree(g, t)
+        last = len(calls)
+
+        def colliding(pe, req):
+            engine(pe, req)
+            calls.append(req.target)
+            if len(calls) == 2 * last:  # the last step, inside the frame on vertex 6
+                up = req.target
+                for _ in range(back + 1):
+                    up = t.parent[up]
+                pe.image[req.target] = pe.image[up]
+            return pe
+
+        monkeypatch.setattr(embed, "extend_one", colliding)
+        with pytest.raises(PreconditionViolated, match="tree embedding not injective"):
+            embed_rainbow_tree(g, t)

@@ -68,10 +68,10 @@ def corpus():
                     yield f"{name} e={edges} tree={i} seed={seed}", g, t, seed
 
 
-def corpus_digest():
+def corpus_digest(instances=None):
     h = hashlib.sha256()
     cases = 0
-    for case, g, t, seed in corpus():
+    for case, g, t, seed in corpus() if instances is None else instances:
         pe = embed_rainbow_tree(g, t, seed=seed)
         assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok, case
         h.update(f"case {case}\nz_bad {pe.z_bad}\n".encode())
@@ -90,3 +90,29 @@ def test_corpus_reaches_every_stage():
 
 def test_golden_digest():
     assert corpus_digest() == (GOLDEN, GOLDEN_CASES)
+
+
+# The deep corpus: 200-edge trees in Q_200, deep enough for the extension to
+# open frames many levels down and at positions far from their ids.
+DEEP = "15c13d94c79a82a8e27965b7bd33a1e80aa8538b4bff6e8223059bb34c5205e4"
+DEEP_CASES = 12
+
+
+def deep_corpus():
+    """(name, host, tree, seed) for the 200-edge trees, in a fixed order."""
+    g = VirtualCayleyCube(200)
+    shapes = {
+        "path": path_tree(200),
+        "comb": comb(200),
+        "star": build_tree([0] * 200),
+        "spider": random_spider((100, 100)),
+        "random1": random_tree(200, 1),
+        "random2": random_tree(200, 2),
+    }
+    for name, t in shapes.items():
+        for seed in (None, 7):
+            yield f"deep {name} seed={seed}", g, t, seed
+
+
+def test_deep_digest():
+    assert corpus_digest(deep_corpus()) == (DEEP, DEEP_CASES)

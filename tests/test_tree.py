@@ -231,6 +231,54 @@ class TestClassifyChildren:
         assert combined == list(t.children[0])
 
 
+def walk(t, v):
+    """v and its descendants, depth first with children in id order."""
+    out, stack = [], [v]
+    while stack:
+        w = stack.pop()
+        out.append(w)
+        stack.extend(reversed(t.children[w]))
+    return out
+
+
+class TestSubtrees:
+    """Every subtree quantity read off the preorder equals the same quantity
+    of the subtree renumbered as a tree of its own (ids by preorder position)."""
+
+    @given(parent_lists(max_edges=12))
+    @settings(max_examples=150, deadline=None)
+    def test_subtree_equals_its_renumbered_copy(self, parents):
+        t = build_tree(parents)
+        for v in range(t.n):
+            sub = walk(t, v)
+            index = {w: i for i, w in enumerate(sub)}
+            copy = build_tree([index[t.parent[w]] for w in sub[1:]])
+            base = t.level[v]
+            floor = {w for w in sub[1:] if t.level[w] - base <= (t.level_max[w] - base) // 2}
+            ceil = {w for w in sub[1:] if t.level[w] - base <= -((base - t.level_max[w]) // 2)}
+            assert t.subtree_preorder(v) == tuple(sub)
+            assert t.subtree_edge_count(v) == copy.n_edges() == len(sub) - 1
+            assert half_floor(t, v) == floor and half_ceil(t, v) == ceil
+            assert {index[w] for w in floor} == half_floor(copy)
+            assert {index[w] for w in ceil} == half_ceil(copy)
+            assert deficiency(t, v) == deficiency(copy) == len(sub) - 1 - 2 * len(floor)
+            if copy.n == 1:
+                continue
+            shape, expected = as_spider(t, v), as_spider(copy)
+            assert (shape is None) == (expected is None)
+            if shape is not None:
+                assert [[index[w] for w in leg] for leg in shape.legs] == [
+                    list(leg) for leg in expected.legs
+                ]
+            cls, expected = classify_children(t, v), classify_children(copy)
+            defic = [deficiency(t, w) for w in cls.rest]
+            assert defic == sorted(defic) and 0 not in defic
+            assert [index[w] for w in cls.leaves + cls.rest] == list(expected.leaves + expected.rest)
+            assert [[index[w] for w in sc.leg] for sc in cls.spiders] == [
+                list(sc.leg) for sc in expected.spiders
+            ]
+
+
 class TestIotaInjection:
     def test_path_reflection(self):
         assert iota_injection(path_tree(4)) == {1: 4, 2: 3}
