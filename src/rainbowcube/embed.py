@@ -114,28 +114,32 @@ class PartialEmbedding:
     rng: SplitMix64 | None = None
     strict: bool = False
     z_bad: int | None = None
-    vertices: Sequence[int] | None = None
-    # a lifted frame's mapped edges and their coordinates; the whole tree
-    # (edges None) reads its own from coord_of
-    edges: set[int] | None = None
-    coords: set[int] | None = None
-    all_colors: set[int] | None = None
+    # set here for the whole tree and by `lift` for a frame, never by a caller
+    vertices: Sequence[int] = field(init=False)
+    all_colors: set[int] = field(init=False)
+    # a frame's mapped edges and their coordinates; the whole tree reads its
+    # own from coord_of, which a caller may have filled
+    _edges: set[int] | None = field(init=False, default=None, repr=False)
+    _coords: set[int] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.vertices is None:
-            self.vertices = range(self.tree.n)
-        if self.all_colors is None:
-            self.all_colors = self.used_colors
+        self.vertices = range(self.tree.n)
+        self.all_colors = self.used_colors
 
     @property
     def root(self) -> int:
         return self.vertices[0]
 
+    @property
+    def is_frame(self) -> bool:
+        """True for a frame opened by `lift`, False for the whole tree."""
+        return self._edges is not None
+
     def mapped_edges(self) -> set[int]:
-        return set(self.coord_of if self.edges is None else self.edges)
+        return set(self._edges if self.is_frame else self.coord_of)
 
     def used_coords(self) -> frozenset[int]:
-        return frozenset(self.coord_of.values() if self.coords is None else self.coords)
+        return frozenset(self._coords if self.is_frame else self.coord_of.values())
 
     def coords_of(self, edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.coord_of[e] for e in edges)
@@ -155,9 +159,9 @@ class PartialEmbedding:
         self.coord_of[child] = coord
         self.used_colors.add(color)
         self.all_colors.add(color)
-        if self.edges is not None:
-            self.edges.add(child)
-            self.coords.add(coord)
+        if self.is_frame:
+            self._edges.add(child)
+            self._coords.add(coord)
         self.trace.append(entry)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):
@@ -176,33 +180,18 @@ class PartialEmbedding:
         mapped inside it.  Those pre-mapped edges must survive in the view;
         that is checked here because a banned pre-mapped edge means a
         bookkeeping error upstream.
-
-        Every edge of a lifted frame is an edge of its host, with the color
-        and coordinate the host gives it: lift checked the pre-mapped ones,
-        extend_one took the others from the candidates of views of that
-        host, and so did the inner frames whose edges it adopts (the engine
-        keeps one host throughout).  So when `view` views the same host, a
-        pre-mapped edge survives exactly when its color and coordinate
-        escape the view's bans, and two set tests decide the check.  The
-        whole tree's edges may come from a caller and are looked up one by
-        one, as they are for a view of another host.
         """
         image, color_of, coord_of = self.image, self.color_of, self.coord_of
         parent = self.tree.parent
         premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
-        colors, coords = {color_of[w] for w in premapped}, {coord_of[w] for w in premapped}
-        if self.edges is None or view.base is not self.graph.base or not (
-            colors.isdisjoint(view.banned_colors) and coords.isdisjoint(view.banned_coords)
-        ):
-            for w in premapped:
-                if not view.has_edge(image[parent[w]], image[w]):
-                    raise PreconditionViolated(
-                        f"pre-mapped edge {w} was banned from the restricted host"
-                    )
-        return PartialEmbedding(
-            self.tree, view, image, color_of, coord_of, colors, self.trace, self.rng, self.strict,
-            vertices=vertices, edges=set(premapped), coords=coords, all_colors=self.all_colors,
-        )
+        for w in premapped:
+            if not view.has_edge(image[parent[w]], image[w]):
+                raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
+        sub = PartialEmbedding(self.tree, view, image, color_of, coord_of,
+                               {color_of[w] for w in premapped}, self.trace, self.rng, self.strict)
+        sub.vertices, sub.all_colors = vertices, self.all_colors
+        sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
+        return sub
 
     def adopt(self, sub: "PartialEmbedding"):
         """Close a frame opened by `lift`: its edges, colors and coordinates
@@ -214,9 +203,9 @@ class PartialEmbedding:
         already mapped; and `record` refused any color used in any frame.
         """
         self.used_colors |= sub.used_colors
-        if self.edges is not None:
-            self.edges |= sub.edges
-            self.coords |= sub.coords
+        if self.is_frame:
+            self._edges |= sub._edges
+            self._coords |= sub._coords
 
 
 Frame = Iterator["Frame"]  # a frame's steps; it yields each frame it opens
@@ -602,7 +591,7 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     # step 1: finish the anchor sets, doubly distinct, dodging q; ties in
     # level go by id in the whole tree and by preorder position in a frame
     # below it, the order the golden digests pin
-    rank = range(t.n) if pe.edges is None else pos
+    rank = pos if pe.is_frame else range(t.n)
     for child in sorted(ab - floor, key=lambda v: (t.level[v], rank[v])):
         _extend(pe, child, pe.used_coords() | {q}, "step1")
 

@@ -63,14 +63,6 @@ class _Host:
 
     __slots__ = ()
 
-    # read as a view, a host is its own base with nothing banned
-    banned_colors: frozenset[int] = frozenset()
-    banned_coords: frozenset[int] = frozenset()
-
-    @property
-    def base(self):
-        return self
-
     def delta_at_least(self, k: int) -> bool:
         return self.delta() >= k
 

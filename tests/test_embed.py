@@ -685,6 +685,14 @@ class TestFrames:
         pe.adopt(sub)
         assert pe.mapped_edges() == {1, 2, 3}
 
+    def test_frame_state_is_set_by_lift_alone(self):
+        g = cayley_coloring(3)
+        for name in ("vertices", "all_colors", "_edges", "_coords"):
+            with pytest.raises(TypeError):
+                PartialEmbedding(path_tree(2), g, **{name: set()})
+        pe = mapped_path(g, 2, 1)
+        assert not pe.is_frame and pe.lift((1, 2), g).is_frame
+
     def test_premapped_edge_banned_from_the_view(self):
         g = cayley_coloring(3)
         pe = mapped_path(g, 2, 2)
@@ -696,50 +704,6 @@ class TestFrames:
                      g.restrict((), {pe.coord_of[2]})):
             with pytest.raises(PreconditionViolated, match="pre-mapped edge 2 was banned"):
                 frame.lift((1, 2), view)
-
-    def test_edges_mapped_by_a_caller_are_looked_up(self):
-        # the whole tree's pre-mapped edges may not come from extend_one, so
-        # a frame opened on the whole tree looks each one up in the view
-        edges = [(u, v, c) for u, v, c in cayley_coloring(3).edges() if (u, v) != (0, 1)]
-        g = ColoredCubeGraph(3, edges)
-        pe = premapped(cayley_coloring(3), path_tree(1), {0: 0, 1: 1})
-        pe.graph = g
-        with pytest.raises(PreconditionViolated, match="pre-mapped edge 1 was banned"):
-            pe.lift((0, 1), g.restrict({5}, ()))
-
-    @pytest.mark.parametrize("frame_bans", [(), (7,)], ids=["host", "view"])
-    def test_a_view_of_another_host_is_looked_up(self, frame_bans):
-        # edges of a frame's view need not be edges of another host
-        g = cayley_coloring(3)
-        pe = mapped_path(g, 2, 2)
-        frame = pe.lift((0, 1, 2), g.restrict((), frame_bans))
-        gone = {pe.image[1], pe.image[2]}
-        other = ColoredCubeGraph(3, [(u, v, c) for u, v, c in g.edges() if {u, v} != gone])
-        with pytest.raises(PreconditionViolated, match="pre-mapped edge 2 was banned"):
-            frame.lift((1, 2), other.restrict((), {7}))
-
-    def test_lift_decides_as_the_view_does(self):
-        # frames lifted from frames decide by two set tests; they must agree
-        # with looking every pre-mapped edge up in the view
-        rng = SplitMix64(11)
-        for _ in range(200):
-            t = random_tree(8, rng.next_u64())
-            g = VirtualCayleyCube(10)
-            pe = embed_rainbow_tree(g, t)
-            v = 1 + rng.randrange(t.n_edges())
-            vertices = t.subtree_preorder(v)
-            own = {pe.color_of[w] for w in vertices[1:]}
-            frame = pe.lift(vertices, g.restrict(set(range(10)) - own - {rng.randrange(10)}, ()))
-            for w in vertices[1:]:
-                if t.children[w]:
-                    inner = t.subtree_preorder(w)
-                    view = frame.graph.restrict({rng.randrange(12)}, {rng.randrange(12)})
-                    live = all(view.has_edge(pe.image[t.parent[x]], pe.image[x]) for x in inner[1:])
-                    try:
-                        frame.lift(inner, view)
-                        assert live
-                    except PreconditionViolated:
-                        assert not live
 
     def test_color_reused_across_frames(self):
         # the frame's own colors are fresh, but record checks every frame's:
