@@ -1,0 +1,7 @@
+"""`python -m rainbowcube`: the `rainbowcube` command line, without an install."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeTooSmall,
@@ -43,7 +43,7 @@ from .errors import (
     PreconditionViolated,
     VertexNotInGraph,
 )
-from .hypercube import candidate_edges, edge_coordinate, parse_vertex, vertex_str
+from .hypercube import GraphView, _Host, candidate_edges, edge_coordinate, parse_vertex, vertex_str
 from .prng import SplitMix64
 from .records import read_records
 from .tree import (
@@ -88,6 +88,8 @@ class ExtensionRequest:
 # trace record: (label, tree edge, graph edge src->dst, |x_col|, |x_coor|, r)
 TraceEntry = tuple[str, int, int, int, int, int, int]
 
+_NOTHING: frozenset[int] = frozenset()
+
 
 @dataclass
 class PartialEmbedding:
@@ -101,7 +103,10 @@ class PartialEmbedding:
     them in id order for the whole tree), and `used_colors` the colors of
     its mapped edges.  `all_colors`, the colors of every mapped edge, never
     gains a duplicate, so the mapped part stays rainbow at all times.
-    Confined to a single embedding run.
+    `_host` is the host under `graph`, and `_recorded` the edges that
+    `record` wrote from a view over it; every frame over the same host
+    shares the one set, and `_liveness` says why those edges need no
+    lookup.  Confined to a single embedding run.
     """
 
     tree: RootedTree
@@ -121,10 +126,15 @@ class PartialEmbedding:
     # own from coord_of, which a caller may have filled
     _edges: set[int] | None = field(init=False, default=None, repr=False)
     _coords: set[int] | None = field(init=False, default=None, repr=False)
+    _recorded: set[int] = field(init=False, repr=False)
+    _host: object = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = range(self.tree.n)
         self.all_colors = self.used_colors
+        self._recorded = set()
+        base = self.graph.base if isinstance(self.graph, GraphView) else self.graph
+        self._host = base if isinstance(base, _Host) else None
 
     @property
     def root(self) -> int:
@@ -151,6 +161,8 @@ class PartialEmbedding:
         return len(self.image) == self.tree.n
 
     def record(self, child: int, y: int, color: int, coord: int, entry: TraceEntry):
+        """Map `child` across the edge (coord, y, color), a candidate of this
+        frame's view at its parent's image; extend_one is the only caller."""
         # checked against every frame's colors, so no color is reused across frames either
         if color in self.all_colors:
             raise PreconditionViolated(f"color {color} reused at edge {child}")
@@ -162,6 +174,7 @@ class PartialEmbedding:
         if self.is_frame:
             self._edges.add(child)
             self._coords.add(coord)
+        self._recorded.add(child)
         self.trace.append(entry)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):
@@ -184,13 +197,20 @@ class PartialEmbedding:
         image, color_of, coord_of = self.image, self.color_of, self.coord_of
         parent = self.tree.parent
         premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
+        recorded, banned_colors, banned_coords = _liveness(self, view)
         for w in premapped:
-            if not view.has_edge(image[parent[w]], image[w]):
+            if w in recorded:
+                live = color_of[w] not in banned_colors and coord_of[w] not in banned_coords
+            else:
+                live = view.has_edge(image[parent[w]], image[w])
+            if not live:
                 raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
         sub = PartialEmbedding(self.tree, view, image, color_of, coord_of,
                                {color_of[w] for w in premapped}, self.trace, self.rng, self.strict)
         sub.vertices, sub.all_colors = vertices, self.all_colors
         sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
+        if recorded is self._recorded:  # the view is over this frame's host
+            sub._recorded = recorded
         return sub
 
     def adopt(self, sub: "PartialEmbedding"):
@@ -206,6 +226,35 @@ class PartialEmbedding:
         if self.is_frame:
             self._edges |= sub._edges
             self._coords |= sub._coords
+
+
+def _liveness(pe: PartialEmbedding, view) -> tuple[AbstractSet[int], frozenset[int], frozenset[int]]:
+    """(edges, colors, coords) that decide which mapped edges of `pe` are live
+    in `view`: an edge w in `edges` is live exactly when color_of[w] is not
+    in `colors` and coord_of[w] is not in `coords`; any other edge needs
+    `view.has_edge`.  Read once per step and once per `lift`; the callers
+    test each edge inline.
+
+    `edges` is pe._recorded when `view` is pe._host or a view over it, else
+    empty.  An edge w in pe._recorded was written by `record`, from
+    extend_one, as a candidate of the view V of a frame whose host is H =
+    pe._host (`lift` shares the set only between frames over one host),
+    and nothing rewrites its maps or that view afterwards (extend_one
+    refuses a mapped target).  A candidate of V is one of H's own incidence records
+    (GraphView.admissible passes H's records through), so H has the edge,
+    with color color_of[w] and coordinate coord_of[w].  A view over H keeps
+    exactly the edges of H whose color and coordinate it does not ban
+    (GraphView.has_edge), and H itself bans nothing; so for w the two set
+    tests equal `view.has_edge`.  An edge a caller mapped by hand is not in
+    pe._recorded, so a wrong recorded color or coordinate never reaches the
+    set tests, and a view over another host, or a graph that is no host of
+    this package, gets only lookups.
+    """
+    if isinstance(view, GraphView):
+        base, colors, coords = view.base, view.banned_colors, view.banned_coords
+    else:
+        base, colors, coords = view, _NOTHING, _NOTHING
+    return (pe._recorded if base is pe._host else _NOTHING), colors, coords
 
 
 Frame = Iterator["Frame"]  # a frame's steps; it yields each frame it opens
@@ -238,19 +287,26 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     if t.parent[w] != v:
         raise PreconditionViolated(f"step {req.label}: {w} is not a child of {v}")
 
+    parent, color_of, coord_of = t.parent, pe.color_of, pe.coord_of
+    x_col, x_coor = req.x_col, req.x_coor
     seen_colors: set[int] = set()
     seen_coords: set[int] = set()
+    recorded, banned_colors, banned_coords = _liveness(pe, pe.graph)
     for wit in req.witnesses:
-        if wit not in pe.coord_of:
+        if wit not in coord_of:
             raise PreconditionViolated(f"witness edge {wit} is unmapped")
-        if wit != v and t.parent[wit] != v:
+        if wit != v and parent[wit] != v:
             raise PreconditionViolated(f"witness edge {wit} is not incident to {v}")
-        c, q = pe.color_of[wit], pe.coord_of[wit]
-        if c not in req.x_col or q not in req.x_coor:
+        c, q = color_of[wit], coord_of[wit]
+        if c not in x_col or q not in x_coor:
             raise PreconditionViolated(f"witness edge {wit} lies outside the forbidden sets")
         if c in seen_colors or q in seen_coords:
             raise PreconditionViolated(f"witness edge {wit} repeats a color or coordinate")
-        if not pe.graph.has_edge(pe.image[t.parent[wit]], pe.image[wit]):
+        if wit in recorded:
+            live = c not in banned_colors and q not in banned_coords
+        else:
+            live = pe.graph.has_edge(pe.image[parent[wit]], pe.image[wit])
+        if not live:
             raise PreconditionViolated(f"witness edge {wit} is not live in the current host")
         seen_colors.add(c)
         seen_coords.add(q)

@@ -10,10 +10,16 @@ Two host flavors share one query surface: :class:`ColoredCubeGraph` stores
 an explicit edge list, while :class:`VirtualCayleyCube` is the full cube
 with color == coordinate, kept implicit so the ambient dimension can be
 large.  ``restrict`` produces O(1) filtered views; no host is ever copied.
+``candidate_edges`` returns a sequence of incident records: a list on an
+explicit host, and on the implicit cube a lazy one that builds only the
+records it is asked for.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -251,16 +257,15 @@ class VirtualCayleyCube(_Host):
     def incident(self, x: int) -> tuple[Incidence, ...]:
         return tuple(self.admissible(x, frozenset(), frozenset()))
 
-    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> list[Incidence]:
+    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> "FreeCoordinates":
         """Incident edges at x avoiding `colors` and `coords`, by coordinate.
 
-        Colors coincide with coordinates, so the admissible coordinates are
-        one set difference; no record is built for a banned edge.
+        Colors coincide with coordinates, so the admissible edges are the
+        coordinates outside one set union; they are listed lazily.
         """
         if not self.has_vertex(x):
             raise VertexNotInGraph(f"vertex {x} not in graph")
-        free = set(range(self.dimension)).difference(colors, coords)
-        return [(q, x ^ (1 << q), q) for q in sorted(free)]
+        return FreeCoordinates(x, self.dimension, colors | coords)
 
     def degree(self, x: int) -> int:
         if not self.has_vertex(x):
@@ -281,6 +286,67 @@ class VirtualCayleyCube(_Host):
 
     def default_start(self) -> int:
         return 0
+
+
+class FreeCoordinates(Sequence):
+    """The records (q, x ^ 2^q, q) for the coordinates q < m outside
+    `banned`, in coordinate order: the admissible edges at x of the implicit
+    cube, built on demand.
+
+    Building it sorts the bans; `len` then costs O(1) and ``[i]`` O(log
+    |banned|), not O(m).  Iteration gives the records in order, and the
+    sequence compares equal to the list of them.
+    """
+
+    __slots__ = ("_x", "_m", "_banned")
+
+    def __init__(self, x: int, m: int, banned: frozenset[int]):
+        # the bans that name a coordinate, in order
+        s = sorted(banned)
+        lo, hi = bisect_left(s, 0), bisect_left(s, m)
+        self._x, self._m, self._banned = x, m, s[lo:hi] if lo or hi < len(s) else s
+
+    def __len__(self) -> int:
+        return self._m - len(self._banned)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("candidate index out of range")
+        # the i-th free coordinate is i + (the number of bans below it); a
+        # ban s[k] lies below it exactly when the s[k] - k free coordinates
+        # under s[k] number at most i, a test monotone in k
+        s = self._banned
+        lo, hi = 0, len(s)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if s[mid] - mid <= i:
+                lo = mid + 1
+            else:
+                hi = mid
+        q = i + lo
+        return q, self._x ^ (1 << q), q
+
+    def __iter__(self) -> Iterator[Incidence]:
+        x, start = self._x, 0
+        for stop in chain(self._banned, (self._m,)):
+            for q in range(start, stop):
+                yield q, x ^ (1 << q), q
+            start = stop + 1
+
+    def __eq__(self, other):
+        if isinstance(other, FreeCoordinates):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"FreeCoordinates({list(self)!r})"
 
 
 class GraphView:
@@ -315,7 +381,7 @@ class GraphView:
     def incident(self, x: int) -> tuple[Incidence, ...]:
         return tuple(self.base.admissible(x, self.banned_colors, self.banned_coords))
 
-    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> list[Incidence]:
+    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> Sequence[Incidence]:
         return self.base.admissible(x, colors | self.banned_colors, coords | self.banned_coords)
 
     def degree(self, x: int) -> int:
@@ -432,12 +498,14 @@ def candidate_edges(
     x: int,
     forbidden_colors: Iterable[int] = (),
     forbidden_coords: Iterable[int] = (),
-) -> list[Incidence]:
+) -> Sequence[Incidence]:
     """Incident edges at x avoiding the forbidden colors and coordinates.
 
     Deterministic order: by coordinate (at a fixed vertex the coordinate
     determines the neighbor, so this is also lexicographic-by-neighbor
-    within each coordinate).
+    within each coordinate).  The result is a sequence: a list on an
+    explicit host, and on the implicit cube a lazy :class:`FreeCoordinates`,
+    whose length and items cost what the bans cost, not the cube's width.
     """
     return g.admissible(x, frozenset(forbidden_colors), frozenset(forbidden_coords))
 

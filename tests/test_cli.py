@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rainbowcube
 from rainbowcube import (
     build_tree,
     cayley_coloring,
@@ -347,3 +353,28 @@ class TestBadNumbersExit3:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: RAINBOW_SEED must be an integer, got 'abc'\n"
+
+
+class TestModuleEntryPoint:
+    """`python -m rainbowcube` runs the command line from a checkout, with
+    nothing installed."""
+
+    @staticmethod
+    def run(tmp_path, *argv):
+        src = Path(rainbowcube.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "rainbowcube", *argv],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_gen(self, tmp_path):
+        out = self.run(tmp_path, "gen", "cayley", "--n", "2")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == format_graph(cayley_coloring(2))
+
+    def test_bad_n_exits_3(self, tmp_path):
+        out = self.run(tmp_path, "gen", "cayley", "--n", "0")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == "error: n must be >= 1, got 0\n"

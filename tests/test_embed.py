@@ -14,6 +14,7 @@ import rainbowcube.embed as embed
 from rainbowcube import (
     ColoredCubeGraph,
     ExtensionRequest,
+    GraphView,
     PartialEmbedding,
     VirtualCayleyCube,
     build_tree,
@@ -36,11 +37,11 @@ from rainbowcube import (
     verify,
 )
 from rainbowcube.errors import DegreeTooSmall, PreconditionViolated, RainbowCubeError
-from rainbowcube.gen import random_spider, random_tree, subgraph_min_degree
+from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.prng import SplitMix64
 
 from test_golden import comb
-from test_hypercube import improper_cayley
+from test_hypercube import improper_cayley, random_views
 from test_tree import CLASSIFY_49
 
 
@@ -687,11 +688,13 @@ class TestFrames:
 
     def test_frame_state_is_set_by_lift_alone(self):
         g = cayley_coloring(3)
-        for name in ("vertices", "all_colors", "_edges", "_coords"):
+        for name in ("vertices", "all_colors", "_edges", "_coords", "_recorded", "_host"):
             with pytest.raises(TypeError):
                 PartialEmbedding(path_tree(2), g, **{name: set()})
         pe = mapped_path(g, 2, 1)
-        assert not pe.is_frame and pe.lift((1, 2), g).is_frame
+        sub = pe.lift((1, 2), g)
+        assert not pe.is_frame and sub.is_frame
+        assert sub._recorded is pe._recorded and sub._host is pe._host is g
 
     def test_premapped_edge_banned_from_the_view(self):
         g = cayley_coloring(3)
@@ -754,3 +757,157 @@ class TestFrames:
         monkeypatch.setattr(embed, "extend_one", colliding)
         with pytest.raises(PreconditionViolated, match="tree embedding not injective"):
             embed_rainbow_tree(g, t)
+
+
+def live_as_witness(g, t, leaf, wit, view) -> bool:
+    """Whether extend_one takes `wit` for live in a frame over `view`: the
+    engine's embedding of t with `leaf` unmapped again, then a step that
+    maps `leaf` backed by `wit` alone."""
+    pe = embed_rainbow_tree(g, t)
+    for mapped in (pe.image, pe.color_of, pe.coord_of):
+        del mapped[leaf]
+    v = t.parent[leaf]
+    sub = pe.lift((v, leaf), view)  # `leaf` is unmapped, so lift checks nothing
+    req = ExtensionRequest(v, leaf, frozenset({pe.color_of[wit]}),
+                           frozenset({pe.coord_of[wit]}), (wit,))
+    try:
+        extend_one(sub, req)
+    except RainbowCubeError as exc:
+        return "is not live" not in str(exc)
+    return True
+
+
+def lifts(pe, vertices, view) -> bool:
+    """Whether `lift` opens a frame on `vertices` over `view`."""
+    try:
+        pe.lift(vertices, view)
+    except PreconditionViolated as exc:
+        assert "was banned" in str(exc)
+        return False
+    return True
+
+
+LIVENESS_HOSTS = [VirtualCayleyCube(8), cayley_coloring(6), refined_cayley(6, 3, 2),
+                  subgraph_min_degree(6, 5, 11)]
+
+
+class TestLiveness:
+    """Edges the engine mapped are checked in a view by its bans; every other
+    edge is looked up.  Either way the verdict is the view's has_edge."""
+
+    @pytest.mark.parametrize("g", LIVENESS_HOSTS, ids=lambda g: type(g).__name__)
+    def test_lift_decides_as_the_view_does(self, g):
+        for seed in (None, 3):
+            t = random_tree(g.delta(), 40 + g.dimension)
+            pe = embed_rainbow_tree(g, t, seed=seed)
+            assert pe._recorded == set(pe.coord_of)
+            frame = pe.lift(range(t.n), g)
+            verdicts = set()
+            for view in [g, *random_views(g, g.dimension, 10)]:
+                for w in t.edge_ids():
+                    expected = view.has_edge(pe.image[t.parent[w]], pe.image[w])
+                    assert lifts(pe, (t.parent[w], w), view) == expected
+                    assert lifts(frame, (t.parent[w], w), view) == expected
+                    verdicts.add(expected)
+            assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("g", LIVENESS_HOSTS, ids=lambda g: type(g).__name__)
+    def test_witnesses_are_decided_as_the_view_does(self, g):
+        t = random_tree(g.delta(), 50 + g.dimension)
+        pe = embed_rainbow_tree(g, t)
+        verdicts = set()
+        for view in [g, *random_views(g, g.dimension, 5)]:
+            for leaf in (v for v in t.edge_ids() if not t.children[v]):
+                v = t.parent[leaf]
+                for wit in [v, *t.children[v]]:
+                    if wit in (leaf, 0):
+                        continue
+                    expected = view.has_edge(pe.image[t.parent[wit]], pe.image[wit])
+                    assert live_as_witness(g, t, leaf, wit, view) == expected
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_an_engine_run_makes_no_lookups_for_witnesses_or_frames(self, monkeypatch):
+        callers = []
+        for cls in (VirtualCayleyCube, GraphView):
+            def counting(self, u, v, original=cls.has_edge):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return original(self, u, v)
+
+            monkeypatch.setattr(cls, "has_edge", counting)
+        g = VirtualCayleyCube(60)
+        for t in (build_tree([0] * 60), comb(60), random_spider((20, 20, 20)), random_tree(60, 5)):
+            pe = embed_rainbow_tree(g, t, strict=True)
+            assert pe._recorded == set(pe.coord_of)
+        assert callers and not {"extend_one", "lift"} & set(callers)
+
+    def test_edges_recorded_in_a_frame_join_the_shared_set(self):
+        g = cayley_coloring(4)
+        pe = mapped_path(g, 3, 2)
+        sub = pe.lift((2, 3), g.restrict({pe.color_of[1]}, ()))
+        extend_one(sub, ExtensionRequest(2, 3, frozenset(pe.all_colors), frozenset()))
+        assert pe._recorded == {1, 2, 3}
+
+    @pytest.mark.parametrize("wrong", ["color", "coordinate"])
+    def test_a_wrong_recorded_class_is_looked_up_at_every_level(self, wrong):
+        # a caller-filled map: the recorded class of edge 1 is wrong, so only
+        # a lookup decides, and it decides by the host's own class
+        g = cayley_coloring(4)
+        t = path_tree(3)
+        pe = premapped(g, t, {0: 0b0000, 1: 0b0001, 2: 0b0011})
+        assert not pe._recorded
+        recorded = pe.color_of if wrong == "color" else pe.coord_of
+        true_class, false_class = recorded[1], 3
+        recorded[1] = false_class
+        ban = (lambda c: g.restrict({c}, ())) if wrong == "color" else (lambda c: g.restrict((), {c}))
+        for frame in (pe, pe.lift(range(4), g.restrict({9}, {9})), pe.lift((0, 1, 2, 3), g)):
+            assert lifts(frame, (0, 1, 2), ban(false_class))
+            assert not lifts(frame, (0, 1, 2), ban(true_class))
+            nested = frame.lift((0, 1, 2), g.restrict({8}, ()))
+            assert lifts(nested, (0, 1), ban(false_class).restrict({8}, ()))
+            assert not lifts(nested, (0, 1), ban(true_class))
+        # and as the witness of a step from vertex 1, whose forbidden sets
+        # hold the recorded classes of edge 1
+        for banned, live in ((false_class, True), (true_class, False)):
+            for nested in (False, True):
+                pe = premapped(g, t, {0: 0b0000, 1: 0b0001})
+                recorded = pe.color_of if wrong == "color" else pe.coord_of
+                recorded[1] = false_class
+                req = ExtensionRequest(1, 2, frozenset(pe.all_colors) | {pe.color_of[1]},
+                                       frozenset({pe.coord_of[1]}), (1,))
+                opener = pe.lift((0, 1, 2), g.restrict({9}, ())) if nested else pe
+                frame = opener.lift((1, 2), ban(banned))
+                if live:
+                    extend_one(frame, req)
+                    assert pe.image[2] == 0b0011
+                else:
+                    with pytest.raises(PreconditionViolated, match="witness edge 1 is not live"):
+                        extend_one(frame, req)
+
+    def test_a_view_of_another_host_is_looked_up(self):
+        # engine-mapped edges, then frames over hosts other than the one they
+        # were drawn from: their bans say nothing there, a lookup decides
+        g = cayley_coloring(3)
+        pe = mapped_path(g, 2, 2)
+        a, b = pe.image[0], pe.image[1]
+        without = ColoredCubeGraph(3, [(u, v, c) for u, v, c in g.edges() if {u, v} != {a, b}])
+        shifted = ColoredCubeGraph(3, [(u, v, (c + 1) % 3) for u, v, c in g.edges()])
+        assert not lifts(pe, (0, 1, 2), without)
+        assert not lifts(pe, (0, 1, 2), shifted.restrict({shifted.edge_color(a, b)}, ()))
+        assert lifts(pe, (0, 1, 2), shifted.restrict({pe.color_of[1]}, ()))
+        assert lifts(pe, (0, 1, 2), cayley_coloring(3))
+        assert not lifts(pe.lift((0, 1, 2), shifted), (0, 1, 2), without)
+
+    def test_an_edge_drawn_from_another_host_is_looked_up(self):
+        # a frame over another host maps edge 2 with that host's color, which
+        # the view below bans; in the first host the edge has another color
+        g = cayley_coloring(3)
+        shifted = ColoredCubeGraph(3, [(u, v, (c + 1) % 3) for u, v, c in g.edges()])
+        pe = mapped_path(g, 2, 1)
+        frame = pe.lift((1, 2), shifted)
+        extend_one(frame, ExtensionRequest(1, 2, frozenset(pe.all_colors), frozenset()))
+        pe.adopt(frame)
+        drawn = pe.color_of[2]
+        assert drawn != g.edge_color(pe.image[1], pe.image[2])
+        assert 2 in frame._recorded and 2 not in pe._recorded
+        assert lifts(pe, (0, 1, 2), g.restrict({drawn}, ()))

@@ -15,6 +15,7 @@ from rainbowcube import (
     build_tree,
     cayley_coloring,
     embed_rainbow_tree,
+    enumerate_trees,
     format_embedding,
     path_tree,
     verify,
@@ -68,24 +69,29 @@ def corpus():
                     yield f"{name} e={edges} tree={i} seed={seed}", g, t, seed
 
 
-def corpus_digest(instances=None):
+def corpus_digest(instances=None, *, strict=False, labels=None):
+    """(sha256, case count) over the instances; `labels` gathers their stage labels."""
     h = hashlib.sha256()
     cases = 0
     for case, g, t, seed in corpus() if instances is None else instances:
-        pe = embed_rainbow_tree(g, t, seed=seed)
+        pe = embed_rainbow_tree(g, t, seed=seed, strict=strict)
         assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok, case
+        if labels is not None:
+            labels.update(entry[0] for entry in pe.trace)
         h.update(f"case {case}\nz_bad {pe.z_bad}\n".encode())
         h.update(format_embedding(pe, include_trace=True).encode())
         cases += 1
     return h.hexdigest(), cases
 
 
+STAGE_LABELS = {"half", "step1", "step2", "step3", "step4", "step5", "step7-mid", "spider0", "path"}
+
+
 def test_corpus_reaches_every_stage():
     labels = set()
     for _, g, t, seed in corpus():
         labels.update(entry[0] for entry in embed_rainbow_tree(g, t, seed=seed).trace)
-    assert labels >= {"half", "step1", "step2", "step3", "step4", "step5", "step7-mid",
-                      "spider0", "path"}
+    assert labels >= STAGE_LABELS
 
 
 def test_golden_digest():
@@ -116,3 +122,32 @@ def deep_corpus():
 
 def test_deep_digest():
     assert corpus_digest(deep_corpus()) == (DEEP, DEEP_CASES)
+
+
+# The stage corpus: every tree with at most 8 edges (486 of them) on four
+# hosts of minimum degree 8, strict, unseeded and seeded.  Exhaustive over
+# the small trees, so it reaches every stage; step3 and step5 need two
+# even-spider children, hence at least 6 edges, and are rare.
+STAGES = "f282d0d1b83ac7c39bcb05bac1fe697eef008a90aaf68b5c4765c87d135cb77d"
+STAGES_CASES = 3888
+
+
+def stage_corpus():
+    """(name, host, tree, seed) for every tree with at most 8 edges, in a fixed order."""
+    hosts = {
+        "virtual8": VirtualCayleyCube(8),
+        "cayley8": cayley_coloring(8),
+        "refined8": refined_cayley(8, 3, 2),
+        "subgraph9": subgraph_min_degree(9, 8, 5),
+    }
+    trees = list(enumerate_trees(8))
+    for name, g in hosts.items():
+        for i, t in enumerate(trees):
+            for seed in (None, 11):
+                yield f"stages {name} tree={i} seed={seed}", g, t, seed
+
+
+def test_stage_corpus():
+    labels = set()
+    assert corpus_digest(stage_corpus(), strict=True, labels=labels) == (STAGES, STAGES_CASES)
+    assert labels == STAGE_LABELS

@@ -1,9 +1,11 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from rainbowcube import (
     ColoredCubeGraph,
+    GraphView,
     VirtualCayleyCube,
     candidate_edges,
     cayley_coloring,
@@ -338,6 +340,63 @@ class TestAdmissibleScan:
     def test_unknown_vertex_in_a_virtual_view(self):
         with pytest.raises(VertexNotInGraph):
             candidate_edges(VirtualCayleyCube(3).restrict({0}), 8)
+
+
+class TestLazyCandidates:
+    """On the implicit cube candidate_edges is a lazy sequence that stands
+    for the list of its records."""
+
+    @staticmethod
+    def cases(m):
+        """(view, x, fc, fx): the cube, its views and views of views, with
+        random bans below 0, inside [0, m) and past m."""
+        g = VirtualCayleyCube(m)
+        rng = SplitMix64(m)
+        views = [GraphView(g, frozenset(), frozenset()), *random_views(g, m, 15)]
+        for view in views:
+            for _ in range(4):
+                fc, fx = random_bans(rng, m + 3, m // 2 + 1)
+                if rng.randrange(3) == 0:
+                    fc.add(-1 - rng.randrange(2))
+                yield view, rng.randrange(1 << min(m, 20)), fc, fx
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 40])
+    def test_every_operation_agrees_with_the_filter(self, m):
+        g = VirtualCayleyCube(m)
+        for view, x, fc, fx in self.cases(m):
+            expected = filtered_incident(g, view, x, fc, fx)
+            for got in (candidate_edges(view, x, fc, fx),
+                        candidate_edges(view.base, x, fc | view.banned_colors,
+                                        fx | view.banned_coords)):
+                n = len(expected)
+                assert len(got) == n and bool(got) == bool(expected)
+                assert [got[i] for i in range(n)] == expected
+                assert [got[i] for i in range(-n, 0)] == expected
+                for i in (n, n + 1, -n - 1):
+                    with pytest.raises(IndexError):
+                        got[i]
+                assert list(got) == expected and got[1:] == expected[1:]
+                assert got == expected and expected == got and got != expected + [None]
+
+    @pytest.mark.parametrize("m", [9, 40])
+    def test_a_seeded_pick_is_the_lists(self, m):
+        g = VirtualCayleyCube(m)
+        for k, (view, x, fc, fx) in enumerate(self.cases(m)):
+            expected = filtered_incident(g, view, x, fc, fx)
+            if expected:
+                got = candidate_edges(view, x, fc, fx)
+                lazy_rng, list_rng = SplitMix64(k), SplitMix64(k)
+                assert got[lazy_rng.randrange(len(got))] == expected[list_rng.randrange(len(expected))]
+
+    def test_a_wide_cube_builds_no_candidate_list(self):
+        tracemalloc.start()
+        try:
+            first = candidate_edges(VirtualCayleyCube(10**6), 0, {0}, {1})[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == (2, 4, 2)
+        assert peak < 1 << 20
 
 
 class TestVirtualCayley:
