@@ -1,4 +1,4 @@
-"""Command-line surface: embed, verify, oracle, fuzz, gen, check-tree, bench.
+"""Command-line surface: embed, verify, oracle, fuzz, gen, check-tree.
 
 Exit codes: 0 success / all checks pass; 1 internal engine failure, any
 unexpected exception included (a counterexample bundle is dumped when
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import gen as genmod
@@ -44,6 +43,10 @@ EXIT_DEGREE = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no abbreviations: an unknown flag such as --strict must not pass for --strict-vertices
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage problems are invalid input, not mismatches
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
@@ -74,21 +77,12 @@ def _seed(args) -> int:
         raise FormatError(f"RAINBOW_SEED must be an integer, got {env!r}") from None
 
 
-def _check_trials(args) -> None:
-    """fuzz and bench draw hosts of dimension --n, which cayley_coloring
-    must be able to build, and run --trials trials."""
-    if not 1 <= args.n <= MAX_EXPLICIT_DIMENSION:
-        raise FormatError(f"--n must be in [1, {MAX_EXPLICIT_DIMENSION}], got {args.n}")
-    if args.trials < 0:
-        raise FormatError(f"--trials must be >= 0, got {args.trials}")
-
-
 def cmd_embed(args) -> int:
     g = _load_graph(args.graph, args.strict_vertices)
     t = _load_tree(args.tree)
     seed = _seed(args)
     try:
-        pe = embed_rainbow_tree(g, t, seed=seed, strict=args.strict)
+        pe = embed_rainbow_tree(g, t, seed=seed)
     except DegreeTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE
@@ -142,7 +136,9 @@ def cmd_oracle(args) -> int:
 
 
 def _fuzz_trial(params: tuple):
-    """One seeded trial; returns (trial, mismatches, host, tree)."""
+    """One seeded trial; returns (trial, mismatches, host, tree), with host
+    and tree None unless the trial is a counterexample, so that a run holds
+    (and a worker sends back) only the hosts it bundles."""
     n, master, trial = params
     seed = derive_seed(master, trial)
     rng = genmod.SplitMix64(seed)
@@ -151,14 +147,21 @@ def _fuzz_trial(params: tuple):
     t = genmod.random_tree(rng.randrange(d + 1), rng.next_u64())
     run_oracle = t.n_edges() <= 8 and g.n_vertices() <= 64
     summary = cross_check(g, t, run_oracle=run_oracle)
+    if not summary.mismatches:
+        return trial, (), None, None
     return trial, summary.mismatches, g, t
 
 
 def cmd_fuzz(args) -> int:
-    _check_trials(args)
+    # the hosts have dimension --n, which cayley_coloring must be able to build
+    if not 1 <= args.n <= MAX_EXPLICIT_DIMENSION:
+        raise FormatError(f"--n must be in [1, {MAX_EXPLICIT_DIMENSION}], got {args.n}")
+    if args.trials < 0:
+        raise FormatError(f"--trials must be >= 0, got {args.trials}")
+    if args.jobs < 1:
+        raise FormatError(f"--jobs must be >= 1, got {args.jobs}")
     master = _seed(args)
     failures = 0
-    jobs = max(args.jobs, 1)
 
     if args.exhaustive:
         hosts = [genmod.cayley_coloring(args.n)] + [
@@ -184,10 +187,12 @@ def cmd_fuzz(args) -> int:
         return EXIT_MISMATCH if failures else EXIT_OK
 
     params = [(args.n, master, i) for i in range(args.trials)]
-    if jobs == 1:
+    # a pool starts all its workers at once, so none beyond the trials or the CPUs
+    workers = min(args.jobs, args.trials, os.cpu_count() or 1)
+    if workers <= 1:
         results = [_fuzz_trial(p) for p in params]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fuzz_trial, params))
     for trial, mismatches, g, t in results:
         for msg in mismatches:
@@ -266,46 +271,17 @@ def cmd_check_tree(args) -> int:
         lines.append(f"root_even_spiders={len(cls.spiders)}")
         lines.append(f"root_rest={len(cls.rest)}")
 
-    internal_ok = True
+    # iota_injection raises when iota is not injective or reaches the upper
+    # half, and its domain is the lower half by construction
     iota = iota_injection(t)
-    ceil_overlap = set(iota.values()) & ceil
-    if len(set(iota.values())) != len(iota) or ceil_overlap or set(iota) != floor:
-        internal_ok = False
     lhs, rhs = degree_sum_identity(t)
     lines.append(f"iota_size={len(iota)}")
     lines.append(f"degree_sum_lhs={lhs}")
     lines.append(f"degree_sum_rhs={rhs}")
-    if lhs != rhs or deficiency(t) < 0:
-        internal_ok = False
+    internal_ok = lhs == rhs and deficiency(t) >= 0
     lines.append(f"internal_ok={int(internal_ok)}")
     print("\n".join(lines))
     return EXIT_OK if internal_ok else EXIT_INTERNAL
-
-
-def cmd_bench(args) -> int:
-    _check_trials(args)
-    master = _seed(args)
-    times = []
-    for trial in range(args.trials):
-        seed = derive_seed(master, trial)
-        rng = genmod.SplitMix64(seed)
-        d = max(1, args.n - rng.randrange(2))
-        g = genmod.subgraph_min_degree(args.n, d, rng.next_u64())
-        t = genmod.random_tree(rng.randrange(d + 1), rng.next_u64())
-        t0 = time.perf_counter()
-        pe = embed_rainbow_tree(g, t)
-        times.append(time.perf_counter() - t0)
-        report = verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
-        if not report.ok:
-            print(f"internal error: {report.first_failure()}", file=sys.stderr)
-            return EXIT_INTERNAL
-    if times:
-        ms = [t * 1000 for t in times]
-        print(
-            f"bench n={args.n} trials={args.trials}: "
-            f"mean={sum(ms) / len(ms):.2f}ms min={min(ms):.2f}ms max={max(ms):.2f}ms"
-        )
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -320,7 +296,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--trace", action="store_true", help="append the step trace")
     p.add_argument("--verify", action="store_true", help="re-check the output before exiting")
-    p.add_argument("--strict", action="store_true", help="enable all counting assertions")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bundle-dir", default=None)
     p.set_defaults(func=cmd_embed)
@@ -368,12 +343,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-tree", help="halves, deficiency, spider report")
     p.add_argument("tree")
     p.set_defaults(func=cmd_check_tree)
-
-    p = sub.add_parser("bench", help="time seeded embedding runs")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

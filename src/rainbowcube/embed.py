@@ -117,7 +117,6 @@ class PartialEmbedding:
     used_colors: set[int] = field(default_factory=set)
     trace: list[TraceEntry] = field(default_factory=list)
     rng: SplitMix64 | None = None
-    strict: bool = False
     z_bad: int | None = None
     # set here for the whole tree and by `lift` for a frame, never by a caller
     vertices: Sequence[int] = field(init=False)
@@ -156,9 +155,6 @@ class PartialEmbedding:
 
     def colors_of(self, edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.color_of[e] for e in edges)
-
-    def is_total(self) -> bool:
-        return len(self.image) == self.tree.n
 
     def record(self, child: int, y: int, color: int, coord: int, entry: TraceEntry):
         """Map `child` across the edge (coord, y, color), a candidate of this
@@ -206,7 +202,7 @@ class PartialEmbedding:
             if not live:
                 raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
         sub = PartialEmbedding(self.tree, view, image, color_of, coord_of,
-                               {color_of[w] for w in premapped}, self.trace, self.rng, self.strict)
+                               {color_of[w] for w in premapped}, self.trace, self.rng)
         sub.vertices, sub.all_colors = vertices, self.all_colors
         sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
         if recorded is self._recorded:  # the view is over this frame's host
@@ -347,7 +343,6 @@ def embed_half(
     start: int,
     *,
     rng: SplitMix64 | None = None,
-    strict: bool = False,
 ) -> PartialEmbedding:
     """Doubly distinct embedding of the lower half of t, rooted at `start`.
 
@@ -358,7 +353,7 @@ def embed_half(
         raise VertexNotInGraph(f"start vertex {start} not in host")
     if not g.delta_at_least(t.n_edges()):
         raise DegreeTooSmall(f"delta={g.delta()} < e(T)={t.n_edges()}")
-    pe = PartialEmbedding(t, g, rng=rng, strict=strict)
+    pe = PartialEmbedding(t, g, rng=rng)
     pe.image[0] = start
     for child in sorted(half_floor(t), key=lambda v: (t.level[v], v)):
         _extend(pe, child, pe.used_coords(), "half")
@@ -625,24 +620,17 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     b_sets = {v: frozenset({v}) | subtree_floor_edges(t, v) for v in cls.rest}
     ab = set().union(*a_sets.values(), *b_sets.values())
 
-    # strict bookkeeping: raised, not asserted, so that `python -O` keeps it
-    if pe.strict:
-        for sc in cls.spiders:
-            if 2 * len(a_sets[sc.vertex]) != t.subtree_edge_count(sc.vertex):
-                raise PreconditionViolated(
-                    f"strict: anchor set of spider child {sc.vertex} is not half its subtree"
-                )
-        for v in cls.rest:
-            if 2 * len(b_sets[v]) > 1 + t.subtree_edge_count(v):
-                raise PreconditionViolated(
-                    f"strict: anchor set of child {v} exceeds half its subtree"
-                )
-        if 2 * len(ab) > e_total - k - ell:
-            raise PreconditionViolated(
-                "strict: anchor sets exceed half of the edges outside leaves and mid-legs"
-            )
-        if not floor <= ab:
-            raise PreconditionViolated("strict: anchor sets miss part of the lower half")
+    # the anchor-set checks: raised, not asserted, so that `python -O` keeps them
+    for sc in cls.spiders:
+        if 2 * len(a_sets[sc.vertex]) != end[sc.vertex] - pos[sc.vertex] - 1:
+            raise PreconditionViolated(f"anchor set of spider child {sc.vertex} is not half its subtree")
+    for v in cls.rest:
+        if 2 * len(b_sets[v]) > end[v] - pos[v]:
+            raise PreconditionViolated(f"anchor set of child {v} exceeds half its subtree")
+    if 2 * len(ab) > e_total - k - ell:
+        raise PreconditionViolated("anchor sets exceed half of the edges outside leaves and mid-legs")
+    if not floor <= ab:
+        raise PreconditionViolated("anchor sets miss part of the lower half")
 
     # step 1: finish the anchor sets, doubly distinct, dodging q; ties in
     # level go by id in the whole tree and by preorder position in a frame
@@ -677,6 +665,11 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
             *(a_sets[sc2.vertex] for sc2 in cls.spiders[idx:]), *b_sets.values()
         )
         _extend(pe, sc.after_mid_edge, pe.coords_of(later_anchor), "step5", (sc.mid_edge,))
+
+    # each branch anchor set is {v} | the lower half of v's subtree, mapped by step 3
+    for branch in chain((a_sets[sc.vertex] | {sc.mid_edge} for sc in cls.spiders), b_sets.values()):
+        if len({pe.coord_of[e] for e in branch}) != len(branch):
+            raise PreconditionViolated("branch anchor set repeats a coordinate")
 
     def lift_child(v: int, banned_coords, what: str, part: str) -> PartialEmbedding:
         # a frame on v's subtree in the view that bans every color used
@@ -713,13 +706,6 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         yield _spider_frame(sub) if lone_odd_leg else _tree_frame(sub, root_img)
         pe.adopt(sub)
 
-    if pe.strict:
-        for v in t.children[root]:
-            branch = [v] + sorted(subtree_floor_edges(t, v))
-            coords = [pe.coord_of[e] for e in branch]
-            if len(set(coords)) != len(coords):
-                raise PreconditionViolated("strict: branch anchor set repeats a coordinate")
-
 
 def choose_z_bad(g, pe: PartialEmbedding) -> tuple[int, int]:
     """Pick the blocked vertex next to the root's image.
@@ -746,7 +732,6 @@ def embed_rainbow_tree(
     *,
     seed: int | None = None,
     start: int | None = None,
-    strict: bool = False,
 ) -> PartialEmbedding:
     """Rainbow embedding of t into g; needs delta(g) >= e(t).
 
@@ -760,7 +745,7 @@ def embed_rainbow_tree(
     if start is None:
         start = g.default_start()
     rng = SplitMix64(seed) if seed is not None else None
-    pe = embed_half(g, t, start, rng=rng, strict=strict)
+    pe = embed_half(g, t, start, rng=rng)
     if e_total == 0:
         return pe
     _, z = choose_z_bad(g, pe)

@@ -20,6 +20,8 @@ KINDS = (
     "subgraph_min_degree",
 )
 
+KEEP_PERCENT = 75  # greedy_proper's share of the edges of Q_n
+
 
 def generate(kind: str, seed: int = 0, params: dict | None = None):
     """Build the graph or tree of generator `kind`: same (kind, seed, params)
@@ -30,7 +32,7 @@ def generate(kind: str, seed: int = 0, params: dict | None = None):
     if kind == "refined_cayley":
         return refined_cayley(p["n"], seed, p.get("splits", 2))
     if kind == "greedy_proper":
-        return greedy_proper(p["n"], seed, keep_percent=p.get("keep_percent", 75))
+        return greedy_proper(p["n"], seed)
     if kind == "random_tree":
         return random_tree(p["edges"], seed)
     if kind == "random_spider":
@@ -58,17 +60,16 @@ def refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:
     return ColoredCubeGraph(n, edges)
 
 
-def greedy_proper(n: int, seed: int, *, keep_percent: int = 75) -> ColoredCubeGraph:
+def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
     """Seeded random edge subset of Q_n with a first-fit proper coloring.
 
-    Edges are visited in a seeded shuffle; each takes the smallest color id
+    Each edge is kept with the fixed probability KEEP_PERCENT/100.  Kept
+    edges are visited in a seeded shuffle; each takes the smallest color id
     absent at both endpoints, so at most 2n-1 colors appear.
     """
-    if not 1 <= keep_percent <= 100:
-        raise ValueError(f"keep_percent must be in [1, 100], got {keep_percent}")
     base = cayley_coloring(n)
     rng = SplitMix64(seed)
-    kept = [(u, v) for u, v, _ in base.edges() if rng.randrange(100) < keep_percent]
+    kept = [(u, v) for u, v, _ in base.edges() if rng.randrange(100) < KEEP_PERCENT]
     rng.shuffle(kept)
     palette_at: dict[int, set[int]] = {}
     edges = []

@@ -15,12 +15,10 @@ draws use plain modulo reduction, which keeps the stream layout stable.
 
 from __future__ import annotations
 
-from typing import MutableSequence, Sequence, TypeVar
+from typing import MutableSequence
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-T = TypeVar("T")
 
 
 class SplitMix64:
@@ -41,9 +39,6 @@ class SplitMix64:
         if n <= 0:
             raise ValueError(f"randrange needs n >= 1, got {n}")
         return self.next_u64() % n
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return seq[self.randrange(len(seq))]
 
     def shuffle(self, seq: MutableSequence) -> None:
         for i in range(len(seq) - 1, 0, -1):

@@ -97,9 +97,6 @@ class RootedTree:
     def n_edges(self) -> int:
         return self.n - 1
 
-    def edge(self, child: int) -> tuple[int, int]:
-        return (self.parent[child], child)
-
     def edge_ids(self) -> range:
         return range(1, self.n)
 

@@ -173,6 +173,43 @@ class TestFuzzCommand:
                      "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("jobs, trials, cpus, workers", [
+        (1000, 6, 4, 4),
+        (1000, 3, 64, 3),
+        (2, 6, 4, 2),
+        (1000, 1, 4, None),
+        (8, 0, 4, None),
+        (8, 6, None, None),
+    ])
+    def test_pool_size(self, jobs, trials, cpus, workers, monkeypatch, capsys):
+        # a fake pool that records its size and maps in this process, so that
+        # no worker starts whatever size is asked for
+        import rainbowcube.cli as cli
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["fuzz", "--n", "3", "--trials", str(trials), "--seed", "4"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--jobs", str(jobs)]) == 0
+        assert capsys.readouterr().out == serial
+        assert sizes == ([] if workers is None else [workers])
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("RAINBOW_SEED", "7")
         assert main(["fuzz", "--n", "4", "--trials", "5", "--seed", "999"]) == 0
@@ -306,12 +343,6 @@ class TestCheckTreeCommand:
         assert main(["check-tree", "/nonexistent"]) == 3
 
 
-class TestBenchCommand:
-    def test_runs(self, capsys):
-        assert main(["bench", "--n", "5", "--trials", "3", "--seed", "2"]) == 0
-        assert "bench n=5" in capsys.readouterr().out
-
-
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as info:
@@ -323,6 +354,16 @@ class TestUsageErrors:
             main([])
         assert info.value.code == 3
 
+    def test_no_bench_command_and_no_strict_flag(self, q3, p4, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench"])
+        assert info.value.code == 3
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["embed", q3, p4, "--strict"])
+        assert info.value.code == 3
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
 
 class TestBadNumbersExit3:
     """Out-of-range numbers print one error line, nothing on stdout, exit 3."""
@@ -331,8 +372,7 @@ class TestBadNumbersExit3:
         (["fuzz", "--n", "0", "--trials", "1"], "--n must be in [1, 16], got 0"),
         (["fuzz", "--n", "17", "--trials", "1"], "--n must be in [1, 16], got 17"),
         (["fuzz", "--n", "3", "--trials", "-2"], "--trials must be >= 0, got -2"),
-        (["bench", "--n", "0", "--trials", "1"], "--n must be in [1, 16], got 0"),
-        (["bench", "--n", "3", "--trials", "-1"], "--trials must be >= 0, got -1"),
+        (["fuzz", "--n", "3", "--trials", "1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
     ])
     def test_fuzz_and_bench(self, argv, message, capsys):
         assert main(argv) == 3
@@ -343,7 +383,6 @@ class TestBadNumbersExit3:
     @pytest.mark.parametrize("argv", [
         ["gen", "cayley", "--n", "2"],
         ["fuzz", "--n", "3", "--trials", "1"],
-        ["bench", "--n", "3", "--trials", "1"],
         ["embed", "GRAPH", "TREE"],
     ])
     def test_seed_that_is_not_an_integer(self, argv, q3, p4, monkeypatch, capsys):

@@ -361,7 +361,6 @@ class TestExtendTree:
                 continue
             for z in legal_blockers(g, embed_half(g, t, 0)):
                 pe = embed_half(g, t, 0)
-                pe.strict = True
                 extend_tree(pe, z)
                 report = verify(g, t, pe.image, require_path_distinct=True, z_bad=z)
                 assert report.ok, f"{t}: {report.first_failure()}"
@@ -381,7 +380,7 @@ class TestExtendTree:
     def test_classification_example_tree_in_wide_host(self):
         t = build_tree(CLASSIFY_49)
         g = VirtualCayleyCube(t.n_edges())
-        pe = embed_rainbow_tree(g, t, strict=True)
+        pe = embed_rainbow_tree(g, t)
         report = verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
         assert report.ok
 
@@ -501,7 +500,7 @@ class TestAdversarialShapes:
             rng = SplitMix64(seed * 7 + 1)
             t = spider_mix_tree(rng)
             g = VirtualCayleyCube(t.n_edges())  # delta == e(T) exactly
-            pe = embed_rainbow_tree(g, t, strict=True)
+            pe = embed_rainbow_tree(g, t)
             assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
 
     def test_nested_multi_odd_leg_chains(self):
@@ -520,7 +519,7 @@ class TestAdversarialShapes:
                 attach = spine
             t = build_tree(parents)
             g = VirtualCayleyCube(t.n_edges())
-            pe = embed_rainbow_tree(g, t, strict=True)
+            pe = embed_rainbow_tree(g, t)
             assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
 
     def test_disconnected_host(self):
@@ -569,7 +568,7 @@ class TestImproperHost:
 
 
 # breaks the anchor bookkeeping (every child's anchor set becomes its whole
-# subtree), then embeds in strict mode
+# subtree), then embeds
 BROKEN_ANCHORS = """
 import sys
 import rainbowcube.embed as embed
@@ -577,16 +576,18 @@ from rainbowcube import VirtualCayleyCube, build_tree
 from rainbowcube.errors import PreconditionViolated
 embed.subtree_floor_edges = lambda t, v: frozenset(t.subtree_preorder(v)[1:])
 try:
-    embed.embed_rainbow_tree(VirtualCayleyCube(5), build_tree([0, 1, 1]), strict=True)
+    embed.embed_rainbow_tree(VirtualCayleyCube(5), build_tree([0, 1, 1]))
 except PreconditionViolated as exc:
     print(sys.flags.optimize, exc)
 """
 
 
 class TestStrictChecks:
+    """The anchor-set checks run on every embedding, and raise."""
+
     @pytest.mark.parametrize("optimize", [0, 1])
     def test_broken_anchor_set_is_caught(self, optimize):
-        # under -O every assert statement is stripped; the strict checks must stay
+        # under -O every assert statement is stripped; these checks must stay
         src = Path(rainbowcube.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run(
@@ -594,7 +595,17 @@ class TestStrictChecks:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith(f"{optimize} strict: anchor set of child 1"), out.stdout
+        assert out.stdout.startswith(f"{optimize} anchor set of child 1"), out.stdout
+
+    def test_branch_that_repeats_a_coordinate_is_caught(self, monkeypatch):
+        # candidates that ignore the coordinate bans: on a refined host colors
+        # are not coordinates, so the tree stays rainbow while the spider
+        # child's anchor set repeats a coordinate
+        original = embed.candidate_edges
+        monkeypatch.setattr(embed, "candidate_edges",
+                            lambda g, x, colors, coords: original(g, x, colors, ()))
+        with pytest.raises(PreconditionViolated, match="^branch anchor set repeats a coordinate$"):
+            embed_rainbow_tree(refined_cayley(6, 0, 2), build_tree([0, 0, 2, 3, 4, 5]))
 
 
 class TestTraceAndFormat:
@@ -837,7 +848,7 @@ class TestLiveness:
             monkeypatch.setattr(cls, "has_edge", counting)
         g = VirtualCayleyCube(60)
         for t in (build_tree([0] * 60), comb(60), random_spider((20, 20, 20)), random_tree(60, 5)):
-            pe = embed_rainbow_tree(g, t, strict=True)
+            pe = embed_rainbow_tree(g, t)
             assert pe._recorded == set(pe.coord_of)
         assert callers and not {"extend_one", "lift"} & set(callers)
 
