@@ -383,6 +383,7 @@ class TestBadNumbersExit3:
     @pytest.mark.parametrize("argv", [
         ["gen", "cayley", "--n", "2"],
         ["fuzz", "--n", "3", "--trials", "1"],
+        ["fuzz", "--n", "3", "--exhaustive"],
         ["embed", "GRAPH", "TREE"],
     ])
     def test_seed_that_is_not_an_integer(self, argv, q3, p4, monkeypatch, capsys):
