@@ -3,10 +3,10 @@
 Exit codes: 0 success / all checks pass; 1 internal engine failure, any
 unexpected exception included (a counterexample bundle is dumped when
 possible); 2 verification mismatch or fuzz counterexample; 3 unreadable or
-unparsable input, or a generator parameter out of range (`gen`); 4 host
-minimum degree below the tree size.  `oracle --budget` that runs out is not
-an error: it reports exhausted=False and exits 0.  RAINBOW_SEED overrides
---seed everywhere.
+unparsable input, an unwritable --out, or a generator parameter out of
+range (`gen`); 4 host minimum degree below the tree size.  `oracle
+--budget` that runs out is not an error: it reports exhausted=False and
+exits 0.  RAINBOW_SEED overrides --seed everywhere.
 """
 
 from __future__ import annotations
@@ -59,6 +59,18 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph(path: str, strict_vertices: bool = False):
     return parse_graph(_read(path), strict_vertices=strict_vertices)
 
@@ -105,12 +117,7 @@ def cmd_embed(args) -> int:
                 print(f"bundle written to {args.bundle_dir}", file=sys.stderr)
             return EXIT_INTERNAL
 
-    text = format_embedding(pe, include_trace=args.trace)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, format_embedding(pe, include_trace=args.trace))
     return EXIT_OK
 
 
@@ -238,11 +245,7 @@ def cmd_gen(args) -> int:
             line.append(f"{key}={value}")
         print(" ".join(line + [f"seed={seed}"]))
     text = format_tree(artifact) if hasattr(artifact, "parent") else format_graph(artifact)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, text)
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeTooSmall,
@@ -43,7 +43,7 @@ from .errors import (
     PreconditionViolated,
     VertexNotInGraph,
 )
-from .hypercube import GraphView, _Host, candidate_edges, edge_coordinate, parse_vertex, vertex_str
+from .hypercube import GraphView, candidate_edges, edge_coordinate, parse_vertex, vertex_str
 from .prng import SplitMix64
 from .records import read_records
 from .tree import (
@@ -97,58 +97,49 @@ class PartialEmbedding:
     bookkeeping, seen through one frame.
 
     Tree edges are named by child endpoint; `color_of`/`coord_of` cover the
-    mapped edges.  The maps, the trace and the RNG belong to the whole tree
-    and every frame that `lift` opens shares them.  Per frame: `graph` is
-    its view of the host, `vertices` its vertices, subroot first (all of
-    them in id order for the whole tree), and `used_colors` the colors of
-    its mapped edges.  `all_colors`, the colors of every mapped edge, never
-    gains a duplicate, so the mapped part stays rainbow at all times.
-    `_host` is the host under `graph`, and `_recorded` the edges that
-    `record` wrote from a view over it; every frame over the same host
-    shares the one set, and `_liveness` says why those edges need no
-    lookup.  Confined to a single embedding run.
+    mapped edges, and only `record` (an engine step) and `premap` (a
+    caller) write them, so every mapped edge carries its host's own color
+    and coordinate.  The maps, the trace and the RNG belong to the whole
+    tree and every frame that `lift` opens shares them.  Per frame: `graph`
+    is its view of the host, `vertices` its vertices, subroot first (all of
+    them in id order for the whole tree), `used_colors` the colors of its
+    mapped edges, and `_edges`/`_coords` those edges and their coordinates.
+    `all_colors`, the colors of every mapped edge, never gains a duplicate,
+    so the mapped part stays rainbow at all times.  A caller starts from an
+    empty map, sets the root's image in `image` and adds vertices with
+    `premap`.  Confined to a single embedding run.
     """
 
     tree: RootedTree
     graph: object
-    image: dict[int, int] = field(default_factory=dict)
-    color_of: dict[int, int] = field(default_factory=dict)
-    coord_of: dict[int, int] = field(default_factory=dict)
-    used_colors: set[int] = field(default_factory=set)
-    trace: list[TraceEntry] = field(default_factory=list)
     rng: SplitMix64 | None = None
     z_bad: int | None = None
     # set here for the whole tree and by `lift` for a frame, never by a caller
+    image: dict[int, int] = field(init=False, default_factory=dict)
+    color_of: dict[int, int] = field(init=False, default_factory=dict)
+    coord_of: dict[int, int] = field(init=False, default_factory=dict)
+    used_colors: set[int] = field(init=False, default_factory=set)
+    trace: list[TraceEntry] = field(init=False, default_factory=list)
     vertices: Sequence[int] = field(init=False)
     all_colors: set[int] = field(init=False)
-    # a frame's mapped edges and their coordinates; the whole tree reads its
-    # own from coord_of, which a caller may have filled
-    _edges: set[int] | None = field(init=False, default=None, repr=False)
-    _coords: set[int] | None = field(init=False, default=None, repr=False)
-    _recorded: set[int] = field(init=False, repr=False)
-    _host: object = field(init=False, repr=False)
+    is_frame: bool = field(init=False, default=False)
+    _edges: set[int] = field(init=False, repr=False)
+    _coords: set[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = range(self.tree.n)
         self.all_colors = self.used_colors
-        self._recorded = set()
-        base = self.graph.base if isinstance(self.graph, GraphView) else self.graph
-        self._host = base if isinstance(base, _Host) else None
+        self._edges, self._coords = set(), set()
 
     @property
     def root(self) -> int:
         return self.vertices[0]
 
-    @property
-    def is_frame(self) -> bool:
-        """True for a frame opened by `lift`, False for the whole tree."""
-        return self._edges is not None
-
     def mapped_edges(self) -> set[int]:
-        return set(self._edges if self.is_frame else self.coord_of)
+        return set(self._edges)
 
     def used_coords(self) -> frozenset[int]:
-        return frozenset(self._coords if self.is_frame else self.coord_of.values())
+        return frozenset(self._coords)
 
     def coords_of(self, edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.coord_of[e] for e in edges)
@@ -156,9 +147,24 @@ class PartialEmbedding:
     def colors_of(self, edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.color_of[e] for e in edges)
 
-    def record(self, child: int, y: int, color: int, coord: int, entry: TraceEntry):
-        """Map `child` across the edge (coord, y, color), a candidate of this
-        frame's view at its parent's image; extend_one is the only caller."""
+    def premap(self, child: int, y: int):
+        """Map `child` to `y` by hand, its parent already mapped: the edge
+        takes the color this frame's host gives it and the coordinate its
+        endpoints give it.  Adds no trace entry.  The root's image is set
+        directly in `image`."""
+        if child in self.image:
+            raise PreconditionViolated(f"premap: vertex {child} is already mapped")
+        x = self.image.get(self.tree.parent[child])
+        if x is None:
+            raise PreconditionViolated(f"premap: the parent of vertex {child} is unmapped")
+        if not self.graph.has_edge(x, y):
+            raise PreconditionViolated(f"premap: edge {child} maps to a non-edge")
+        self.record(child, y, self.graph.edge_color(x, y), edge_coordinate(x, y))
+
+    def record(self, child: int, y: int, color: int, coord: int):
+        """Map `child` across the edge (coord, y, color): a candidate of this
+        frame's view at its parent's image (from extend_one) or the host's
+        own edge there (from premap), its only callers."""
         # checked against every frame's colors, so no color is reused across frames either
         if color in self.all_colors:
             raise PreconditionViolated(f"color {color} reused at edge {child}")
@@ -167,11 +173,8 @@ class PartialEmbedding:
         self.coord_of[child] = coord
         self.used_colors.add(color)
         self.all_colors.add(color)
-        if self.is_frame:
-            self._edges.add(child)
-            self._coords.add(coord)
-        self._recorded.add(child)
-        self.trace.append(entry)
+        self._edges.add(child)
+        self._coords.add(coord)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):
         edges = list(edges)
@@ -181,7 +184,7 @@ class PartialEmbedding:
             raise PreconditionViolated(f"{context}: mapped edges are not doubly distinct")
 
     def lift(self, vertices: Sequence[int], view) -> "PartialEmbedding":
-        """Open a frame on `vertices` over `view`.
+        """Open a frame on `vertices` over `view`, a view of this frame's host.
 
         `vertices` lists the frame's subroot first and is parent-closed
         below it.  The frame writes into this embedding's maps and trace;
@@ -190,23 +193,19 @@ class PartialEmbedding:
         that is checked here because a banned pre-mapped edge means a
         bookkeeping error upstream.
         """
-        image, color_of, coord_of = self.image, self.color_of, self.coord_of
-        parent = self.tree.parent
+        if _base(view) is not _base(self.graph):
+            raise PreconditionViolated("a frame's view must be over the embedding's host")
+        color_of, coord_of = self.color_of, self.coord_of
         premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
-        recorded, banned_colors, banned_coords = _liveness(self, view)
+        banned_colors, banned_coords = _bans(view)
         for w in premapped:
-            if w in recorded:
-                live = color_of[w] not in banned_colors and coord_of[w] not in banned_coords
-            else:
-                live = view.has_edge(image[parent[w]], image[w])
-            if not live:
+            if color_of[w] in banned_colors or coord_of[w] in banned_coords:
                 raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
-        sub = PartialEmbedding(self.tree, view, image, color_of, coord_of,
-                               {color_of[w] for w in premapped}, self.trace, self.rng)
-        sub.vertices, sub.all_colors = vertices, self.all_colors
+        sub = PartialEmbedding(self.tree, view, self.rng)
+        sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, color_of, coord_of, self.trace
+        sub.used_colors = {color_of[w] for w in premapped}
+        sub.vertices, sub.all_colors, sub.is_frame = vertices, self.all_colors, True
         sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
-        if recorded is self._recorded:  # the view is over this frame's host
-            sub._recorded = recorded
         return sub
 
     def adopt(self, sub: "PartialEmbedding"):
@@ -215,42 +214,40 @@ class PartialEmbedding:
 
         The frame wrote into the shared maps, so there is nothing to copy
         and nothing to compare.  It cannot have remapped a vertex, since
-        extend_one, the only caller of `record`, refuses a target that is
-        already mapped; and `record` refused any color used in any frame.
+        extend_one and premap, the only callers of `record`, refuse a child
+        that is already mapped; and `record` refused any color used in any
+        frame.
         """
         self.used_colors |= sub.used_colors
-        if self.is_frame:
-            self._edges |= sub._edges
-            self._coords |= sub._coords
+        self._edges |= sub._edges
+        self._coords |= sub._coords
 
 
-def _liveness(pe: PartialEmbedding, view) -> tuple[AbstractSet[int], frozenset[int], frozenset[int]]:
-    """(edges, colors, coords) that decide which mapped edges of `pe` are live
-    in `view`: an edge w in `edges` is live exactly when color_of[w] is not
-    in `colors` and coord_of[w] is not in `coords`; any other edge needs
-    `view.has_edge`.  Read once per step and once per `lift`; the callers
-    test each edge inline.
+def _base(g):
+    """The host under a view, or the host itself."""
+    return g.base if isinstance(g, GraphView) else g
 
-    `edges` is pe._recorded when `view` is pe._host or a view over it, else
-    empty.  An edge w in pe._recorded was written by `record`, from
-    extend_one, as a candidate of the view V of a frame whose host is H =
-    pe._host (`lift` shares the set only between frames over one host),
-    and nothing rewrites its maps or that view afterwards (extend_one
-    refuses a mapped target).  A candidate of V is one of H's own incidence records
-    (GraphView.admissible passes H's records through), so H has the edge,
-    with color color_of[w] and coordinate coord_of[w].  A view over H keeps
+
+def _bans(view) -> tuple[frozenset[int], frozenset[int]]:
+    """The colors and coordinates `view` bans; a host bans none.  Read once
+    per step and once per `lift`; the callers test each edge inline.
+
+    A mapped edge w is live in a view of the embedding's host H exactly
+    when color_of[w] is not a banned color and coord_of[w] not a banned
+    coordinate, from three facts.  (1) `record`, from extend_one, takes a
+    candidate of a view over H, which is one of H's own incidence records
+    (GraphView.admissible passes them through); so H has the edge, with
+    color color_of[w] and coordinate coord_of[w].  (2) `premap` reads both
+    from H (a view's edge_color is its host's).  (3) A view over H keeps
     exactly the edges of H whose color and coordinate it does not ban
-    (GraphView.has_edge), and H itself bans nothing; so for w the two set
-    tests equal `view.has_edge`.  An edge a caller mapped by hand is not in
-    pe._recorded, so a wrong recorded color or coordinate never reaches the
-    set tests, and a view over another host, or a graph that is no host of
-    this package, gets only lookups.
+    (GraphView.has_edge), and H itself bans nothing.  Every frame is over
+    H, since `lift` refuses a view over another host, and no mapped edge is
+    rewritten, since `record`'s callers refuse a mapped child.  So the two
+    set tests equal `view.has_edge`.
     """
     if isinstance(view, GraphView):
-        base, colors, coords = view.base, view.banned_colors, view.banned_coords
-    else:
-        base, colors, coords = view, _NOTHING, _NOTHING
-    return (pe._recorded if base is pe._host else _NOTHING), colors, coords
+        return view.banned_colors, view.banned_coords
+    return _NOTHING, _NOTHING
 
 
 Frame = Iterator["Frame"]  # a frame's steps; it yields each frame it opens
@@ -287,7 +284,7 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     x_col, x_coor = req.x_col, req.x_coor
     seen_colors: set[int] = set()
     seen_coords: set[int] = set()
-    recorded, banned_colors, banned_coords = _liveness(pe, pe.graph)
+    banned_colors, banned_coords = _bans(pe.graph)
     for wit in req.witnesses:
         if wit not in coord_of:
             raise PreconditionViolated(f"witness edge {wit} is unmapped")
@@ -298,11 +295,7 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
             raise PreconditionViolated(f"witness edge {wit} lies outside the forbidden sets")
         if c in seen_colors or q in seen_coords:
             raise PreconditionViolated(f"witness edge {wit} repeats a color or coordinate")
-        if wit in recorded:
-            live = c not in banned_colors and q not in banned_coords
-        else:
-            live = pe.graph.has_edge(pe.image[parent[wit]], pe.image[wit])
-        if not live:
+        if c in banned_colors or q in banned_coords:
             raise PreconditionViolated(f"witness edge {wit} is not live in the current host")
         seen_colors.add(c)
         seen_coords.add(q)
@@ -318,13 +311,8 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     if not cands:
         raise NoCandidate(f"step {req.label}: counting bound held but no edge was admissible")
     coord, y, color = cands[0] if pe.rng is None else cands[pe.rng.randrange(len(cands))]
-    pe.record(
-        w,
-        y,
-        color,
-        coord,
-        (req.label, w, pe.image[v], y, len(req.x_col), len(req.x_coor), r),
-    )
+    pe.record(w, y, color, coord)
+    pe.trace.append((req.label, w, pe.image[v], y, len(req.x_col), len(req.x_coor), r))
     return pe
 
 
@@ -349,10 +337,10 @@ def embed_half(
     Edges are taken in (level, id) order, so every prefix is connected.
     Needs delta(g) >= e(t): step i forbids 2(i-1) <= e(t) - 2 classes.
     """
+    if not g.delta_at_least(t.n_edges()):
+        raise DegreeTooSmall(f"host delta={g.delta()} < e(T)={t.n_edges()}")
     if not g.has_vertex(start):
         raise VertexNotInGraph(f"start vertex {start} not in host")
-    if not g.delta_at_least(t.n_edges()):
-        raise DegreeTooSmall(f"delta={g.delta()} < e(T)={t.n_edges()}")
     pe = PartialEmbedding(t, g, rng=rng)
     pe.image[0] = start
     for child in sorted(half_floor(t), key=lambda v: (t.level[v], v)):
@@ -739,14 +727,13 @@ def embed_rainbow_tree(
     default), picks a blocked vertex, and extends.  Returns the completed
     embedding with its trace and the blocked vertex used.
     """
-    e_total = t.n_edges()
-    if not g.delta_at_least(e_total):
-        raise DegreeTooSmall(f"host delta={g.delta()} < e(T)={e_total}")
+    # delta(g) >= e(T) is checked once, by embed_half, ahead of its other
+    # checks, so a host too sparse for t raises DegreeTooSmall first
     if start is None:
         start = g.default_start()
     rng = SplitMix64(seed) if seed is not None else None
     pe = embed_half(g, t, start, rng=rng)
-    if e_total == 0:
+    if t.n_edges() == 0:
         return pe
     _, z = choose_z_bad(g, pe)
     extend_tree(pe, z)

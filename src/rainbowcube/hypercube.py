@@ -83,27 +83,23 @@ class ColoredCubeGraph(_Host):
     """Explicit edge-colored subgraph of Q_N.  Immutable after construction.
 
     ``edges`` is an iterable of (u, v, color) triples; endpoints are added to
-    the vertex set automatically.  With ``unchecked=True`` malformed edges
-    (not a single bit flip, or out of range) are retained for ``validate``
-    to report instead of raising here.
+    the vertex set automatically.  A malformed edge (out of range, not a
+    single bit flip, or a negative color) raises ValueError here.
     """
 
-    __slots__ = ("dimension", "_color", "_adj", "_vertices", "_bad_edges", "_delta", "_proper")
+    __slots__ = ("dimension", "_color", "_adj", "_vertices", "_delta", "_proper")
 
     def __init__(
         self,
         dimension: int,
         edges: Iterable[tuple[int, int, int]] = (),
         vertices: Iterable[int] = (),
-        *,
-        unchecked: bool = False,
     ):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         top = 1 << dimension
         color: dict[Edge, int] = {}
-        bad: list[tuple[Edge, int, str]] = []
         verts = set(vertices)
         for v in verts:
             if not 0 <= v < top:
@@ -112,25 +108,16 @@ class ColoredCubeGraph(_Host):
             e = canonical_edge(u, v)
             if e in color:
                 raise ValueError(f"duplicate edge {e}")
-            problem = None
             if not (0 <= u < top and 0 <= v < top):
-                problem = "endpoint out of range"
-            else:
-                x = u ^ v
-                if x == 0 or x & (x - 1):
-                    problem = "endpoints differ in != 1 bit"
+                raise ValueError(f"edge {e}: endpoint out of range")
+            x = u ^ v
+            if x == 0 or x & (x - 1):
+                raise ValueError(f"edge {e}: endpoints differ in != 1 bit")
             if c < 0:
-                problem = problem or "negative color"
-            if problem:
-                if not unchecked:
-                    raise ValueError(f"edge {e}: {problem}")
-                bad.append((e, c, problem))
-                verts.update(e)
-                continue
+                raise ValueError(f"edge {e}: negative color")
             color[e] = c
             verts.update(e)
         self._color = color
-        self._bad_edges = tuple(bad)
         self._vertices = frozenset(verts)
         adj: dict[int, list[Incidence]] = {v: [] for v in verts}
         for (u, v), c in color.items():
@@ -441,56 +428,22 @@ def cayley_coloring(n: int) -> ColoredCubeGraph:
 
 
 def validate(g) -> VerificationReport:
-    """Check the host invariants, reporting the first witness per check."""
-    if isinstance(g, VirtualCayleyCube):
-        checks = [
-            Check("dimension", g.dimension >= 1),
-            Check("edge-coordinate", True),
-            Check("edge-endpoints", True),
-            Check("proper-coloring", True),
-        ]
-        return VerificationReport(tuple(checks))
+    """Check that the host's coloring is proper, naming the first clash.
 
-    checks: list[Check] = [Check("dimension", g.dimension >= 1)]
-
-    bad = g._bad_edges
-    if bad:
-        (u, v), c, problem = bad[0]
-        checks.append(
-            Check(
-                "edge-coordinate",
-                False,
-                f"edge {vertex_str(u, g.dimension)}-{vertex_str(v, g.dimension)}: {problem}",
-            )
-        )
-    else:
-        checks.append(Check("edge-coordinate", True))
-
-    missing = None
-    for (u, v), _ in g._color.items():
-        if not (g.has_vertex(u) and g.has_vertex(v)):
-            missing = (u, v)
-            break
-    checks.append(
-        Check(
-            "edge-endpoints",
-            missing is None,
-            "" if missing is None else f"edge {missing} has endpoint outside vertex set",
-        )
+    That is the one host invariant a constructor does not enforce: both
+    host classes reject a dimension below 1, and ColoredCubeGraph (so also
+    parse_graph) rejects an edge that is out of range, not a single bit
+    flip or negatively colored, and adds every endpoint to the vertex set.
+    """
+    improper = None if isinstance(g, VirtualCayleyCube) else g.improper_witness()
+    if improper is None:
+        return VerificationReport((Check("proper-coloring", True),))
+    x, y1, y2, c = improper
+    w = (
+        f"vertex {vertex_str(x, g.dimension)}: edges to "
+        f"{vertex_str(y1, g.dimension)} and {vertex_str(y2, g.dimension)} share color {c}"
     )
-
-    improper = g.improper_witness()
-    if improper:
-        x, y1, y2, c = improper
-        w = (
-            f"vertex {vertex_str(x, g.dimension)}: edges to "
-            f"{vertex_str(y1, g.dimension)} and {vertex_str(y2, g.dimension)} share color {c}"
-        )
-        checks.append(Check("proper-coloring", False, w))
-    else:
-        checks.append(Check("proper-coloring", True))
-
-    return VerificationReport(tuple(checks))
+    return VerificationReport((Check("proper-coloring", False, w),))
 
 
 def candidate_edges(

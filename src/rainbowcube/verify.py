@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 from .embed import embed_rainbow_tree, format_embedding, format_trace
 from .errors import BudgetExceeded, DegreeTooSmall, LimitExceeded
@@ -26,13 +25,13 @@ def verify(
     *,
     require_path_distinct: bool = False,
     z_bad: int | None = None,
-    distinctly_directed_on: Iterable[int] | None = None,
 ) -> VerificationReport:
     """Certify a total vertex map from scratch.
 
-    Checks: homomorphism, injectivity, rainbow; optionally path-distinctness
-    on the upper-closed half, distinct coordinates on a given edge set, and
-    avoidance of a vertex.  Witnesses name the offending vertices or edges.
+    Checks: homomorphism (every image a host vertex, every tree edge a host
+    edge), injectivity, rainbow; optionally path-distinctness on the
+    upper-closed half and avoidance of a vertex.  Witnesses name the
+    offending vertices or edges.
     """
     checks: list[Check] = []
     dim = g.dimension
@@ -55,6 +54,9 @@ def verify(
             break
         coord[child] = edge_coordinate(u, v)
         color[child] = g.edge_color(u, v)
+    # a host edge joins host vertices, so only a lone root can sit outside the host
+    if not hom_witness and not g.has_vertex(image[0]):
+        hom_witness = f"vertex 0 -> non-vertex {vs(image[0])}"
     checks.append(Check("homomorphism", not hom_witness, hom_witness))
     if hom_witness:
         return VerificationReport(tuple(checks))
@@ -88,18 +90,6 @@ def verify(
                 pd_witness = f"root path to leaf {leaf} repeats a coordinate in {coords}"
                 break
         checks.append(Check("path_distinct_ceil_half", not pd_witness, pd_witness))
-
-    if distinctly_directed_on is not None:
-        edges = sorted(distinctly_directed_on)
-        coords = [coord[e] for e in edges]
-        ok = len(set(coords)) == len(coords)
-        checks.append(
-            Check(
-                f"distinctly_directed_on({len(edges)} edges)",
-                ok,
-                "" if ok else f"coordinates {coords} repeat",
-            )
-        )
 
     if z_bad is not None:
         hit = [v for v in range(t.n) if image[v] == z_bad]

@@ -134,6 +134,30 @@ class TestVerifyCommand:
     def test_invalid_input(self, q3, p4):
         assert main(["verify", q3, p4, "/nonexistent"]) == 3
 
+    def test_lone_root_outside_the_host(self, tmp_path, capsys):
+        files = {"host.graph": "cube 3\nvertex 000\n", "one.tree": "tree 1\n",
+                 "in.txt": "embedding 0 3\nmap 0 000\n", "out.txt": "embedding 0 3\nmap 0 111\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        host, tree = str(tmp_path / "host.graph"), str(tmp_path / "one.tree")
+        assert main(["verify", host, tree, str(tmp_path / "in.txt")]) == 0
+        capsys.readouterr()
+        assert main(["verify", host, tree, str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().out == "FAIL homomorphism  [vertex 0 -> non-vertex 111]\n"
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [["gen", "cayley", "--n", "2"], ["embed", "q3", "p4"]],
+                             ids=["gen", "embed"])
+    def test_exits_3(self, command, q3, p4, tmp_path, capsys):
+        argv = [{"q3": q3, "p4": p4}.get(arg, arg) for arg in command]
+        out = tmp_path / "missing" / "x"
+        assert main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert not out.parent.exists()
+
 
 class TestOracleCommand:
     def test_found(self, q3, p4, capsys):

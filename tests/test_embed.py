@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import os
@@ -46,16 +47,13 @@ from test_tree import CLASSIFY_49
 
 
 def premapped(g, t, images):
-    """PartialEmbedding with the given vertex->cube assignments installed."""
+    """PartialEmbedding with the given vertex->cube assignments installed:
+    the root's image directly, every other vertex by `premap`."""
     pe = PartialEmbedding(t, g)
-    for v, x in images.items():
-        pe.image[v] = x
-    for child in t.edge_ids():
-        if child in images and t.parent[child] in images:
-            u, w = images[t.parent[child]], images[child]
-            pe.color_of[child] = g.edge_color(u, w)
-            pe.coord_of[child] = (u ^ w).bit_length() - 1
-            pe.used_colors.add(pe.color_of[child])
+    pe.image[0] = images[0]
+    for v in sorted(images, key=t.level.__getitem__)[1:]:
+        pe.premap(v, images[v])
+    assert pe.mapped_edges() == set(pe.coord_of)
     return pe
 
 
@@ -585,6 +583,15 @@ except PreconditionViolated as exc:
 class TestStrictChecks:
     """The anchor-set checks run on every embedding, and raise."""
 
+    def test_the_package_has_no_assert_statement(self):
+        # `python -O` strips assert statements, so no check may be one
+        modules = sorted(Path(rainbowcube.__file__).parent.glob("*.py"))
+        assert len(modules) > 5
+        found = [f"{path.name}:{node.lineno}" for path in modules
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
+
     @pytest.mark.parametrize("optimize", [0, 1])
     def test_broken_anchor_set_is_caught(self, optimize):
         # under -O every assert statement is stripped; these checks must stay
@@ -699,13 +706,14 @@ class TestFrames:
 
     def test_frame_state_is_set_by_lift_alone(self):
         g = cayley_coloring(3)
-        for name in ("vertices", "all_colors", "_edges", "_coords", "_recorded", "_host"):
+        # the maps too: a caller fills them through premap alone
+        for name in ("image", "color_of", "coord_of", "used_colors", "trace",
+                     "vertices", "all_colors", "is_frame", "_edges", "_coords"):
             with pytest.raises(TypeError):
                 PartialEmbedding(path_tree(2), g, **{name: set()})
         pe = mapped_path(g, 2, 1)
         sub = pe.lift((1, 2), g)
-        assert not pe.is_frame and sub.is_frame
-        assert sub._recorded is pe._recorded and sub._host is pe._host is g
+        assert not pe.is_frame and sub.is_frame and sub.lift((1, 2), g).is_frame
 
     def test_premapped_edge_banned_from_the_view(self):
         g = cayley_coloring(3)
@@ -803,15 +811,15 @@ LIVENESS_HOSTS = [VirtualCayleyCube(8), cayley_coloring(6), refined_cayley(6, 3,
 
 
 class TestLiveness:
-    """Edges the engine mapped are checked in a view by its bans; every other
-    edge is looked up.  Either way the verdict is the view's has_edge."""
+    """A mapped edge carries its host's own classes, so a view's bans alone
+    decide whether it is live there; the verdict is the view's has_edge."""
 
     @pytest.mark.parametrize("g", LIVENESS_HOSTS, ids=lambda g: type(g).__name__)
     def test_lift_decides_as_the_view_does(self, g):
         for seed in (None, 3):
             t = random_tree(g.delta(), 40 + g.dimension)
             pe = embed_rainbow_tree(g, t, seed=seed)
-            assert pe._recorded == set(pe.coord_of)
+            assert pe.mapped_edges() == set(pe.coord_of)
             frame = pe.lift(range(t.n), g)
             verdicts = set()
             for view in [g, *random_views(g, g.dimension, 10)]:
@@ -826,6 +834,7 @@ class TestLiveness:
     def test_witnesses_are_decided_as_the_view_does(self, g):
         t = random_tree(g.delta(), 50 + g.dimension)
         pe = embed_rainbow_tree(g, t)
+        assert pe.mapped_edges() == set(pe.coord_of)
         verdicts = set()
         for view in [g, *random_views(g, g.dimension, 5)]:
             for leaf in (v for v in t.edge_ids() if not t.children[v]):
@@ -849,76 +858,81 @@ class TestLiveness:
         g = VirtualCayleyCube(60)
         for t in (build_tree([0] * 60), comb(60), random_spider((20, 20, 20)), random_tree(60, 5)):
             pe = embed_rainbow_tree(g, t)
-            assert pe._recorded == set(pe.coord_of)
+            assert pe.mapped_edges() == set(pe.coord_of)
         assert callers and not {"extend_one", "lift"} & set(callers)
 
-    def test_edges_recorded_in_a_frame_join_the_shared_set(self):
-        g = cayley_coloring(4)
-        pe = mapped_path(g, 3, 2)
-        sub = pe.lift((2, 3), g.restrict({pe.color_of[1]}, ()))
-        extend_one(sub, ExtensionRequest(2, 3, frozenset(pe.all_colors), frozenset()))
-        assert pe._recorded == {1, 2, 3}
-
-    @pytest.mark.parametrize("wrong", ["color", "coordinate"])
-    def test_a_wrong_recorded_class_is_looked_up_at_every_level(self, wrong):
-        # a caller-filled map: the recorded class of edge 1 is wrong, so only
-        # a lookup decides, and it decides by the host's own class
-        g = cayley_coloring(4)
-        t = path_tree(3)
-        pe = premapped(g, t, {0: 0b0000, 1: 0b0001, 2: 0b0011})
-        assert not pe._recorded
-        recorded = pe.color_of if wrong == "color" else pe.coord_of
-        true_class, false_class = recorded[1], 3
-        recorded[1] = false_class
-        ban = (lambda c: g.restrict({c}, ())) if wrong == "color" else (lambda c: g.restrict((), {c}))
-        for frame in (pe, pe.lift(range(4), g.restrict({9}, {9})), pe.lift((0, 1, 2, 3), g)):
-            assert lifts(frame, (0, 1, 2), ban(false_class))
-            assert not lifts(frame, (0, 1, 2), ban(true_class))
-            nested = frame.lift((0, 1, 2), g.restrict({8}, ()))
-            assert lifts(nested, (0, 1), ban(false_class).restrict({8}, ()))
-            assert not lifts(nested, (0, 1), ban(true_class))
-        # and as the witness of a step from vertex 1, whose forbidden sets
-        # hold the recorded classes of edge 1
-        for banned, live in ((false_class, True), (true_class, False)):
-            for nested in (False, True):
-                pe = premapped(g, t, {0: 0b0000, 1: 0b0001})
-                recorded = pe.color_of if wrong == "color" else pe.coord_of
-                recorded[1] = false_class
-                req = ExtensionRequest(1, 2, frozenset(pe.all_colors) | {pe.color_of[1]},
-                                       frozenset({pe.coord_of[1]}), (1,))
-                opener = pe.lift((0, 1, 2), g.restrict({9}, ())) if nested else pe
-                frame = opener.lift((1, 2), ban(banned))
-                if live:
-                    extend_one(frame, req)
-                    assert pe.image[2] == 0b0011
-                else:
-                    with pytest.raises(PreconditionViolated, match="witness edge 1 is not live"):
-                        extend_one(frame, req)
-
-    def test_a_view_of_another_host_is_looked_up(self):
-        # engine-mapped edges, then frames over hosts other than the one they
-        # were drawn from: their bans say nothing there, a lookup decides
+    def test_a_view_of_another_host_is_refused(self):
+        # another host on the same cube may lack a mapped edge or color it
+        # otherwise, so its bans say nothing about the edge; refused even
+        # where the edge is there with the same color
         g = cayley_coloring(3)
         pe = mapped_path(g, 2, 2)
         a, b = pe.image[0], pe.image[1]
         without = ColoredCubeGraph(3, [(u, v, c) for u, v, c in g.edges() if {u, v} != {a, b}])
         shifted = ColoredCubeGraph(3, [(u, v, (c + 1) % 3) for u, v, c in g.edges()])
-        assert not lifts(pe, (0, 1, 2), without)
-        assert not lifts(pe, (0, 1, 2), shifted.restrict({shifted.edge_color(a, b)}, ()))
-        assert lifts(pe, (0, 1, 2), shifted.restrict({pe.color_of[1]}, ()))
-        assert lifts(pe, (0, 1, 2), cayley_coloring(3))
-        assert not lifts(pe.lift((0, 1, 2), shifted), (0, 1, 2), without)
+        frame = pe.lift((0, 1, 2), g.restrict({9}, ()))
+        for opener in (pe, frame):
+            for view in (without, without.restrict({7}, ()), shifted.restrict({pe.color_of[1]}, ()),
+                         cayley_coloring(3), VirtualCayleyCube(3).restrict((), {7})):
+                with pytest.raises(PreconditionViolated, match="view must be over the embedding's host"):
+                    opener.lift((0, 1, 2), view)
+            assert lifts(opener, (0, 1, 2), g.restrict({9}, {9}))
 
-    def test_an_edge_drawn_from_another_host_is_looked_up(self):
-        # a frame over another host maps edge 2 with that host's color, which
-        # the view below bans; in the first host the edge has another color
+    def test_no_edge_is_drawn_from_another_host(self):
+        # a frame over another host would map edge 2 with that host's color;
+        # it is refused before it holds a pre-mapped edge to check
         g = cayley_coloring(3)
         shifted = ColoredCubeGraph(3, [(u, v, (c + 1) % 3) for u, v, c in g.edges()])
         pe = mapped_path(g, 2, 1)
-        frame = pe.lift((1, 2), shifted)
-        extend_one(frame, ExtensionRequest(1, 2, frozenset(pe.all_colors), frozenset()))
-        pe.adopt(frame)
-        drawn = pe.color_of[2]
-        assert drawn != g.edge_color(pe.image[1], pe.image[2])
-        assert 2 in frame._recorded and 2 not in pe._recorded
-        assert lifts(pe, (0, 1, 2), g.restrict({drawn}, ()))
+        for view in (shifted, shifted.restrict({0}, ())):
+            with pytest.raises(PreconditionViolated, match="view must be over the embedding's host"):
+                pe.lift((1, 2), view)
+        assert pe.mapped_edges() == {1} and len(pe.trace) == 1
+
+
+class TestPremap:
+    """`premap` installs a caller's map with the host's own classes."""
+
+    # colors are coordinates + 1 mod 3, so a color is never its coordinate
+    SHIFTED = ColoredCubeGraph(3, [(u, v, (c + 1) % 3) for u, v, c in cayley_coloring(3).edges()])
+
+    def rooted(self, g, parents):
+        pe = PartialEmbedding(build_tree(parents), g)
+        pe.image[0] = 0b000
+        return pe
+
+    def test_stores_the_hosts_class(self):
+        pe = self.rooted(self.SHIFTED, [0, 1])
+        pe.premap(1, 0b001)
+        pe.premap(2, 0b011)
+        assert (pe.color_of, pe.coord_of) == ({1: 1, 2: 2}, {1: 0, 2: 1})
+        assert pe.image == {0: 0b000, 1: 0b001, 2: 0b011}
+        assert pe.mapped_edges() == {1, 2} and pe.used_coords() == {0, 1}
+        assert pe.used_colors == pe.all_colors == {1, 2} and pe.trace == []
+        with pytest.raises(TypeError):
+            pe.premap(2, 0b011, 0)  # the color is the host's, never the caller's
+
+    @pytest.mark.parametrize("steps, message", [
+        ([(1, 0b011)], "edge 1 maps to a non-edge"),
+        ([(1, 0b000)], "edge 1 maps to a non-edge"),
+        ([(2, 0b010)], "the parent of vertex 2 is unmapped"),
+        ([(1, 0b001), (1, 0b010)], "vertex 1 is already mapped"),
+        ([(1, 0b001), (2, 0b000)], "color 1 reused at edge 2"),
+    ], ids=["two bits", "loop", "unmapped parent", "mapped child", "reused color"])
+    def test_refuses(self, steps, message):
+        pe = self.rooted(self.SHIFTED, [0, 1])
+        *before, last = steps
+        for child, y in before:
+            pe.premap(child, y)
+        state = (dict(pe.image), dict(pe.color_of), pe.mapped_edges())
+        with pytest.raises(PreconditionViolated, match=message):
+            pe.premap(*last)
+        assert (pe.image, pe.color_of, pe.mapped_edges()) == state
+
+    def test_refuses_an_edge_the_view_bans(self):
+        # the host is the embedding's graph, here a view without color 1
+        pe = self.rooted(self.SHIFTED.restrict({1}, ()), [0])
+        with pytest.raises(PreconditionViolated, match="edge 1 maps to a non-edge"):
+            pe.premap(1, 0b001)
+        pe.premap(1, 0b010)
+        assert pe.color_of == {1: 2} and pe.coord_of == {1: 1}

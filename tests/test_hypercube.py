@@ -102,12 +102,6 @@ class TestValidate:
         assert failure.name == "proper-coloring"
         assert "00" in failure.witness
 
-    def test_bad_edge_reported(self):
-        g = ColoredCubeGraph(2, [(bits("00"), bits("11"), 0)], unchecked=True)
-        report = validate(g)
-        assert not report.ok
-        assert report.first_failure().name == "edge-coordinate"
-
     def test_checked_constructor_rejects_bad_edge(self):
         with pytest.raises(ValueError):
             ColoredCubeGraph(2, [(0, 3, 0)])

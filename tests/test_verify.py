@@ -4,6 +4,7 @@ import pytest
 
 from rainbowcube import (
     ColoredCubeGraph,
+    VirtualCayleyCube,
     build_tree,
     cayley_coloring,
     cross_check,
@@ -80,14 +81,17 @@ class TestVerify:
         assert not rep.ok
         assert rep.first_failure().name == "path_distinct_ceil_half"
 
-    def test_distinctly_directed_on_option(self):
-        g = ColoredCubeGraph(3, [(0, 1, 10), (1, 3, 11), (2, 3, 12)])
-        t = path_tree(3)
-        image = {0: 0, 1: 1, 2: 3, 3: 2}
-        ok = verify(g, t, image, distinctly_directed_on={1, 2})
-        assert ok.ok
-        bad = verify(g, t, image, distinctly_directed_on={1, 2, 3})
-        assert not bad.ok
+    @pytest.mark.parametrize("g, outside, shown", [
+        (ColoredCubeGraph(3, [], vertices=[0]), 7, "111"),
+        (VirtualCayleyCube(3), 99, "0b1100011"),
+    ], ids=["explicit", "implicit"])
+    def test_lone_root_outside_the_host_reported(self, g, outside, shown):
+        # a one-vertex tree has no edge that would place its image in the host
+        t = build_tree([])
+        assert verify(g, t, {0: 0}).ok
+        report = verify(g, t, {0: outside})
+        assert [c.name for c in report.checks] == ["homomorphism"]
+        assert report.first_failure().witness == f"vertex 0 -> non-vertex {shown}"
 
     def test_blocked_vertex_flag(self):
         g = cayley_coloring(2)
