@@ -39,7 +39,6 @@ from .hypercube import (
     edge_coordinate,
     format_graph,
     parse_graph,
-    validate,
     vertex_str,
 )
 from .prng import SplitMix64, derive_seed

@@ -3,10 +3,11 @@
 Exit codes: 0 success / all checks pass; 1 internal engine failure, any
 unexpected exception included (a counterexample bundle is dumped when
 possible); 2 verification mismatch or fuzz counterexample; 3 unreadable or
-unparsable input, an unwritable --out, or a generator parameter out of
-range (`gen`); 4 host minimum degree below the tree size.  `oracle
---budget` that runs out is not an error: it reports exhausted=False and
-exits 0.  RAINBOW_SEED overrides --seed everywhere.
+unparsable input (an improperly colored host, or an embedding file that
+does not fit the tree and host, included), an unwritable --out, or a
+generator parameter out of range (`gen`); 4 host minimum degree below the
+tree size.  `oracle --budget` that runs out is not an error: it reports
+exhausted=False and exits 0.  RAINBOW_SEED overrides --seed everywhere.
 """
 
 from __future__ import annotations
@@ -125,6 +126,14 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.strict_vertices)
     t = _load_tree(args.tree)
     image, n_edges, dim = parse_embedding(_read(args.embedding))
+    # the file must describe this tree in this host
+    if n_edges != t.n_edges():
+        raise FormatError(f"embedding header claims {n_edges} edges, the tree has {t.n_edges()}")
+    if dim != g.dimension:
+        raise FormatError(f"embedding header claims dimension {dim}, the host has {g.dimension}")
+    stray = [v for v in image if not 0 <= v < t.n]
+    if stray:
+        raise FormatError(f"map names vertex {min(stray)}, which the tree does not have")
     z = parse_vertex(args.z_bad, dim) if args.z_bad else None
     report = verify(g, t, image, require_path_distinct=args.require_path_distinct, z_bad=z)
     print(report)

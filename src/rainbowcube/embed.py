@@ -413,10 +413,15 @@ def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
         lo = max(2 * i - n - 1, 1)
         _extend(pe, path[i], pe.coords_of(path[lo:i]), "path", (path[i - 1],))
 
+    # the certificate implies injectivity, which is not checked again: each
+    # image is its parent's with the edge's coordinate flipped (`record` and
+    # `premap` both store the endpoints' coordinate), so images k < m differ
+    # when the walk coords[k:m] is open.  An odd walk cannot close, the cube
+    # being bipartite; an even one of length m - k >= 2 has a window of
+    # (m - k)/2 + 1 distinct coordinates, more than a walk of that length
+    # holds if each appears twice, so one appears in it exactly once and
+    # its endpoints differ in that bit.
     certify_path_windows([pe.coord_of[w] for w in path[1:]])
-    images = [pe.image[w] for w in path]
-    if len(set(images)) != len(images):
-        raise PreconditionViolated("path embedding not injective")
     return pe
 
 
@@ -521,14 +526,10 @@ def _spider_frame(pe: PartialEmbedding, legs: Sequence[tuple[int, ...]] | None =
     extend_path(sub)
     pe.adopt(sub)
 
-    # step 2: recurse on the remaining legs, shielded from leg one's colors
+    # step 2: recurse on the remaining legs, shielded from leg one's colors;
+    # their frame checks view2's degree against their edge count first
     if rest:
         view2 = g.restrict(pe.colors_of(leg1[1:]), ())
-        e_rest = e_total - leg1_len
-        if not view2.delta_at_least(e_rest):
-            raise PreconditionViolated(
-                f"remaining-legs view delta={view2.delta()} < {e_rest}"
-            )
         sub = pe.lift(leg1[:1] + tuple(v for leg in rest for v in leg[1:]), view2)
         yield _spider_frame(sub, rest)
         pe.adopt(sub)
@@ -659,20 +660,20 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         if len({pe.coord_of[e] for e in branch}) != len(branch):
             raise PreconditionViolated("branch anchor set repeats a coordinate")
 
-    def lift_child(v: int, banned_coords, what: str, part: str) -> PartialEmbedding:
+    def lift_child(v: int, banned_coords) -> PartialEmbedding:
         # a frame on v's subtree in the view that bans every color used
-        # outside it, plus `banned_coords`
+        # outside it, plus `banned_coords`.  Its degree is not checked here:
+        # before it maps an edge, the frame (_tree_frame or _spider_frame)
+        # checks delta_at_least(e_total) on this same view, and e_total is
+        # the subtree's edge count
         sub_vertices = order[pos[v] : end[v]]
         own = pe.colors_of(filter(pe.coord_of.__contains__, sub_vertices[1:]))
         view = g.restrict(frozenset(pe.used_colors) - own, banned_coords)
-        e_sub = len(sub_vertices) - 1
-        if not view.delta_at_least(e_sub):
-            raise PreconditionViolated(f"{what} view delta={view.delta()} < e({part})={e_sub}")
         return pe.lift(sub_vertices, view)
 
     # step 6: finish the spiders
     for sc in cls.spiders:
-        sub = lift_child(sc.vertex, (), "spider", "S_i")
+        sub = lift_child(sc.vertex, ())
         yield _spider_frame(sub)
         pe.adopt(sub)
 
@@ -690,7 +691,7 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         elif sub_ceil != sub_floor:
             # deficiency >= 2: also shield the later anchors' coordinates
             later_coords = pe.coords_of(chain([v], *(b_sets[v2] for v2 in cls.rest[j:])))
-        sub = lift_child(v, later_coords, "subtree", "T_j")
+        sub = lift_child(v, later_coords)
         yield _spider_frame(sub) if lone_odd_leg else _tree_frame(sub, root_img)
         pe.adopt(sub)
 

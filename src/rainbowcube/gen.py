@@ -2,12 +2,14 @@
 
 Every generator is a pure function of its parameters and seed, drawing from
 SplitMix64 in a fixed order, so outputs are bit-identical across runs and
-platforms.
+platforms.  Each host generator builds, and so checks, one host: the one
+it returns.  It reads the edges of Q_n from ``cube_edges`` in the order
+``edges()`` gives, so every draw is made in that order.
 """
 
 from __future__ import annotations
 
-from .hypercube import ColoredCubeGraph, cayley_coloring
+from .hypercube import ColoredCubeGraph, cayley_coloring, cube_edges
 from .prng import SplitMix64
 from .tree import RootedTree, build_tree
 
@@ -49,15 +51,18 @@ def refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:
     Refining a proper coloring keeps it proper; edge q gets color
     q*splits + subclass, so splits=1 reproduces cayley_coloring(n) exactly.
     """
+    return ColoredCubeGraph(n, _refined_edges(n, seed, splits))
+
+
+def _refined_edges(n: int, seed: int, splits: int) -> list[tuple[int, int, int]]:
+    """The edges of refined_cayley(n, seed, splits), in sorted order."""
     if splits < 1:
         raise ValueError(f"splits must be >= 1, got {splits}")
-    base = cayley_coloring(n)
+    edges = cube_edges(n)
+    if splits == 1:
+        return edges
     rng = SplitMix64(seed)
-    edges = []
-    for u, v, q in base.edges():
-        sub = rng.randrange(splits) if splits > 1 else 0
-        edges.append((u, v, q * splits + sub))
-    return ColoredCubeGraph(n, edges)
+    return [(u, v, q * splits + rng.randrange(splits)) for u, v, q in edges]
 
 
 def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
@@ -67,9 +72,8 @@ def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
     edges are visited in a seeded shuffle; each takes the smallest color id
     absent at both endpoints, so at most 2n-1 colors appear.
     """
-    base = cayley_coloring(n)
     rng = SplitMix64(seed)
-    kept = [(u, v) for u, v, _ in base.edges() if rng.randrange(100) < KEEP_PERCENT]
+    kept = [(u, v) for u, v, _ in cube_edges(n) if rng.randrange(100) < KEEP_PERCENT]
     rng.shuffle(kept)
     palette_at: dict[int, set[int]] = {}
     edges = []
@@ -95,8 +99,7 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     rng = SplitMix64(seed)
-    base = refined_cayley(n, rng.next_u64(), 1 + rng.randrange(3))
-    all_edges = list(base.edges())
+    all_edges = _refined_edges(n, rng.next_u64(), 1 + rng.randrange(3))
     rng.shuffle(all_edges)
     n_delete = rng.randrange(len(all_edges) // 2 + 1)
     deleted = all_edges[:n_delete]

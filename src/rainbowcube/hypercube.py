@@ -4,7 +4,9 @@ Vertices are ints: bit i of a vertex is its i-th coordinate, bit 0 least
 significant.  A vertex serializes as an N-character binary string, most
 significant bit first.  An edge joins vertices differing in exactly one bit;
 the index of that bit is the edge's *coordinate*.  A coloring is *proper*
-when no two edges sharing an endpoint carry the same color.
+when no two edges sharing an endpoint carry the same color.  Every host is
+proper by construction: :class:`ColoredCubeGraph` refuses an improper
+coloring, and the implicit cube colors each edge by its coordinate.
 
 Two host flavors share one query surface: :class:`ColoredCubeGraph` stores
 an explicit edge list, while :class:`VirtualCayleyCube` is the full cube
@@ -30,7 +32,6 @@ from .errors import (
     VertexNotInGraph,
 )
 from .records import read_records
-from .report import Check, VerificationReport
 
 Edge = tuple[int, int]
 # incident-edge record: (coordinate, neighbor, color)
@@ -79,15 +80,29 @@ class _Host:
         return GraphView(self, bc, bx)
 
 
+def _first_clash(adj: dict[int, tuple[Incidence, ...]], dimension: int) -> str | None:
+    """The first vertex with two edges of one color, in vertex then
+    coordinate order, as text; the caller has found that one exists."""
+    for x in sorted(adj):
+        seen: dict[int, int] = {}
+        for _, y, c in adj[x]:
+            if c in seen:
+                a, b, z = (vertex_str(w, dimension) for w in (x, seen[c], y))
+                return f"vertex {a}: edges to {b} and {z} share color {c}"
+            seen[c] = y
+
+
 class ColoredCubeGraph(_Host):
     """Explicit edge-colored subgraph of Q_N.  Immutable after construction.
 
     ``edges`` is an iterable of (u, v, color) triples; endpoints are added to
     the vertex set automatically.  A malformed edge (out of range, not a
-    single bit flip, or a negative color) raises ValueError here.
+    single bit flip, or a negative color) raises ValueError here, and so
+    does an improper coloring, naming its first clash in vertex and then
+    coordinate order.
     """
 
-    __slots__ = ("dimension", "_color", "_adj", "_vertices", "_delta", "_proper")
+    __slots__ = ("dimension", "_color", "_adj", "_vertices", "_delta")
 
     def __init__(
         self,
@@ -125,8 +140,10 @@ class ColoredCubeGraph(_Host):
             adj[u].append((q, v, c))
             adj[v].append((q, u, c))
         self._adj = {v: tuple(sorted(items)) for v, items in adj.items()}
+        # one short-lived color set per vertex; the witness is sought only on a clash
+        if any(len({c for _, _, c in items}) < len(items) for items in self._adj.values()):
+            raise ValueError(_first_clash(self._adj, dimension))
         self._delta: int | None = None
-        self._proper: bool | None = None
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -173,27 +190,6 @@ class ColoredCubeGraph(_Host):
         if self._delta is None:
             self._delta = min(len(items) for items in self._adj.values())
         return self._delta
-
-    def improper_witness(self) -> tuple[int, int, int, int] | None:
-        """(x, y1, y2, c) for the first vertex x with two edges xy1, xy2 of
-        color c, in vertex then coordinate order; None when the coloring is proper."""
-        for x in sorted(self._vertices):
-            seen: dict[int, int] = {}
-            for _, y, c in self._adj[x]:
-                if c in seen:
-                    return x, seen[c], y, c
-                seen[c] = y
-        return None
-
-    def is_proper(self) -> bool:
-        """No two edges at a vertex share a color; one pass, then cached.
-
-        Hosts are not checked for properness when built or parsed, so the
-        degree bound of :meth:`GraphView.delta_at_least` asks here first.
-        """
-        if self._proper is None:
-            self._proper = self.improper_witness() is None
-        return self._proper
 
     def delta_after_bans(self, banned_colors: frozenset[int], banned_coords: frozenset[int]) -> int:
         if not self._vertices:
@@ -261,9 +257,6 @@ class VirtualCayleyCube(_Host):
 
     def delta(self) -> int:
         return self.dimension
-
-    def is_proper(self) -> bool:
-        return True
 
     def delta_after_bans(self, banned_colors: frozenset[int], banned_coords: frozenset[int]) -> int:
         # colors coincide with coordinates; each vertex loses exactly one
@@ -384,18 +377,14 @@ class GraphView:
         """Whether delta() >= k, without a host scan when a bound settles it.
 
         Every vertex has at most one edge per coordinate (cube geometry) and,
-        when the base is properly colored, at most one edge per color.  So
-        each banned class removes at most one edge at each vertex, and
-        delta(view) >= delta(base) - |banned colors| - |banned coords|.  When
-        that bound falls short of k, or the base is improper (one banned
-        color can then take several edges at a vertex), the exact delta()
-        decides, so the answer is always the same as delta() >= k.
+        since every host is proper by construction, at most one edge per
+        color.  So each banned class removes at most one edge at each vertex,
+        and delta(view) >= delta(base) - |banned colors| - |banned coords|.
+        When that bound falls short of k, the exact delta() decides, so the
+        answer is always the same as delta() >= k.
         """
-        base = self.base
-        bound = base.delta() - len(self.banned_colors) - len(self.banned_coords)
-        if bound >= k and base.is_proper():
-            return True
-        return self.delta() >= k
+        bound = self.base.delta() - len(self.banned_colors) - len(self.banned_coords)
+        return bound >= k or self.delta() >= k
 
     def restrict(self, banned_colors: Iterable[int] = (), banned_coords: Iterable[int] = ()):
         bc, bx = frozenset(banned_colors), frozenset(banned_coords)
@@ -407,43 +396,25 @@ class GraphView:
         return self.base.default_start()
 
 
-def cayley_coloring(n: int) -> ColoredCubeGraph:
-    """Full Q_n where every edge is colored by its coordinate.
-
-    Uses n colors, each class a perfect matching of 2^(n-1) edges, and the
-    coloring is proper.  Guarded to n <= MAX_EXPLICIT_DIMENSION; use
-    VirtualCayleyCube beyond.
-    """
+def cube_edges(n: int) -> list[tuple[int, int, int]]:
+    """Every edge (u, v, coordinate) of Q_n with u < v, in sorted order: the
+    order ``edges()`` gives.  Guarded to 1 <= n <= MAX_EXPLICIT_DIMENSION;
+    use VirtualCayleyCube beyond."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_EXPLICIT_DIMENSION:
         raise LimitExceeded(f"cayley_coloring materializes 2^{n} vertices; use VirtualCayleyCube")
-    edges = []
-    for u in range(1 << n):
-        for q in range(n):
-            v = u ^ (1 << q)
-            if u < v:
-                edges.append((u, v, q))
-    return ColoredCubeGraph(n, edges)
+    # for a fixed u, v = u + 2^q grows with q
+    return [(u, u | (1 << q), q) for u in range(1 << n) for q in range(n) if not u >> q & 1]
 
 
-def validate(g) -> VerificationReport:
-    """Check that the host's coloring is proper, naming the first clash.
+def cayley_coloring(n: int) -> ColoredCubeGraph:
+    """Full Q_n where every edge is colored by its coordinate.
 
-    That is the one host invariant a constructor does not enforce: both
-    host classes reject a dimension below 1, and ColoredCubeGraph (so also
-    parse_graph) rejects an edge that is out of range, not a single bit
-    flip or negatively colored, and adds every endpoint to the vertex set.
+    Uses n colors, each class a perfect matching of 2^(n-1) edges, and the
+    coloring is proper.  Guarded as :func:`cube_edges` is.
     """
-    improper = None if isinstance(g, VirtualCayleyCube) else g.improper_witness()
-    if improper is None:
-        return VerificationReport((Check("proper-coloring", True),))
-    x, y1, y2, c = improper
-    w = (
-        f"vertex {vertex_str(x, g.dimension)}: edges to "
-        f"{vertex_str(y1, g.dimension)} and {vertex_str(y2, g.dimension)} share color {c}"
-    )
-    return VerificationReport((Check("proper-coloring", False, w),))
+    return ColoredCubeGraph(n, cube_edges(n))
 
 
 def candidate_edges(

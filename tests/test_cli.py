@@ -146,6 +146,69 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == "FAIL homomorphism  [vertex 0 -> non-vertex 111]\n"
 
 
+class TestVerifyReadsTheWholeFile:
+    """The embedding's header and every `map` line must fit the tree and
+    the host; a file that does not is bad input."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        (tmp_path / "one.tree").write_text("tree 2\nparents 0\n")
+        assert main(["gen", "cayley", "--n", "3", "--out", str(tmp_path / "q3.graph")]) == 0
+        return tmp_path
+
+    def run(self, files, embedding):
+        (files / "emb.txt").write_text(embedding)
+        return main(["verify", str(files / "q3.graph"), str(files / "one.tree"),
+                     str(files / "emb.txt")])
+
+    @pytest.mark.parametrize("embedding, message", [
+        ("embedding 7 3\nmap 0 000\nmap 1 001\n",
+         "embedding header claims 7 edges, the tree has 1"),
+        ("embedding 1 5\nmap 0 00000\nmap 1 00001\n",
+         "embedding header claims dimension 5, the host has 3"),
+        ("embedding 1 3\nmap 0 000\nmap 1 001\nmap 9 011\n",
+         "map names vertex 9, which the tree does not have"),
+    ], ids=["edge-count", "dimension", "stray-map"])
+    def test_mismatch_exits_3(self, files, embedding, message, capsys):
+        assert self.run(files, embedding) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_matching_file_passes(self, files, capsys):
+        assert self.run(files, "embedding 1 3\nmap 0 000\nmap 1 001\n") == 0
+        assert capsys.readouterr().out == "PASS homomorphism\nPASS injective\nPASS rainbow\n"
+
+
+class TestImproperHostFile:
+    """A host file whose coloring is improper is bad input in every command."""
+
+    MESSAGE = "error: vertex 000: edges to 001 and 010 share color 0\n"
+
+    @pytest.fixture()
+    def host(self, tmp_path):
+        text = format_graph(cayley_coloring(3)).replace("edge 000 010 1", "edge 000 010 0")
+        path = tmp_path / "improper.graph"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["embed", "verify", "oracle"])
+    def test_exits_3(self, command, host, p4, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        emb = tmp_path / "emb.txt"
+        emb.write_text("embedding 3 3\nmap 0 000\n")
+        argv = {
+            "embed": ["embed", host, p4, "--bundle-dir", str(bundle)],
+            "verify": ["verify", host, p4, str(emb)],
+            "oracle": ["oracle", host, p4],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.MESSAGE
+        assert not bundle.exists()
+
+
 class TestUnwritableOut:
     @pytest.mark.parametrize("command", [["gen", "cayley", "--n", "2"], ["embed", "q3", "p4"]],
                              ids=["gen", "embed"])

@@ -1,5 +1,4 @@
 import ast
-import hashlib
 import itertools
 import os
 import subprocess
@@ -42,7 +41,7 @@ from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph
 from rainbowcube.prng import SplitMix64
 
 from test_golden import comb
-from test_hypercube import improper_cayley, random_views
+from test_hypercube import random_views
 from test_tree import CLASSIFY_49
 
 
@@ -222,6 +221,16 @@ class TestExtendPath:
         certify_path_windows([0, 1, 2, 0])  # fine: repeats are far apart
         with pytest.raises(PreconditionViolated):
             certify_path_windows([0, 1, 0, 2])
+
+    def test_window_certificate_refuses_a_path_that_revisits_a_vertex(self):
+        # extend_path leaves injectivity to the certificate: a hand-built
+        # path round the rainbow 4-cycle of Q_2 comes back to its start
+        g = ColoredCubeGraph(2, [(0, 1, 0), (1, 3, 1), (2, 3, 2), (0, 2, 3)])
+        t = path_tree(4)
+        pe = premapped(g, t, {0: 0, 1: 1, 2: 3, 3: 2, 4: 0})
+        assert pe.image[4] == pe.image[0]
+        with pytest.raises(PreconditionViolated, match=r"window \[0, 4\]"):
+            certify_path_windows([pe.coord_of[w] for w in range(1, 5)])
 
 
 def certify_path_windows_reference(coords):
@@ -532,37 +541,6 @@ class TestAdversarialShapes:
         for t in enumerate_trees(3):
             pe = embed_rainbow_tree(g, t)
             assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
-
-
-def improper_outcomes(g):
-    """sha256 over the engine's output, or its refusal, for every tree with at
-    most 4 edges from four start vertices, unseeded and with three seeds."""
-    h = hashlib.sha256()
-    for t in enumerate_trees(4):
-        for seed in (None, 1, 2, 3):
-            for start in sorted(g.vertices)[:4]:
-                try:
-                    pe = embed_rainbow_tree(g, t, seed=seed, start=start)
-                    out = format_embedding(pe, include_trace=True)
-                except RainbowCubeError as exc:
-                    out = f"{type(exc).__name__}: {exc}\n"
-                h.update(out.encode())
-    return h.hexdigest()
-
-
-class TestImproperHost:
-    # parse_graph does not check properness, so the engine meets improper
-    # hosts; there the degree bound of a view is unsound and must not be used
-    SHARED = {(0, 2), (13, 15)}
-    # the outcomes of the engine that checked every view degree by a scan
-    EXACT = "6611e2adc8116407a857b69cca7ba2d25cb56b0825960b50da3b973959d208a6"
-
-    def test_engine_decides_as_with_exact_checks(self):
-        assert improper_outcomes(improper_cayley(4, self.SHARED)) == self.EXACT
-
-    def test_the_bound_alone_would_decide_otherwise(self, monkeypatch):
-        monkeypatch.setattr(ColoredCubeGraph, "is_proper", lambda self: True)
-        assert improper_outcomes(improper_cayley(4, self.SHARED)) != self.EXACT
 
 
 # breaks the anchor bookkeeping (every child's anchor set becomes its whole

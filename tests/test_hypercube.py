@@ -2,6 +2,8 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rainbowcube import (
     ColoredCubeGraph,
@@ -12,7 +14,6 @@ from rainbowcube import (
     edge_coordinate,
     format_graph,
     parse_graph,
-    validate,
 )
 from rainbowcube.errors import (
     DifferingBitCount,
@@ -22,11 +23,22 @@ from rainbowcube.errors import (
     VertexNotInGraph,
 )
 from rainbowcube.gen import greedy_proper, refined_cayley, subgraph_min_degree
+from rainbowcube.hypercube import cube_edges
 from rainbowcube.prng import SplitMix64
 
 
 def bits(s: str) -> int:
     return int(s, 2)
+
+
+def brute_force_proper(edges) -> bool:
+    """No two of the (u, v, color) edges that share an endpoint share a
+    color, every pair compared."""
+    return all(
+        c1 != c2
+        for (u1, v1, c1), (u2, v2, c2) in combinations(edges, 2)
+        if {u1, v1} & {u2, v2}
+    )
 
 
 class TestEdgeCoordinate:
@@ -88,23 +100,37 @@ class TestCayleyColoring:
 
 
 class TestValidate:
-    def test_cayley_passes(self):
-        assert validate(cayley_coloring(3)).ok
-
-    def test_virtual_passes(self):
-        assert validate(VirtualCayleyCube(40)).ok
-
-    def test_improper_coloring_reported(self):
-        g = ColoredCubeGraph(2, [(0, 1, 0), (0, 2, 0)])
-        report = validate(g)
-        assert not report.ok
-        failure = report.first_failure()
-        assert failure.name == "proper-coloring"
-        assert "00" in failure.witness
+    """The constructor validates every host invariant, properness included."""
 
     def test_checked_constructor_rejects_bad_edge(self):
         with pytest.raises(ValueError):
             ColoredCubeGraph(2, [(0, 3, 0)])
+
+    def test_improper_coloring_refused(self):
+        with pytest.raises(ValueError, match="^vertex 00: edges to 01 and 10 share color 0$"):
+            ColoredCubeGraph(2, [(0, 1, 0), (0, 2, 0)])
+
+    def test_first_clash_named(self):
+        # clashes at 0010 and at 0001, where color 7 takes coordinates 1 and
+        # 3 and color 9 coordinates 0 and 2: the lower vertex is named, with
+        # the clash its coordinate order reaches first
+        recolor = {(2, 3): 5, (2, 6): 5, (1, 3): 7, (1, 9): 7, (0, 1): 9, (1, 5): 9}
+        edges = [(u, v, recolor.get((u, v), 10 + i)) for i, (u, v, _) in enumerate(cube_edges(4))]
+        with pytest.raises(ValueError, match="^vertex 0001: edges to 0000 and 0101 share color 9$"):
+            ColoredCubeGraph(4, edges)
+
+    @given(st.data())
+    def test_accepts_exactly_the_proper_colorings(self, data):
+        # every edge of Q_2 or Q_3 absent (-1) or colored 0..3
+        n = data.draw(st.sampled_from([2, 3]))
+        cube = cube_edges(n)
+        colors = data.draw(st.lists(st.integers(-1, 3), min_size=len(cube), max_size=len(cube)))
+        edges = [(u, v, c) for (u, v, _), c in zip(cube, colors) if c >= 0]
+        if brute_force_proper(edges):
+            assert list(ColoredCubeGraph(n, edges).edges()) == edges
+        else:
+            with pytest.raises(ValueError, match=r"^vertex [01]+: edges to [01]+ and [01]+ share color \d$"):
+                ColoredCubeGraph(n, edges)
 
 
 class TestMinDegree:
@@ -187,7 +213,7 @@ class TestEdgeFlipInvariant:
     def test_flipping_the_coordinate_crosses_the_edge(self):
         for seed in range(5):
             g = subgraph_min_degree(4, 2, seed)
-            assert validate(g).ok
+            assert brute_force_proper(list(g.edges()))
             for u, v, _ in g.edges():
                 assert u ^ (1 << edge_coordinate(u, v)) == v
 
@@ -264,7 +290,6 @@ class TestDeltaAtLeast:
 
     def test_hosts_answer_from_their_own_delta(self):
         for g in PROPER_HOSTS:
-            assert g.is_proper()
             for k in range(g.delta() + 2):
                 assert g.delta_at_least(k) == (g.delta() >= k)
 
@@ -277,23 +302,6 @@ class TestDeltaAtLeast:
 
         monkeypatch.setattr(ColoredCubeGraph, "delta_after_bans", no_scan)
         assert view.delta_at_least(g.delta() - 3)
-
-    def test_improper_host_takes_the_exact_path(self):
-        # vertex 0 has two color-0 edges, so banning color 0 costs it two
-        # edges: the bound 4 - 1 = 3 overstates the view's delta of 2
-        g = improper_cayley(4, {(0, 2), (13, 15)})
-        assert not g.is_proper()
-        view = g.restrict({0})
-        assert not view.delta_at_least(3)
-        assert view.delta_at_least(2)
-        assert view.delta() == 2
-
-
-def improper_cayley(n, shared):
-    """The coordinate coloring of Q_n with the edges in `shared` recolored 0."""
-    return ColoredCubeGraph(
-        n, [(u, v, 0 if (u, v) in shared else q) for u, v, q in cayley_coloring(n).edges()]
-    )
 
 
 def filtered_incident(g, view, x, fc, fx):

@@ -42,6 +42,7 @@ GRAPH_CASES = [
     ("# c\n\ncube 2 # x\nbogus\n", "line 4: unknown record 'bogus'"),
     # found when the host is built, after the last line: no line number
     ("cube 2\nedge 00 01 0\nedge 01 00 1\n", "duplicate edge (0, 1)"),
+    ("cube 2\nedge 00 01 0\nedge 00 10 0\n", "vertex 00: edges to 01 and 10 share color 0"),
 ]
 
 STRICT_GRAPH_CASES = [

@@ -53,9 +53,10 @@ class TestVerify:
         assert "1" in failure.witness
 
     def test_duplicate_color_reported(self):
-        g = ColoredCubeGraph(2, [(0, 1, 5), (1, 3, 5)])
-        t = path_tree(2)
-        report = verify(g, t, {0: 0, 1: 1, 2: 3})
+        # a proper host whose path 0-1-3-2 repeats color 5 at its far ends
+        g = ColoredCubeGraph(2, [(0, 1, 5), (1, 3, 6), (2, 3, 5)])
+        t = path_tree(3)
+        report = verify(g, t, {0: 0, 1: 1, 2: 3, 3: 2})
         assert [c.name for c in report.failed()] == ["rainbow"]
 
     def test_non_edge_reported(self):
