@@ -1,12 +1,13 @@
 """Command-line surface: embed, verify, oracle, fuzz, gen, check-tree.
 
 Exit codes: 0 success / all checks pass; 1 internal engine failure, any
-unexpected exception included (a counterexample bundle is dumped when
-possible); 2 verification mismatch or fuzz counterexample; 3 unreadable or
-unparsable input (an improperly colored host, or an embedding file that
-does not fit the tree and host, included), an unwritable --out, or a
-generator parameter out of range (`gen`); 4 host minimum degree below the
-tree size.  `oracle --budget` that runs out is not an error: it reports
+unexpected exception or uncertified `embed` output included (a
+counterexample bundle is dumped when possible); 2 verification mismatch or
+fuzz counterexample; 3 unreadable or unparsable input (an improper host,
+an empty host for `embed`, an embedding file that does not fit the tree
+and host), an unwritable --out, or a number out of range (`gen`,
+`--budget`, `--jobs`, ...); 4 host minimum degree below the tree size.
+`oracle --budget` that runs out is not an error: it reports
 exhausted=False and exits 0.  RAINBOW_SEED overrides --seed everywhere.
 """
 
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import gen as genmod
 from .embed import embed_rainbow_tree, format_embedding, parse_embedding
-from .errors import BudgetExceeded, DegreeTooSmall, FormatError, LimitExceeded, RainbowCubeError
+from .errors import DegreeTooSmall, FormatError, LimitExceeded, RainbowCubeError
 from .hypercube import MAX_EXPLICIT_DIMENSION, format_graph, parse_graph, parse_vertex
 from .prng import derive_seed
 from .tree import (
@@ -92,10 +93,16 @@ def _seed(args) -> int:
 
 def cmd_embed(args) -> int:
     g = _load_graph(args.graph, args.strict_vertices)
+    if not g.n_vertices():
+        raise FormatError("graph has no vertices")
     t = _load_tree(args.tree)
     seed = _seed(args)
+    pe = None
     try:
         pe = embed_rainbow_tree(g, t, seed=seed)
+        # every output is certified from scratch before it is written
+        report = verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
+        failure = "" if report.ok else f"verify failed: {report.first_failure()}"
     except DegreeTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE
@@ -103,20 +110,13 @@ def cmd_embed(args) -> int:
         # a package error is a failed engine assertion; any other exception
         # (KeyError, RecursionError, ...) is an engine bug too: both exit 1
         kind = "" if isinstance(exc, RainbowCubeError) else f"{type(exc).__name__}: "
-        print(f"internal error: {kind}{exc}", file=sys.stderr)
+        failure = f"{kind}{exc}"
+    if failure:
+        print(f"internal error: {failure}", file=sys.stderr)
         if args.bundle_dir:
-            write_bundle(args.bundle_dir, g, t)
+            write_bundle(args.bundle_dir, g, t, pe)
             print(f"bundle written to {args.bundle_dir}", file=sys.stderr)
         return EXIT_INTERNAL
-
-    if args.verify:
-        report = verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
-        if not report.ok:
-            print(f"internal error: verify failed: {report.first_failure()}", file=sys.stderr)
-            if args.bundle_dir:
-                write_bundle(args.bundle_dir, g, t, pe)
-                print(f"bundle written to {args.bundle_dir}", file=sys.stderr)
-            return EXIT_INTERNAL
 
     _write(args.out, format_embedding(pe, include_trace=args.trace))
     return EXIT_OK
@@ -143,18 +143,17 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph, args.strict_vertices)
     t = _load_tree(args.tree)
-    try:
-        result = oracle_find(g, t, budget=args.budget)
-    except BudgetExceeded as exc:
-        result = exc.partial
+    if args.budget is not None and args.budget < 0:
+        raise FormatError(f"--budget must be >= 0, got {args.budget}")
+    result = oracle_find(g, t, budget=args.budget)
     print(f"found={result.found} exhausted={result.exhausted} nodes={result.nodes_explored}")
     return EXIT_OK
 
 
 def _fuzz_trial(params: tuple):
-    """One seeded trial; returns (trial, mismatches, host, tree), with host
-    and tree None unless the trial is a counterexample, so that a run holds
-    (and a worker sends back) only the hosts it bundles."""
+    """One seeded trial; returns (trial, mismatches, host, tree, embedding),
+    with the last three None unless the trial is a counterexample, so that a
+    run holds (and a worker sends back) only what it bundles."""
     n, master, trial = params
     seed = derive_seed(master, trial)
     rng = genmod.SplitMix64(seed)
@@ -164,8 +163,8 @@ def _fuzz_trial(params: tuple):
     run_oracle = t.n_edges() <= 8 and g.n_vertices() <= 64
     summary = cross_check(g, t, run_oracle=run_oracle)
     if not summary.mismatches:
-        return trial, (), None, None
-    return trial, summary.mismatches, g, t
+        return trial, (), None, None, None
+    return trial, summary.mismatches, g, t, summary.embedding
 
 
 def cmd_fuzz(args) -> int:
@@ -210,12 +209,12 @@ def cmd_fuzz(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fuzz_trial, params))
-    for trial, mismatches, g, t in results:
+    for trial, mismatches, g, t, pe in results:
         for msg in mismatches:
             failures += 1
             print(f"counterexample trial {trial}: {msg}")
             if args.bundle_dir:
-                write_bundle(os.path.join(args.bundle_dir, f"trial{trial}"), g, t)
+                write_bundle(os.path.join(args.bundle_dir, f"trial{trial}"), g, t, pe)
     print(f"fuzz: {args.trials} trials, {failures} counterexamples")
     return EXIT_MISMATCH if failures else EXIT_OK
 
@@ -307,7 +306,6 @@ def build_parser() -> _Parser:
     p.add_argument("tree")
     p.add_argument("--out")
     p.add_argument("--trace", action="store_true", help="append the step trace")
-    p.add_argument("--verify", action="store_true", help="re-check the output before exiting")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bundle-dir", default=None)
     p.set_defaults(func=cmd_embed)

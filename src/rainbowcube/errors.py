@@ -46,16 +46,10 @@ class DegreeTooSmall(RainbowCubeError):
 
 
 class PreconditionViolated(RainbowCubeError):
-    """A counting hypothesis the engine relies on failed: an engine bug."""
+    """A stage's precondition or counting hypothesis failed: an engine bug
+    from `embed_rainbow_tree`; from `premap`, `extend_path`, `extend_spider`
+    or `extend_tree` on a hand-built embedding, possibly a bad input."""
 
 
 class NoCandidate(RainbowCubeError):
     """No admissible edge existed although the counting bound promised one."""
-
-
-class BudgetExceeded(RainbowCubeError):
-    """Search budget ran out; `partial` carries the statistics so far."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial

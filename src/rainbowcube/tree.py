@@ -100,12 +100,6 @@ class RootedTree:
     def edge_ids(self) -> range:
         return range(1, self.n)
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v] and (v != 0 or self.n == 1)
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.is_leaf(v))
-
     def degree(self, v: int) -> int:
         d = len(self.children[v])
         return d if v == 0 else d + 1
@@ -118,14 +112,6 @@ class RootedTree:
     def subtree_edge_count(self, v: int) -> int:
         _, pos, end, _ = self.preorder()
         return end[v] - pos[v] - 1
-
-    def root_path(self, v: int) -> tuple[int, ...]:
-        """Vertices from the root to v, inclusive."""
-        path = []
-        while v is not None:
-            path.append(v)
-            v = self.parent[v]
-        return tuple(reversed(path))
 
     def __repr__(self) -> str:
         return f"RootedTree(parents={list(self.parent[1:])})"

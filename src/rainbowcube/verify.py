@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .embed import embed_rainbow_tree, format_embedding, format_trace
-from .errors import BudgetExceeded, DegreeTooSmall, LimitExceeded
+from .errors import DegreeTooSmall, LimitExceeded
 from .hypercube import edge_coordinate, format_graph, vertex_str
 from .report import Check, VerificationReport
 from .tree import RootedTree, format_tree, half_ceil
@@ -81,14 +81,7 @@ def verify(
     checks.append(Check("rainbow", not rainbow_witness, rainbow_witness))
 
     if require_path_distinct:
-        ceil_set = half_ceil(t)
-        pd_witness = ""
-        for leaf in t.leaves():
-            path_edges = [v for v in t.root_path(leaf)[1:] if v in ceil_set]
-            coords = [coord[e] for e in path_edges]
-            if len(set(coords)) != len(coords):
-                pd_witness = f"root path to leaf {leaf} repeats a coordinate in {coords}"
-                break
+        pd_witness = _path_repeat_witness(t, coord)
         checks.append(Check("path_distinct_ceil_half", not pd_witness, pd_witness))
 
     if z_bad is not None:
@@ -102,6 +95,37 @@ def verify(
         )
 
     return VerificationReport(tuple(checks))
+
+
+def _path_repeat_witness(t: RootedTree, coord) -> str:
+    """Name the first leaf, in id order, whose root path repeats a coordinate
+    on the upper-closed half (`coord` gives each of its edges'); "" if none.
+
+    One preorder pass flags every vertex at or below a repeating edge.  The
+    half is closed under taking parents, so an unflagged half edge repeats
+    exactly when the last unflagged edge with its coordinate is an ancestor
+    (its preorder interval is still open): a later one would lie below it.
+    """
+    order, pos, end, half_level = t.preorder()
+    flagged = [False] * t.n
+    open_until: dict[int, int] = {}
+    for i in range(1, t.n):
+        w = order[i]
+        # half_level <= 1: w's edge lies in the upper-closed half of t
+        if flagged[t.parent[w]] or half_level[i] > 1:
+            flagged[w] = flagged[t.parent[w]]
+        elif open_until.get(coord[w], 0) > i:
+            flagged[w] = True
+        else:
+            open_until[coord[w]] = end[w]
+    leaf = next((v for v in range(1, t.n) if flagged[v] and not t.children[v]), None)
+    if leaf is None:
+        return ""
+    path = [leaf]
+    while t.parent[path[-1]]:
+        path.append(t.parent[path[-1]])
+    coords = [coord[v] for v in reversed(path) if half_level[pos[v]] <= 1]
+    return f"root path to leaf {leaf} repeats a coordinate in {coords}"
 
 
 def disjoint_images_guaranteed(
@@ -124,20 +148,12 @@ def disjoint_images_guaranteed(
 
     half_coords = []
     for t, image in ((t1, image1), (t2, image2)):
-        ceil_set = half_ceil(t)
-        coords = {}
-        for child in ceil_set:
-            coords[child] = edge_coordinate(image[t.parent[child]], image[child])
-        for leaf in t.leaves():
-            path = [coords[v] for v in t.root_path(leaf)[1:] if v in ceil_set]
-            if len(set(path)) != len(path):
-                return False
+        coords = {c: edge_coordinate(image[t.parent[c]], image[c]) for c in half_ceil(t)}
+        if _path_repeat_witness(t, coords):
+            return False
         half_coords.append(set(coords.values()))
-    if half_coords[0] & half_coords[1]:
-        return False
-    if connector in half_coords[0] | half_coords[1]:
-        return False
-    return True
+    first, second = half_coords
+    return not first & second and connector not in first | second
 
 
 @dataclass
@@ -160,19 +176,23 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
 
     Tree vertices are placed in (level, id) order; a branch dies when it
     repeats a vertex or a color.  Every host vertex is tried as the root's
-    image: plain exhaustion is the ground truth.
+    image: plain exhaustion is the ground truth.  `budget` caps the non-root
+    placements; a search it stops returns exhausted=False, counting the
+    placement it refused.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     # order[0] is the root 0, the only level-0 vertex, since the key is (level, id)
     order = sorted(range(t.n), key=lambda v: (t.level[v], v))
     nodes = 0
-    budget_left = [budget if budget is not None else -1]
 
     image: dict[int, int] = {}
     used_vertices: set[int] = set()
     used_colors: set[int] = set()
 
-    def place(i: int) -> bool:
-        nonlocal nodes
+    def place(i: int) -> bool | None:
+        # True: all placed; False: branch exhausted; None: budget ran out
+        nonlocal nodes, budget
         if i == len(order):
             return True
         v = order[i]
@@ -181,18 +201,16 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
             if y in used_vertices or c in used_colors:
                 continue
             nodes += 1
-            if budget_left[0] == 0:
-                raise BudgetExceeded(
-                    "oracle budget exhausted",
-                    OracleResult(False, None, nodes, False),
-                )
-            if budget_left[0] > 0:
-                budget_left[0] -= 1
+            if budget is not None:
+                if budget == 0:
+                    return None
+                budget -= 1
             image[v] = y
             used_vertices.add(y)
             used_colors.add(c)
-            if place(i + 1):
-                return True
+            placed = place(i + 1)
+            if placed is not False:
+                return placed
             del image[v]
             used_vertices.discard(y)
             used_colors.discard(c)
@@ -203,7 +221,10 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
         image = {0: r}
         used_vertices = {r}
         used_colors = set()
-        if place(1):
+        placed = place(1)
+        if placed is None:
+            return OracleResult(False, None, nodes, False)
+        if placed:
             return OracleResult(True, dict(image), nodes, True)
     return OracleResult(False, None, nodes, True)
 
@@ -276,8 +297,6 @@ def cross_check(g, t: RootedTree, *, run_oracle: bool = True) -> CrossCheckSumma
     except Exception as exc:  # engine bugs surface as mismatches, not crashes
         mismatches.append(f"engine raised {type(exc).__name__}: {exc}")
 
-    if expect and pe is None and not mismatches:
-        mismatches.append("engine returned nothing")
     if pe is not None:
         report = verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
         if not report.ok:

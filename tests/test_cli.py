@@ -48,7 +48,7 @@ def kv(output: str) -> dict:
 class TestEmbedCommand:
     def test_success(self, q3, p4, tmp_path, capsys):
         out = tmp_path / "emb.txt"
-        code = main(["embed", q3, p4, "--out", str(out), "--verify", "--trace"])
+        code = main(["embed", q3, p4, "--out", str(out), "--trace"])
         assert code == 0
         image, n_edges, dim = parse_embedding(out.read_text())
         assert n_edges == 3 and dim == 3
@@ -81,7 +81,7 @@ class TestEmbedCommand:
         assert main(["embed", str(g), str(t), "--strict-vertices"]) == 3
 
     def test_internal_failure_dumps_bundle(self, q3, p4, tmp_path, monkeypatch):
-        # force a post-run verification failure to exercise the exit-1 path
+        # force the certificate every output gets to fail: exit 1 with a bundle
         import rainbowcube.cli as cli
         from rainbowcube.report import Check, VerificationReport
 
@@ -90,12 +90,13 @@ class TestEmbedCommand:
 
         monkeypatch.setattr(cli, "verify", broken_verify)
         bundle = tmp_path / "bundle"
-        code = main(["embed", q3, p4, "--verify", "--bundle-dir", str(bundle),
+        code = main(["embed", q3, p4, "--bundle-dir", str(bundle),
                      "--out", str(tmp_path / "e.txt")])
         assert code == 1
         assert (bundle / "graph.txt").exists()
         assert (bundle / "tree.txt").exists()
         assert (bundle / "embedding.txt").exists()
+        assert not (tmp_path / "e.txt").exists()
 
     def test_unexpected_engine_exception_exits_1_with_bundle(self, q3, p4, tmp_path,
                                                              monkeypatch, capsys):
@@ -110,6 +111,19 @@ class TestEmbedCommand:
         assert "internal error: KeyError: 42" in capsys.readouterr().err
         assert (bundle / "graph.txt").read_text() == format_graph(cayley_coloring(3))
         assert (bundle / "tree.txt").exists()
+
+    @pytest.mark.parametrize("tree", ["tree 2\nparents 0\n", "tree 1\n"], ids=["edge", "vertex"])
+    def test_host_with_no_vertex_exits_3(self, tree, tmp_path, capsys):
+        (tmp_path / "empty.graph").write_text("cube 3\n")
+        (tmp_path / "t.tree").write_text(tree)
+        bundle = tmp_path / "bundle"
+        argv = ["embed", str(tmp_path / "empty.graph"), str(tmp_path / "t.tree"),
+                "--bundle-dir", str(bundle)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has no vertices\n"
+        assert not bundle.exists()
 
 
 class TestVerifyCommand:
@@ -325,7 +339,8 @@ class TestFuzzCommand:
         assert len(seen) == 3
         for trial, (g, t) in enumerate(seen):
             case = bundle / f"trial{trial}"
-            assert sorted(p.name for p in case.iterdir()) == ["graph.txt", "tree.txt"]
+            assert sorted(p.name for p in case.iterdir()) == [
+                "embedding.txt", "graph.txt", "trace.txt", "tree.txt"]
             assert (case / "graph.txt").read_text() == format_graph(g)
             assert (case / "tree.txt").read_text() == format_tree(t)
 
@@ -451,6 +466,13 @@ class TestUsageErrors:
         assert info.value.code == 3
         assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
+    def test_no_verify_flag_on_embed(self, q3, p4, capsys):
+        # embed certifies every output, so there is nothing to switch on
+        with pytest.raises(SystemExit) as info:
+            main(["embed", q3, p4, "--verify"])
+        assert info.value.code == 3
+        assert "unrecognized arguments: --verify" in capsys.readouterr().err
+
 
 class TestBadNumbersExit3:
     """Out-of-range numbers print one error line, nothing on stdout, exit 3."""
@@ -460,8 +482,10 @@ class TestBadNumbersExit3:
         (["fuzz", "--n", "17", "--trials", "1"], "--n must be in [1, 16], got 17"),
         (["fuzz", "--n", "3", "--trials", "-2"], "--trials must be >= 0, got -2"),
         (["fuzz", "--n", "3", "--trials", "1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["oracle", "GRAPH", "TREE", "--budget", "-5"], "--budget must be >= 0, got -5"),
     ])
-    def test_fuzz_and_bench(self, argv, message, capsys):
+    def test_fuzz_and_bench(self, argv, message, q3, p4, capsys):
+        argv = [{"GRAPH": q3, "TREE": p4}.get(a, a) for a in argv]
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -293,7 +293,9 @@ class TestIotaInjection:
         v, w = t.parent[child], child
         l = t.level_max[w]
         d = l - t.level[v]
-        path = list(t.root_path(w))
+        path = [w]
+        while t.parent[path[0]] is not None:
+            path.insert(0, t.parent[path[0]])
         probe = w
         while t.level[probe] < l:
             probe = next(c for c in t.children[probe] if t.level_max[c] == l)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowcube import (
     ColoredCubeGraph,
@@ -22,9 +24,10 @@ from rainbowcube import (
     verify,
     write_bundle,
 )
-from rainbowcube.errors import BudgetExceeded, LimitExceeded
+from rainbowcube.errors import LimitExceeded
 from rainbowcube.gen import random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.prng import SplitMix64
+from rainbowcube.report import Check
 
 
 class TestVerify:
@@ -126,11 +129,11 @@ class TestOracle:
         assert result.found
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded) as info:
-            oracle_find(cayley_coloring(4), path_tree(4), budget=3)
-        partial = info.value.partial
-        assert not partial.found and not partial.exhausted
-        assert partial.nodes_explored >= 3
+        result = oracle_find(cayley_coloring(4), path_tree(4), budget=3)
+        assert not result.found and not result.exhausted and result.image is None
+        assert result.nodes_explored == 5  # the root, three placements, the refused one
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            oracle_find(cayley_coloring(4), path_tree(4), budget=-1)
 
     def test_completeness_spot_check(self):
         # Q_2 has 2 colors: no rainbow 3-edge path exists; confirm against
@@ -247,6 +250,89 @@ class TestDisjointImagesRule:
     def test_non_adjacent_roots_rejected(self):
         t = path_tree(1)
         assert not disjoint_images_guaranteed(t, {0: 0, 1: 1}, t, {0: 0, 1: 2})
+
+
+def _per_leaf_repeat(t, coord):
+    """Reference path check: walk the root path of every leaf in id order and
+    report the first whose upper-closed-half coordinates repeat."""
+    ceil_set = half_ceil(t)
+    for leaf in range(1, t.n):
+        if t.children[leaf]:
+            continue
+        path = []
+        v = leaf
+        while v:
+            path.append(v)
+            v = t.parent[v]
+        coords = [coord[v] for v in reversed(path) if v in ceil_set]
+        if len(set(coords)) != len(coords):
+            return leaf, coords
+    return None
+
+
+def _reference_disjoint(t1, image1, t2, image2):
+    """Reference disjointness rule, with the per-leaf path check."""
+    x = image1[0] ^ image2[0]
+    if x == 0 or x & (x - 1):
+        return False
+    half_coords = []
+    for t, image in ((t1, image1), (t2, image2)):
+        coords = {c: (image[t.parent[c]] ^ image[c]).bit_length() - 1 for c in half_ceil(t)}
+        if _per_leaf_repeat(t, coords) is not None:
+            return False
+        half_coords.append(set(coords.values()))
+    if half_coords[0] & half_coords[1]:
+        return False
+    return x.bit_length() - 1 not in half_coords[0] | half_coords[1]
+
+
+@st.composite
+def labelled_trees(draw):
+    """A random tree with ids shuffled, so id order is not preorder, and a
+    coordinate per edge from the alphabet 0..3, so root paths often repeat
+    one."""
+    m = draw(st.integers(0, 11))
+    parents = [draw(st.integers(0, i)) for i in range(m)]
+    relabel = [0] + draw(st.permutations(range(1, m + 1)))
+    new_parents = [0] * m
+    for v, p in enumerate(parents, start=1):
+        new_parents[relabel[v] - 1] = relabel[p]
+    t = build_tree(new_parents)
+    coord = {v: draw(st.integers(0, 3)) for v in t.edge_ids()}
+    return t, coord
+
+
+def _image(t, coord, root):
+    image = {0: root}
+    for v in t.preorder().order[1:]:
+        image[v] = image[t.parent[v]] ^ (1 << coord[v])
+    return image
+
+
+class TestPathDistinctAgainstPerLeafWalk:
+    """The one-pass path check decides and reports as the per-leaf walk does."""
+
+    @given(labelled_trees())
+    @settings(max_examples=400, deadline=None)
+    def test_verify_check(self, tree):
+        t, coord = tree
+        report = verify(VirtualCayleyCube(4), t, _image(t, coord, 0), require_path_distinct=True)
+        (check,) = [c for c in report.checks if c.name == "path_distinct_ceil_half"]
+        repeat = _per_leaf_repeat(t, coord)
+        witness = "" if repeat is None else (
+            f"root path to leaf {repeat[0]} repeats a coordinate in {repeat[1]}")
+        assert check == Check("path_distinct_ceil_half", repeat is None, witness)
+
+    @given(labelled_trees(), labelled_trees(), st.sampled_from([0, 4]), st.sampled_from([3, 8]))
+    @settings(max_examples=400, deadline=None)
+    def test_disjointness_rule(self, first, second, shift, connector):
+        # the second tree's coordinates shifted clear of the first's, or not,
+        # and a connector inside or outside both alphabets
+        (t1, coord1), (t2, coord2) = first, second
+        image1 = _image(t1, coord1, 0)
+        image2 = _image(t2, {v: q + shift for v, q in coord2.items()}, 1 << connector)
+        assert disjoint_images_guaranteed(t1, image1, t2, image2) == _reference_disjoint(
+            t1, image1, t2, image2)
 
 
 class TestVerifierMutations:
