@@ -25,6 +25,6 @@ elapsed = time.perf_counter() - start
 report = verify(host, tree, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
 depth = max(tree.level)
 print(f"tree: {EDGES} edges, height {depth}")
-print(f"embedded in {elapsed * 1000:.1f} ms with every counting assertion enabled")
+print(f"embedded in {elapsed * 1000:.1f} ms with every counting check enabled")
 print(f"verifier: {'all checks pass' if report.ok else report.first_failure()}")
 print(f"colors used: {len(pe.used_colors)} (all distinct by construction)")

@@ -31,6 +31,7 @@ counting argument, not that the input was bad.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -43,7 +44,14 @@ from .errors import (
     PreconditionViolated,
     VertexNotInGraph,
 )
-from .hypercube import GraphView, candidate_edges, edge_coordinate, parse_vertex, vertex_str
+from .hypercube import (
+    GraphView,
+    candidate_edges,
+    edge_coordinate,
+    parse_vertex,
+    reads_color_index,
+    vertex_str,
+)
 from .prng import SplitMix64
 from .records import read_records
 from .tree import (
@@ -105,9 +113,11 @@ class PartialEmbedding:
     them in id order for the whole tree), `used_colors` the colors of its
     mapped edges, and `_edges`/`_coords` those edges and their coordinates.
     `all_colors`, the colors of every mapped edge, never gains a duplicate,
-    so the mapped part stays rainbow at all times.  A caller starts from an
-    empty map, sets the root's image in `image` and adds vertices with
-    `premap`.  Confined to a single embedding run.
+    so the mapped part stays rainbow at all times.  On a host whose
+    candidate query reads it, `sorted_colors` lists them in increasing
+    order (else it is None); both are shared by every frame.  A caller
+    starts from an empty map, sets the root's image in `image` and adds
+    vertices with `premap`.  Confined to a single embedding run.
     """
 
     tree: RootedTree
@@ -122,14 +132,25 @@ class PartialEmbedding:
     trace: list[TraceEntry] = field(init=False, default_factory=list)
     vertices: Sequence[int] = field(init=False)
     all_colors: set[int] = field(init=False)
+    sorted_colors: list[int] | None = field(init=False)
     is_frame: bool = field(init=False, default=False)
     _edges: set[int] = field(init=False, repr=False)
     _coords: set[int] = field(init=False, repr=False)
+    # the last witness list this frame checked (see _check_witnesses)
+    _checked: tuple | None = field(init=False, default=None, repr=False)
+    # the x_col that _extend last built, and whether there is a color index
+    # and the view bans only mapped colors, none of this frame's own (see
+    # _color_index)
+    _x_col: frozenset[int] | None = field(init=False, default=None, repr=False)
+    _bans_mapped: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = range(self.tree.n)
         self.all_colors = self.used_colors
         self._edges, self._coords = set(), set()
+        self.sorted_colors = [] if reads_color_index(self.graph) else None
+        # nothing is mapped yet, and a color the view bans never will be
+        self._bans_mapped = self.sorted_colors is not None and not _bans(self.graph)[0]
 
     @property
     def root(self) -> int:
@@ -152,6 +173,8 @@ class PartialEmbedding:
         takes the color this frame's host gives it and the coordinate its
         endpoints give it.  Adds no trace entry.  The root's image is set
         directly in `image`."""
+        if not 0 < child < self.tree.n:
+            raise PreconditionViolated(f"premap: vertex {child} is outside [1, {self.tree.n})")
         if child in self.image:
             raise PreconditionViolated(f"premap: vertex {child} is already mapped")
         x = self.image.get(self.tree.parent[child])
@@ -173,6 +196,8 @@ class PartialEmbedding:
         self.coord_of[child] = coord
         self.used_colors.add(color)
         self.all_colors.add(color)
+        if self.sorted_colors is not None:
+            insort(self.sorted_colors, color)
         self._edges.add(child)
         self._coords.add(coord)
 
@@ -205,7 +230,10 @@ class PartialEmbedding:
         sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, color_of, coord_of, self.trace
         sub.used_colors = {color_of[w] for w in premapped}
         sub.vertices, sub.all_colors, sub.is_frame = vertices, self.all_colors, True
+        sub.sorted_colors = self.sorted_colors
         sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
+        # the check above keeps the frame's colors out of the view's bans
+        sub._bans_mapped = sub.sorted_colors is not None and banned_colors <= self.all_colors
         return sub
 
     def adopt(self, sub: "PartialEmbedding"):
@@ -218,6 +246,8 @@ class PartialEmbedding:
         that is already mapped; and `record` refused any color used in any
         frame.
         """
+        if self._bans_mapped and not sub.used_colors.isdisjoint(_bans(self.graph)[0]):
+            self._bans_mapped = False
         self.used_colors |= sub.used_colors
         self._edges |= sub._edges
         self._coords |= sub._coords
@@ -275,17 +305,67 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     """
     t = pe.tree
     v, w = req.source, req.target
+    if not 0 < w < t.n:
+        raise PreconditionViolated(f"step {req.label}: vertex {w} is outside [1, {t.n})")
     if w in pe.image or v not in pe.image:
         raise PreconditionViolated(f"step {req.label}: {v}->{w} not a frontier edge")
     if t.parent[w] != v:
         raise PreconditionViolated(f"step {req.label}: {w} is not a child of {v}")
 
-    parent, color_of, coord_of = t.parent, pe.color_of, pe.coord_of
+    if req.witnesses:
+        _check_witnesses(pe, req)
+    r = len(req.witnesses)
+    if not pe.graph.delta_at_least(len(req.x_col) + len(req.x_coor) - r + 1):
+        raise PreconditionViolated(
+            f"step {req.label}: |x_col|={len(req.x_col)} + |x_coor|={len(req.x_coor)}"
+            f" - r={r} >= delta={pe.graph.delta()}"
+        )
+
+    cands = candidate_edges(pe.graph, pe.image[v], req.x_col, req.x_coor, _color_index(pe, req))
+    if not cands:
+        raise NoCandidate(f"step {req.label}: counting bound held but no edge was admissible")
+    coord, y, color = cands[0] if pe.rng is None else cands[pe.rng.randrange(len(cands))]
+    pe.record(w, y, color, coord)
+    pe.trace.append((req.label, w, pe.image[v], y, len(req.x_col), len(req.x_coor), r))
+    return pe
+
+
+def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
+    """Check each witness of a step with witnesses: mapped, at the source,
+    inside the forbidden sets, no color or coordinate repeated, live in the
+    frame's view.
+
+    The frame keeps the last nonempty witness list that passed, with its
+    colors and coordinates, so that step 4, whose list grows by one root
+    edge per leaf, checks each witness once.  A request takes over that
+    result only if it has the same source and view, the old list is a prefix
+    of its own, and the old x_col and x_coor are subsets of its own; then
+    only the new witnesses are checked.  That decides exactly as checking
+    every witness, since each check on an old witness still passes: a mapped
+    edge is never unmapped or remapped (`record`'s callers refuse a mapped
+    child), so it stays mapped with the same color and coordinate; the
+    source and the tree are the same, so it is still incident; its color and
+    coordinate lie in the old sets, hence in the new; the list up to it is
+    the same, so it repeats nothing before it; and the view is the same
+    object, whose bans are fixed.  The loop then reaches the new witnesses
+    with the same colors and coordinates seen.  A failing check clears the
+    kept result.
+    """
+    v, view, witnesses = req.source, pe.graph, req.witnesses
+    checked, pe._checked = pe._checked, None
+    if checked is not None:
+        old, old_view, seen_colors, seen_coords = checked
+        k = len(old.witnesses)
+        if not (old.source == v and old_view is view and witnesses[:k] == old.witnesses
+                and old.x_col <= req.x_col and old.x_coor <= req.x_coor):
+            checked = None
+    if checked is None:
+        k, seen_colors, seen_coords = 0, set(), set()
+
+    parent, color_of, coord_of = pe.tree.parent, pe.color_of, pe.coord_of
     x_col, x_coor = req.x_col, req.x_coor
-    seen_colors: set[int] = set()
-    seen_coords: set[int] = set()
-    banned_colors, banned_coords = _bans(pe.graph)
-    for wit in req.witnesses:
+    banned_colors, banned_coords = _bans(view)
+    for wit in islice(witnesses, k, None):
         if wit not in coord_of:
             raise PreconditionViolated(f"witness edge {wit} is unmapped")
         if wit != v and parent[wit] != v:
@@ -299,29 +379,58 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
             raise PreconditionViolated(f"witness edge {wit} is not live in the current host")
         seen_colors.add(c)
         seen_coords.add(q)
+    pe._checked = (req, view, seen_colors, seen_coords)
 
-    r = len(req.witnesses)
-    if not pe.graph.delta_at_least(len(req.x_col) + len(req.x_coor) - r + 1):
-        raise PreconditionViolated(
-            f"step {req.label}: |x_col|={len(req.x_col)} + |x_coor|={len(req.x_coor)}"
-            f" - r={r} >= delta={pe.graph.delta()}"
-        )
 
-    cands = candidate_edges(pe.graph, pe.image[v], req.x_col, req.x_coor)
-    if not cands:
-        raise NoCandidate(f"step {req.label}: counting bound held but no edge was admissible")
-    coord, y, color = cands[0] if pe.rng is None else cands[pe.rng.randrange(len(cands))]
-    pe.record(w, y, color, coord)
-    pe.trace.append((req.label, w, pe.image[v], y, len(req.x_col), len(req.x_coor), r))
-    return pe
+def _color_index(pe: PartialEmbedding, req: ExtensionRequest) -> list[int] | None:
+    """`pe.sorted_colors` when it lists exactly the colors a step bans, x_col
+    with the view's banned colors; else None, and the candidate query
+    takes their union.
+
+    The lever: for every request of the engine, x_col and the view's banned
+    colors are disjoint and their union is `all_colors`.  `_extend` builds
+    x_col as the frame's `used_colors`.  The whole tree's frame is over the
+    host, which bans nothing unless it is itself a view, and its
+    `used_colors` is `all_colors`.  A frame that `lift_child` opens bans
+    every color its opener has used outside the new frame, on top of the
+    opener's bans; the new frame's `used_colors` are the colors used inside
+    it.  The two spider frames
+    split their opener's colors the same way: leg one's frame bans the
+    other legs' half colors, the remaining legs' frame bans leg one's.  So,
+    by induction from the whole tree, a frame's colors and its view's
+    banned colors part `all_colors` when it opens.  A step then records a
+    color new to `all_colors` into the frame's `used_colors`, and `adopt`
+    hands a closed frame's colors to its opener before the opener's next
+    step, so the parting holds at every step.
+
+    The test, O(1), decides exactly, whoever built the request or the
+    frame, from three facts.  (1) Every color in `used_colors` is in
+    `all_colors`: `record` adds to both, `lift` and `adopt` take colors of
+    mapped edges.  (2) If x_col is the frame's `_x_col`, it is a copy of
+    `used_colors`, which never loses a color, so x_col lies inside it.
+    (3) `_bans_mapped` holds only where there is an index, and while it
+    holds, the view bans only colors in `all_colors` and none in
+    `used_colors`.  `__post_init__` and `lift` check both (`lift` the
+    second by refusing a banned pre-mapped edge), the first for good, since
+    `all_colors` only grows; a step records a color the view allows (a
+    candidate of the view or, in this path, one outside `all_colors`;
+    `premap` asks the view); and `adopt` clears the flag when a closed
+    frame brings a banned color.  Hence
+    |x_col| + |banned| <= |used_colors| + |banned| <= |all_colors|, and
+    equality of the ends forces x_col = `used_colors` and the parting.
+    """
+    if (pe._bans_mapped and req.x_col is pe._x_col
+            and len(req.x_col) + len(_bans(pe.graph)[0]) == len(pe.all_colors)):
+        return pe.sorted_colors
+    return None
 
 
 def _extend(pe: PartialEmbedding, target: int, x_coor: frozenset[int], label: str,
             witnesses: tuple[int, ...] = ()) -> PartialEmbedding:
     """extend_one from `target`'s parent, dodging `x_coor` and, as every step
     of every stage does, each color the frame has used."""
-    request = ExtensionRequest(pe.tree.parent[target], target, frozenset(pe.used_colors),
-                               x_coor, witnesses, label)
+    pe._x_col = x_col = frozenset(pe.used_colors)
+    request = ExtensionRequest(pe.tree.parent[target], target, x_col, x_coor, witnesses, label)
     return extend_one(pe, request)
 
 

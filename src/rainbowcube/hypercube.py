@@ -19,8 +19,9 @@ records it is asked for.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Collection, Sequence
+from heapq import merge
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -248,7 +249,7 @@ class VirtualCayleyCube(_Host):
         """
         if not self.has_vertex(x):
             raise VertexNotInGraph(f"vertex {x} not in graph")
-        return FreeCoordinates(x, self.dimension, colors | coords)
+        return FreeCoordinates(x, self.dimension, sorted(colors | coords))
 
     def degree(self, x: int) -> int:
         if not self.has_vertex(x):
@@ -269,51 +270,115 @@ class VirtualCayleyCube(_Host):
 
 
 class FreeCoordinates(Sequence):
-    """The records (q, x ^ 2^q, q) for the coordinates q < m outside
-    `banned`, in coordinate order: the admissible edges at x of the implicit
+    """The records (q, x ^ 2^q, q) for the coordinates q < m outside the
+    bans, in coordinate order: the admissible edges at x of the implicit
     cube, built on demand.
 
-    Building it sorts the bans; `len` then costs O(1) and ``[i]`` O(log
-    |banned|), not O(m).  Iteration gives the records in order, and the
+    The bans come in two parts.  `banned` is a sorted sequence, read in
+    place and never copied, so it must not change while the sequence is in
+    use.  `more` holds further sets of bans, read by membership alone, and
+    `banned_sets` holds sets whose union is the set of `banned`, so that
+    the bans only `more` makes can be told apart when a count needs them.
+
+    Truth and the first record make no pass over any ban: they cost
+    O(log |banned|) for the record and for each coordinate below it that
+    only `more` bans.  `len` and any other ``[i]`` first list those
+    coordinates, in one pass over `more`; then `len` costs O(1) and ``[i]``
+    O(log |banned|) times one plus the listed coordinates below the record.
+    None of these costs O(m).  Iteration gives the records in order, and the
     sequence compares equal to the list of them.
     """
 
-    __slots__ = ("_x", "_m", "_banned")
+    __slots__ = ("_x", "_m", "_banned", "_lo", "_hi", "_more", "_banned_sets", "_extra", "_q0")
 
-    def __init__(self, x: int, m: int, banned: frozenset[int]):
-        # the bans that name a coordinate, in order
-        s = sorted(banned)
-        lo, hi = bisect_left(s, 0), bisect_left(s, m)
-        self._x, self._m, self._banned = x, m, s[lo:hi] if lo or hi < len(s) else s
+    def __init__(self, x: int, m: int, banned: Sequence[int],
+                 more: tuple[Collection[int], ...] = (),
+                 banned_sets: tuple[Collection[int], ...] = ()):
+        self._x, self._m, self._banned = x, m, banned
+        # the bans that name a coordinate are banned[lo:hi]
+        self._lo, self._hi = bisect_left(banned, 0), bisect_left(banned, m)
+        self._more, self._banned_sets = more, banned_sets
+        self._extra: list[int] | None = None if more else []
+        self._q0: int | None = None
+
+    def _outside_banned(self, j: int) -> int:
+        """The j-th coordinate outside `banned` (m or more past the last)."""
+        # it is j + (the number of bans below it); a ban s[k], the (k - lo)-th
+        # that names a coordinate, lies below it exactly when the s[k] - (k - lo)
+        # coordinates under s[k] outside `banned` number at most j, a test
+        # monotone in k
+        s, lo = self._banned, self._lo
+        a, b = lo, self._hi
+        while a < b:
+            mid = (a + b) // 2
+            if s[mid] - (mid - lo) <= j:
+                a = mid + 1
+            else:
+                b = mid
+        return j + a - lo
+
+    def _first(self) -> int:
+        """The first free coordinate (m or more when there is none)."""
+        if self._q0 is None:
+            j, m, more = 0, self._m, self._more
+            q = self._outside_banned(0)
+            while q < m:
+                for bans in more:
+                    if q in bans:
+                        break
+                else:
+                    break  # no set of `more` bans q
+                j += 1
+                q = self._outside_banned(j)
+            self._q0 = q
+        return self._q0
+
+    def _only_more(self) -> list[int]:
+        """The coordinates in [0, m) that `more` bans and `banned` does not, in order."""
+        if self._extra is None:
+            m = self._m
+            extra = set().union(*self._more).difference(*self._banned_sets)
+            self._extra = sorted(q for q in extra if 0 <= q < m)
+        return self._extra
 
     def __len__(self) -> int:
-        return self._m - len(self._banned)
+        return self._m - (self._hi - self._lo) - len(self._only_more())
+
+    def __bool__(self) -> bool:
+        return self._first() < self._m
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(self)[i]
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
+        if i == 0:
+            q = self._first()
+        else:
+            n = len(self)
+            if not -n <= i < n:
+                raise IndexError("candidate index out of range")
+            q = self._nth(i % n)
+        if q >= self._m:
             raise IndexError("candidate index out of range")
-        # the i-th free coordinate is i + (the number of bans below it); a
-        # ban s[k] lies below it exactly when the s[k] - k free coordinates
-        # under s[k] number at most i, a test monotone in k
-        s = self._banned
-        lo, hi = 0, len(s)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if s[mid] - mid <= i:
-                lo = mid + 1
-            else:
-                hi = mid
-        q = i + lo
         return q, self._x ^ (1 << q), q
+
+    def _nth(self, i: int) -> int:
+        """The i-th free coordinate, for 0 <= i < len(self)."""
+        # it is the (i + k)-th outside `banned`, where k counts the
+        # coordinates below it that only `more` bans; k only grows from 0 to
+        # that count, and at the fixed point q is itself free (were only
+        # `more` to ban q, the count would be one past the k that chose q)
+        extra, k = self._only_more(), 0
+        while True:
+            q = self._outside_banned(i + k)
+            below = bisect_right(extra, q)
+            if below == k:
+                return q
+            k = below
 
     def __iter__(self) -> Iterator[Incidence]:
         x, start = self._x, 0
-        for stop in chain(self._banned, (self._m,)):
+        # the two kinds of bans are disjoint, so their merge lists each once
+        for stop in chain(merge(self._banned[self._lo : self._hi], self._only_more()), (self._m,)):
             for q in range(start, stop):
                 yield q, x ^ (1 << q), q
             start = stop + 1
@@ -422,6 +487,7 @@ def candidate_edges(
     x: int,
     forbidden_colors: Iterable[int] = (),
     forbidden_coords: Iterable[int] = (),
+    sorted_colors: Sequence[int] | None = None,
 ) -> Sequence[Incidence]:
     """Incident edges at x avoiding the forbidden colors and coordinates.
 
@@ -430,8 +496,32 @@ def candidate_edges(
     within each coordinate).  The result is a sequence: a list on an
     explicit host, and on the implicit cube a lazy :class:`FreeCoordinates`,
     whose length and items cost what the bans cost, not the cube's width.
+
+    `sorted_colors`, when given, must list in increasing order exactly the
+    colors the query bans: the forbidden colors together with those the
+    view bans; the caller vouches for that.  The implicit cube, whose
+    colors are coordinates, then reads that list in place, so its first or
+    i-th free coordinate comes from a binary search in it plus membership
+    tests of the coordinate bans, with no union or sort of the bans.  An
+    explicit host has no use for it (:func:`reads_color_index`).
     """
-    return g.admissible(x, frozenset(forbidden_colors), frozenset(forbidden_coords))
+    colors, coords = frozenset(forbidden_colors), frozenset(forbidden_coords)
+    if sorted_colors is None or not reads_color_index(g):
+        return g.admissible(x, colors, coords)
+    if isinstance(g, GraphView):
+        base, view_colors, view_coords = g.base, g.banned_colors, g.banned_coords
+    else:
+        base, view_colors, view_coords = g, (), ()
+    if not base.has_vertex(x):
+        raise VertexNotInGraph(f"vertex {x} not in graph")
+    return FreeCoordinates(x, base.dimension, sorted_colors,
+                           (coords, view_coords), (colors, view_colors))
+
+
+def reads_color_index(g) -> bool:
+    """Whether :func:`candidate_edges` on `g` reads a `sorted_colors` index:
+    on the implicit cube and its views, whose colors are coordinates."""
+    return isinstance(g.base if isinstance(g, GraphView) else g, VirtualCayleyCube)
 
 
 # --- text format ----------------------------------------------------------

@@ -18,6 +18,7 @@ from rainbowcube import (
     PartialEmbedding,
     VirtualCayleyCube,
     build_tree,
+    candidate_edges,
     cayley_coloring,
     certify_path_windows,
     embed_half,
@@ -36,11 +37,12 @@ from rainbowcube import (
     replay_trace,
     verify,
 )
-from rainbowcube.errors import DegreeTooSmall, PreconditionViolated, RainbowCubeError
+from rainbowcube.embed import choose_z_bad
+from rainbowcube.errors import DegreeTooSmall, NoCandidate, PreconditionViolated, RainbowCubeError
 from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.prng import SplitMix64
 
-from test_golden import comb
+from test_golden import comb, deep_corpus, stage_corpus
 from test_hypercube import random_views
 from test_tree import CLASSIFY_49
 
@@ -154,6 +156,16 @@ class TestExtendOne:
                 pe,
                 ExtensionRequest(0, 2, frozenset({5}), frozenset({0}), witnesses=(1,)),
             )
+
+    @pytest.mark.parametrize("target", [-1, -3, 0, 4, 7])
+    def test_refuses_a_target_outside_the_tree(self, target):
+        # -1 used to index the parent tuple from its end and map a vertex
+        # that is not in the tree; 7 raised a bare IndexError
+        pe = premapped(VirtualCayleyCube(4), build_tree([0, 0, 0]), {0: 0})
+        message = rf"^step extend: vertex {target} is outside \[1, 4\)$"
+        with pytest.raises(PreconditionViolated, match=message):
+            extend_one(pe, ExtensionRequest(0, target, frozenset(), frozenset()))
+        assert pe.image == {0: 0} and pe.trace == [] and not pe.all_colors
 
 
 class TestEmbedHalf:
@@ -585,10 +597,11 @@ class TestStrictChecks:
     def test_branch_that_repeats_a_coordinate_is_caught(self, monkeypatch):
         # candidates that ignore the coordinate bans: on a refined host colors
         # are not coordinates, so the tree stays rainbow while the spider
-        # child's anchor set repeats a coordinate
+        # child's anchor set repeats a coordinate (an explicit host takes no
+        # color index, so it is passed through unread)
         original = embed.candidate_edges
         monkeypatch.setattr(embed, "candidate_edges",
-                            lambda g, x, colors, coords: original(g, x, colors, ()))
+                            lambda g, x, colors, coords, index: original(g, x, colors, (), index))
         with pytest.raises(PreconditionViolated, match="^branch anchor set repeats a coordinate$"):
             embed_rainbow_tree(refined_cayley(6, 0, 2), build_tree([0, 0, 2, 3, 4, 5]))
 
@@ -686,7 +699,7 @@ class TestFrames:
         g = cayley_coloring(3)
         # the maps too: a caller fills them through premap alone
         for name in ("image", "color_of", "coord_of", "used_colors", "trace",
-                     "vertices", "all_colors", "is_frame", "_edges", "_coords"):
+                     "vertices", "all_colors", "sorted_colors", "is_frame", "_edges", "_coords"):
             with pytest.raises(TypeError):
                 PartialEmbedding(path_tree(2), g, **{name: set()})
         pe = mapped_path(g, 2, 1)
@@ -896,7 +909,10 @@ class TestPremap:
         ([(2, 0b010)], "the parent of vertex 2 is unmapped"),
         ([(1, 0b001), (1, 0b010)], "vertex 1 is already mapped"),
         ([(1, 0b001), (2, 0b000)], "color 1 reused at edge 2"),
-    ], ids=["two bits", "loop", "unmapped parent", "mapped child", "reused color"])
+        ([(1, 0b001), (-1, 0b011)], r"vertex -1 is outside \[1, 3\)"),
+        ([(3, 0b001)], r"vertex 3 is outside \[1, 3\)"),
+    ], ids=["two bits", "loop", "unmapped parent", "mapped child", "reused color",
+            "negative id", "id past the tree"])
     def test_refuses(self, steps, message):
         pe = self.rooted(self.SHIFTED, [0, 1])
         *before, last = steps
@@ -914,3 +930,228 @@ class TestPremap:
             pe.premap(1, 0b001)
         pe.premap(1, 0b010)
         assert pe.color_of == {1: 2} and pe.coord_of == {1: 1}
+
+
+def union_extend_one(pe, req):
+    """extend_one as it stood before steps reused checked witnesses and read
+    the color index: every witness checked in one loop, and the candidates
+    drawn from the union of the bans."""
+    t = pe.tree
+    v, w = req.source, req.target
+    if w in pe.image or v not in pe.image:
+        raise PreconditionViolated(f"step {req.label}: {v}->{w} not a frontier edge")
+    if t.parent[w] != v:
+        raise PreconditionViolated(f"step {req.label}: {w} is not a child of {v}")
+    parent, color_of, coord_of = t.parent, pe.color_of, pe.coord_of
+    seen_colors, seen_coords = set(), set()
+    banned_colors, banned_coords = embed._bans(pe.graph)
+    for wit in req.witnesses:
+        if wit not in coord_of:
+            raise PreconditionViolated(f"witness edge {wit} is unmapped")
+        if wit != v and parent[wit] != v:
+            raise PreconditionViolated(f"witness edge {wit} is not incident to {v}")
+        c, q = color_of[wit], coord_of[wit]
+        if c not in req.x_col or q not in req.x_coor:
+            raise PreconditionViolated(f"witness edge {wit} lies outside the forbidden sets")
+        if c in seen_colors or q in seen_coords:
+            raise PreconditionViolated(f"witness edge {wit} repeats a color or coordinate")
+        if c in banned_colors or q in banned_coords:
+            raise PreconditionViolated(f"witness edge {wit} is not live in the current host")
+        seen_colors.add(c)
+        seen_coords.add(q)
+    r = len(req.witnesses)
+    if not pe.graph.delta_at_least(len(req.x_col) + len(req.x_coor) - r + 1):
+        raise PreconditionViolated(
+            f"step {req.label}: |x_col|={len(req.x_col)} + |x_coor|={len(req.x_coor)}"
+            f" - r={r} >= delta={pe.graph.delta()}"
+        )
+    cands = list(candidate_edges(pe.graph, pe.image[v], req.x_col, req.x_coor))
+    if not cands:
+        raise NoCandidate(f"step {req.label}: counting bound held but no edge was admissible")
+    coord, y, color = cands[0] if pe.rng is None else cands[pe.rng.randrange(len(cands))]
+    pe.record(w, y, color, coord)
+    pe.trace.append((req.label, w, pe.image[v], y, len(req.x_col), len(req.x_coor), r))
+    return pe
+
+
+def outcome(step, pe, req):
+    """What one step did: the trace entry it wrote, or its error and message."""
+    try:
+        step(pe, req)
+    except RainbowCubeError as exc:
+        return type(exc).__name__, str(exc)
+    return pe.trace[-1]
+
+
+# root edges 1..6 and edges 7, 8 below vertex 1
+WITNESS_TREE = build_tree([0, 0, 0, 0, 0, 0, 1, 1])
+MUTANTS = ["none", "outside x_col", "repeat", "banned", "view", "source", "shrunk x_coor", "replaced"]
+
+
+class TestWitnessCache:
+    """A step may take over the witnesses its frame checked last; it must
+    decide exactly as checking every witness would."""
+
+    @given(st.sampled_from([VirtualCayleyCube(12), refined_cayley(8, 3, 2)]),
+           st.lists(st.tuples(st.sampled_from(MUTANTS), st.integers(0, 7)), min_size=1, max_size=9))
+    @settings(max_examples=150, deadline=None)
+    def test_requests_at_one_source_decide_as_the_full_loop(self, g, steps):
+        # two embeddings in lockstep, one stepped by extend_one and one by the
+        # reference.  Each drawn step is the next step-4 request at the root
+        # (every mapped root edge a witness), mutated; when the mutant fails,
+        # the request itself follows, so every mutant meets a frame that has
+        # checked the witnesses before it
+        engine, reference = (PartialEmbedding(WITNESS_TREE, g) for _ in range(2))
+        for pe in (engine, reference):
+            pe.image[0] = g.default_start()
+
+        def step(req, view=None):
+            results = []
+            for pe, extend in ((engine, extend_one), (reference, union_extend_one)):
+                host = pe.graph
+                pe.graph = view or host
+                results.append(outcome(extend, pe, req))
+                pe.graph = host
+            assert results[0] == results[1], req
+            return results[0]
+
+        for kind, pick in steps:
+            roots = [u for u in WITNESS_TREE.children[0] if u in engine.image]
+            free = [u for u in WITNESS_TREE.children[0] if u not in engine.image]
+            if not free:
+                break
+            plain = ExtensionRequest(0, free[0], frozenset(engine.used_colors), engine.used_coords(),
+                                     tuple(roots), "step4")
+            source, target, x_col, x_coor, witnesses = 0, free[0], plain.x_col, plain.x_coor, plain.witnesses
+            view = None
+            if roots:
+                wit = roots[pick % len(roots)]
+                c, q = engine.color_of[wit], engine.coord_of[wit]
+                if kind == "outside x_col":
+                    x_col -= {c}
+                elif kind == "repeat":
+                    witnesses += (wit,)
+                elif kind == "banned":
+                    view = g.restrict({c}, ())
+                elif kind == "view":
+                    view = g.restrict({10**6}, ())
+                elif kind == "source":
+                    below = [u for u in WITNESS_TREE.children[1] if u not in engine.image]
+                    if below:
+                        source, target = 1, below[0]
+                elif kind == "shrunk x_coor":
+                    x_coor -= {q}
+                elif kind == "replaced":
+                    # an edge below vertex 1, unmapped or not at the root, in
+                    # place of a witness: the list no longer extends the old one
+                    witnesses = tuple(7 if u == wit else u for u in witnesses)
+            mutant = ExtensionRequest(source, target, x_col, x_coor, witnesses, "step4")
+            if len(step(mutant, view)) == 2:
+                step(plain)
+        assert engine.image == reference.image and engine.trace == reference.trace
+
+    def test_star_witnesses_are_read_once_each(self):
+        # counted, not timed: the mapped edges' colors that a 2,000-leaf star
+        # reads while it extends.  Checking every witness at every step read
+        # n(n - 1)/2 of them
+        class Reads(dict):
+            count = 0
+
+            def __getitem__(self, key):
+                self.count += 1
+                return super().__getitem__(key)
+
+        n = 2000
+        g, t = VirtualCayleyCube(n), build_tree([0] * n)
+        pe = embed_half(g, t, 0)
+        pe.color_of = reads = Reads(pe.color_of)
+        extend_tree(pe, choose_z_bad(g, pe)[1])
+        assert [label for label, *_ in pe.trace] == ["step4"] * n
+        assert reads.count < 2 * n
+
+
+def union_candidates(g, x, colors, coords):
+    """The candidates at x by their definition: the host's edges at x whose
+    color and coordinate lie outside the union of every ban, by coordinate."""
+    base = embed._base(g)
+    banned_colors, banned_coords = embed._bans(g)
+    colors, coords = set(colors) | banned_colors, set(coords) | banned_coords
+    if isinstance(base, VirtualCayleyCube):
+        return [(q, x ^ (1 << q), q) for q in sorted(set(range(base.dimension)) - colors - coords)]
+    return [(q, y, c) for q, y, c in base.incident(x) if c not in colors and q not in coords]
+
+
+class TestColorIndex:
+    """extend_one reads the shared sorted color index in place of the
+    union of x_col and the view's banned colors, when it is that union."""
+
+    @pytest.mark.parametrize("corpus", [stage_corpus, deep_corpus], ids=["stages", "deep"])
+    def test_every_step_gets_the_union_candidates(self, corpus, monkeypatch):
+        original = embed.candidate_edges
+        indexed = set()
+
+        def checked(g, x, colors, coords, index):
+            got = original(g, x, colors, coords, index)
+            expected = union_candidates(g, x, colors, coords)
+            assert len(got) == len(expected) and list(got) == expected
+            assert [got[i] for i in range(len(got))] == expected and bool(got) == bool(expected)
+            indexed.add((type(embed._base(g)).__name__, index is not None))
+            return got
+
+        monkeypatch.setattr(embed, "candidate_edges", checked)
+        for _, g, t, seed in corpus():
+            embed_rainbow_tree(g, t, seed=seed)
+        # the lever holds at every step of the engine, so every step on the
+        # implicit cube reads the index; an explicit host keeps none
+        assert ("VirtualCayleyCube", True) in indexed
+        assert all(by_index == (host == "VirtualCayleyCube") for host, by_index in indexed)
+
+    @staticmethod
+    def path_with_a_root_leaf():
+        """The path 0-1-2-3 plus a root edge 4 in VirtualCayleyCube(8), with
+        1 and 2 mapped, colored 0 and 1."""
+        g = VirtualCayleyCube(8)
+        return g, premapped(g, build_tree([0, 1, 2, 0]), {0: 0, 1: 0b1, 2: 0b11})
+
+    def hand_built(self):
+        # one color mapped, and a request whose x_col is another color
+        g = VirtualCayleyCube(6)
+        pe = premapped(g, build_tree([0, 0]), {0: 0, 1: 0b1})
+        req = ExtensionRequest(0, 2, frozenset({5}), frozenset())
+        return pe, req.x_col, lambda: extend_one(pe, req), 0
+
+    def unmapped_ban(self):
+        # a frame whose view bans a color nothing has
+        g, pe = self.path_with_a_root_leaf()
+        frame = pe.lift((1, 2, 3), g.restrict({7}, ()))
+        return frame, frozenset(frame.used_colors), lambda: embed._extend(frame, 3, frozenset(), "t"), 0
+
+    def banned_color_adopted(self):
+        # a frame adopts a frame over a wider view that holds a color its own
+        # view bans, then another frame maps color 5
+        g, pe = self.path_with_a_root_leaf()
+        frame = pe.lift((1, 2, 3), g.restrict({0}, ()))
+        frame.adopt(frame.lift((0, 1, 2, 3), g))
+        other = pe.lift((0, 4), g)
+        other.premap(4, 1 << 5)
+        return (frame, frozenset(frame.used_colors),
+                lambda: embed._extend(frame, 3, frozenset({2, 3, 4}), "t"), 5)
+
+    @pytest.mark.parametrize("case", ["hand_built", "unmapped_ban", "banned_color_adopted"])
+    def test_sizes_alone_do_not_decide(self, case):
+        # in each case |x_col| + |banned colors| == |all_colors| although x_col
+        # and the banned colors do not make up all_colors; the union's first
+        # candidate has a mapped color, which `record` refuses, where the
+        # index would have skipped it
+        pe, x_col, step, color = getattr(self, case)()
+        banned = embed._bans(pe.graph)[0]
+        assert len(x_col) + len(banned) == len(pe.all_colors) and x_col | banned != pe.all_colors
+        with pytest.raises(PreconditionViolated, match=f"^color {color} reused"):
+            step()
+
+    def test_index_follows_every_frame(self):
+        g = VirtualCayleyCube(40)
+        for t in (build_tree([0] * 40), comb(40), random_spider((13, 13, 14)), random_tree(40, 9)):
+            pe = embed_rainbow_tree(g, t, seed=3)
+            assert pe.sorted_colors == sorted(pe.all_colors) == sorted(pe.color_of.values())
+        assert embed_rainbow_tree(cayley_coloring(6), comb(6)).sorted_colors is None

@@ -367,9 +367,12 @@ class TestLazyCandidates:
         g = VirtualCayleyCube(m)
         for view, x, fc, fx in self.cases(m):
             expected = filtered_incident(g, view, x, fc, fx)
+            # the third reads the banned colors from a sorted list, and the
+            # banned coordinates by membership alone
             for got in (candidate_edges(view, x, fc, fx),
                         candidate_edges(view.base, x, fc | view.banned_colors,
-                                        fx | view.banned_coords)):
+                                        fx | view.banned_coords),
+                        candidate_edges(view, x, fc, fx, sorted(fc | view.banned_colors))):
                 n = len(expected)
                 assert len(got) == n and bool(got) == bool(expected)
                 assert [got[i] for i in range(n)] == expected
@@ -386,9 +389,10 @@ class TestLazyCandidates:
         for k, (view, x, fc, fx) in enumerate(self.cases(m)):
             expected = filtered_incident(g, view, x, fc, fx)
             if expected:
-                got = candidate_edges(view, x, fc, fx)
-                lazy_rng, list_rng = SplitMix64(k), SplitMix64(k)
-                assert got[lazy_rng.randrange(len(got))] == expected[list_rng.randrange(len(expected))]
+                for got in (candidate_edges(view, x, fc, fx),
+                            candidate_edges(view, x, fc, fx, sorted(fc | view.banned_colors))):
+                    lazy_rng, list_rng = SplitMix64(k), SplitMix64(k)
+                    assert got[lazy_rng.randrange(len(got))] == expected[list_rng.randrange(len(expected))]
 
     def test_a_wide_cube_builds_no_candidate_list(self):
         tracemalloc.start()
