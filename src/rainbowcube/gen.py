@@ -4,10 +4,15 @@ Every generator is a pure function of its parameters and seed, drawing from
 SplitMix64 in a fixed order, so outputs are bit-identical across runs and
 platforms.  Each host generator builds, and so checks, one host: the one
 it returns.  It reads the edges of Q_n from ``cube_edges`` in the order
-``edges()`` gives, so every draw is made in that order.
+``edges()`` gives, so every draw is made in that order.  ``cayley_coloring``
+and ``refined_cayley`` stream those edges into the constructor, which reads
+them in that order, so ``refined_cayley`` draws each edge's subclass as the
+constructor reads the edge and no edge list is held.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .hypercube import ColoredCubeGraph, cayley_coloring, cube_edges
 from .prng import SplitMix64
@@ -54,15 +59,16 @@ def refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:
     return ColoredCubeGraph(n, _refined_edges(n, seed, splits))
 
 
-def _refined_edges(n: int, seed: int, splits: int) -> list[tuple[int, int, int]]:
-    """The edges of refined_cayley(n, seed, splits), in sorted order."""
+def _refined_edges(n: int, seed: int, splits: int) -> Iterator[tuple[int, int, int]]:
+    """An iterator over the edges of refined_cayley(n, seed, splits), in
+    sorted order; it draws each subclass as it yields that edge."""
     if splits < 1:
         raise ValueError(f"splits must be >= 1, got {splits}")
     edges = cube_edges(n)
     if splits == 1:
         return edges
-    rng = SplitMix64(seed)
-    return [(u, v, q * splits + rng.randrange(splits)) for u, v, q in edges]
+    draw = SplitMix64(seed).randrange
+    return ((u, v, q * splits + draw(splits)) for u, v, q in edges)
 
 
 def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
@@ -99,7 +105,7 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     rng = SplitMix64(seed)
-    all_edges = _refined_edges(n, rng.next_u64(), 1 + rng.randrange(3))
+    all_edges = list(_refined_edges(n, rng.next_u64(), 1 + rng.randrange(3)))
     rng.shuffle(all_edges)
     n_delete = rng.randrange(len(all_edges) // 2 + 1)
     deleted = all_edges[:n_delete]

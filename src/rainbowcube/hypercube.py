@@ -8,10 +8,14 @@ when no two edges sharing an endpoint carry the same color.  Every host is
 proper by construction: :class:`ColoredCubeGraph` refuses an improper
 coloring, and the implicit cube colors each edge by its coordinate.
 
-Two host flavors share one query surface: :class:`ColoredCubeGraph` stores
-an explicit edge list, while :class:`VirtualCayleyCube` is the full cube
-with color == coordinate, kept implicit so the ambient dimension can be
-large.  ``restrict`` produces O(1) filtered views; no host is ever copied.
+Two host flavors share one query surface: :class:`ColoredCubeGraph` is an
+explicit host, while :class:`VirtualCayleyCube` is the full cube with
+color == coordinate, kept implicit so the ambient dimension can be large.
+An explicit host of Q_N stores one flat list of 2^N * N colors, slot
+x*N + q holding the color of the edge at x in coordinate q or -1 when that
+edge is absent, beside its vertex set; N is at most MAX_EXPLICIT_DIMENSION.
+It keeps no records: incident-edge records are built when a query asks for
+them.  ``restrict`` produces O(1) filtered views; no host is ever copied.
 ``candidate_edges`` returns a sequence of incident records: a list on an
 explicit host, and on the implicit cube a lazy one that builds only the
 records it is asked for.
@@ -61,7 +65,8 @@ def vertex_str(v: int, dimension: int) -> str:
 
 
 def parse_vertex(text: str, dimension: int) -> int:
-    if len(text) != dimension or set(text) - {"0", "1"}:
+    # a character outside {0, 1} survives the strip
+    if len(text) != dimension or text.strip("01"):
         raise FormatError(f"bad vertex {text!r} for dimension {dimension}")
     return int(text, 2)
 
@@ -81,29 +86,37 @@ class _Host:
         return GraphView(self, bc, bx)
 
 
-def _first_clash(adj: dict[int, tuple[Incidence, ...]], dimension: int) -> str | None:
-    """The first vertex with two edges of one color, in vertex then
-    coordinate order, as text; the caller has found that one exists."""
-    for x in sorted(adj):
-        seen: dict[int, int] = {}
-        for _, y, c in adj[x]:
-            if c in seen:
-                a, b, z = (vertex_str(w, dimension) for w in (x, seen[c], y))
-                return f"vertex {a}: edges to {b} and {z} share color {c}"
-            seen[c] = y
+def _clash(x: int, row: Sequence[int], dimension: int) -> str | None:
+    """The first two edges of one color in x's row, in coordinate order, as
+    text; the caller has found that they exist."""
+    seen: dict[int, int] = {}
+    for q, c in enumerate(row):
+        if c < 0:
+            continue
+        if c in seen:
+            a, b, z = (vertex_str(w, dimension) for w in (x, x ^ (1 << seen[c]), x ^ (1 << q)))
+            return f"vertex {a}: edges to {b} and {z} share color {c}"
+        seen[c] = q
 
 
 class ColoredCubeGraph(_Host):
     """Explicit edge-colored subgraph of Q_N.  Immutable after construction.
 
-    ``edges`` is an iterable of (u, v, color) triples; endpoints are added to
-    the vertex set automatically.  A malformed edge (out of range, not a
-    single bit flip, or a negative color) raises ValueError here, and so
-    does an improper coloring, naming its first clash in vertex and then
-    coordinate order.
+    ``edges`` is an iterable of (u, v, color) triples, read once, so it may
+    be a generator; endpoints are added to the vertex set automatically.  A
+    malformed edge (out of range, not a single bit flip, or a negative
+    color) raises ValueError here, and so does an improper coloring, naming
+    its first clash in vertex and then coordinate order.  N is at most
+    MAX_EXPLICIT_DIMENSION (LimitExceeded beyond).
+
+    The store is the module's flat color list, each edge written at both
+    ends.  The constructor's one pass over its rows checks properness and
+    finds the minimum degree and the least vertex, so delta() and
+    default_start() cost O(1); incident() and admissible() build the records
+    they return, admissible() only those that survive the bans.
     """
 
-    __slots__ = ("dimension", "_color", "_adj", "_vertices", "_delta")
+    __slots__ = ("dimension", "_colors", "_vertices", "_n_edges", "_delta", "_start")
 
     def __init__(
         self,
@@ -113,38 +126,51 @@ class ColoredCubeGraph(_Host):
     ):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        self.dimension = dimension
-        top = 1 << dimension
-        color: dict[Edge, int] = {}
+        if dimension > MAX_EXPLICIT_DIMENSION:
+            raise LimitExceeded(
+                f"an explicit host stores 2^{dimension} vertices; the limit is 2^{MAX_EXPLICIT_DIMENSION}"
+            )
+        self.dimension = n = dimension
+        top = 1 << n
         verts = set(vertices)
         for v in verts:
             if not 0 <= v < top:
                 raise ValueError(f"vertex {v} outside [0, 2^{dimension})")
+        colors = [-1] * (top * n)
         for u, v, c in edges:
-            e = canonical_edge(u, v)
-            if e in color:
-                raise ValueError(f"duplicate edge {e}")
             if not (0 <= u < top and 0 <= v < top):
-                raise ValueError(f"edge {e}: endpoint out of range")
+                raise ValueError(f"edge {canonical_edge(u, v)}: endpoint out of range")
             x = u ^ v
             if x == 0 or x & (x - 1):
-                raise ValueError(f"edge {e}: endpoints differ in != 1 bit")
+                raise ValueError(f"edge {canonical_edge(u, v)}: endpoints differ in != 1 bit")
+            q = x.bit_length() - 1
+            i = u * n + q
+            # an edge already stored is well formed, so a repeat is named
+            # before its color is read, as a duplicate
+            if colors[i] >= 0:
+                raise ValueError(f"duplicate edge {canonical_edge(u, v)}")
             if c < 0:
-                raise ValueError(f"edge {e}: negative color")
-            color[e] = c
-            verts.update(e)
-        self._color = color
+                raise ValueError(f"edge {canonical_edge(u, v)}: negative color")
+            colors[i] = colors[v * n + q] = c
+        # one pass over the rows (x's row is slots x*n to x*n + n - 1): the
+        # vertices that edges touch, properness (a row's colors other than
+        # -1 are distinct) and the minimum degree
+        delta = n
+        for x, row in enumerate(zip(*[iter(colors)] * n)):
+            absent = row.count(-1)
+            if absent == n:
+                if x in verts:
+                    delta = 0
+                continue
+            verts.add(x)
+            if len(set(row)) < n - absent + (absent > 0):
+                raise ValueError(_clash(x, row, n))
+            delta = min(delta, n - absent)
+        self._colors = colors
         self._vertices = frozenset(verts)
-        adj: dict[int, list[Incidence]] = {v: [] for v in verts}
-        for (u, v), c in color.items():
-            q = edge_coordinate(u, v)
-            adj[u].append((q, v, c))
-            adj[v].append((q, u, c))
-        self._adj = {v: tuple(sorted(items)) for v, items in adj.items()}
-        # one short-lived color set per vertex; the witness is sought only on a clash
-        if any(len({c for _, _, c in items}) < len(items) for items in self._adj.values()):
-            raise ValueError(_first_clash(self._adj, dimension))
-        self._delta: int | None = None
+        self._n_edges = (len(colors) - colors.count(-1)) // 2
+        self._delta = delta
+        self._start = min(verts, default=None)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -154,56 +180,84 @@ class ColoredCubeGraph(_Host):
         return len(self._vertices)
 
     def n_edges(self) -> int:
-        return len(self._color)
+        return self._n_edges
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, color) in sorted order."""
-        for (u, v) in sorted(self._color):
-            yield u, v, self._color[(u, v)]
+        n, colors = self.dimension, self._colors
+        # for a fixed u < v, v = u + 2^q grows with q
+        for u in sorted(self._vertices):
+            for q, c in enumerate(colors[u * n : u * n + n]):
+                if c >= 0 and not u >> q & 1:
+                    yield u, u | (1 << q), c
 
     def has_vertex(self, v: int) -> bool:
         return v in self._vertices
 
+    def _color_at(self, u: int, v: int) -> int:
+        """The color of edge uv, or -1 when uv is not an edge of the host."""
+        n, x = self.dimension, u ^ v
+        # x < 2^n keeps q inside u's row: x == 2^n would read the next row
+        if 0 <= u < 1 << n and 0 < x < 1 << n and not x & (x - 1):
+            return self._colors[u * n + x.bit_length() - 1]
+        return -1
+
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._color
+        return self._color_at(u, v) >= 0
 
     def edge_color(self, u: int, v: int) -> int:
-        return self._color[canonical_edge(u, v)]
+        c = self._color_at(u, v)
+        if c < 0:
+            raise KeyError(canonical_edge(u, v))
+        return c
+
+    def _row(self, x: int) -> list[int]:
+        if x not in self._vertices:
+            raise VertexNotInGraph(f"vertex {x} not in graph")
+        n = self.dimension
+        return self._colors[x * n : x * n + n]
 
     def incident(self, x: int) -> tuple[Incidence, ...]:
         """Incident edges at x as (coordinate, neighbor, color), by coordinate."""
-        try:
-            return self._adj[x]
-        except KeyError:
-            raise VertexNotInGraph(f"vertex {x} not in graph") from None
+        return tuple([(q, x ^ (1 << q), c) for q, c in enumerate(self._row(x)) if c >= 0])
 
     def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> list[Incidence]:
         """Incident edges at x avoiding `colors` and `coords`, by coordinate."""
-        return [rec for rec in self.incident(x) if rec[2] not in colors and rec[0] not in coords]
+        return [
+            (q, x ^ (1 << q), c)
+            for q, c in enumerate(self._row(x))
+            if c >= 0 and c not in colors and q not in coords
+        ]
 
     def degree(self, x: int) -> int:
-        return len(self.incident(x))
+        return self.dimension - self._row(x).count(-1)
 
     def delta(self) -> int:
         """Minimum degree over all vertices."""
         if not self._vertices:
             raise EmptyGraph("graph has no vertices")
-        if self._delta is None:
-            self._delta = min(len(items) for items in self._adj.values())
         return self._delta
 
     def delta_after_bans(self, banned_colors: frozenset[int], banned_coords: frozenset[int]) -> int:
         if not self._vertices:
             raise EmptyGraph("graph has no vertices")
-        return min(
-            sum(1 for q, _, c in items if c not in banned_colors and q not in banned_coords)
-            for items in self._adj.values()
-        )
+        n, colors = self.dimension, self._colors
+        live = [q for q in range(n) if q not in banned_coords]
+        if not live:
+            return 0
+        # column q lists every vertex's slot q; a slot is lost when it is
+        # absent (-1) or banned, and zip reassembles each vertex's losses
+        lost = (banned_colors | {-1}).__contains__
+        losses = map(sum, zip(*[map(lost, colors[q::n]) for q in live]))
+        if len(self._vertices) < 1 << n:
+            losses = map(list(losses).__getitem__, self._vertices)
+        return len(live) - max(losses)
 
     def default_start(self) -> int:
-        if not self._vertices:
+        """The least vertex."""
+        if self._start is None:
             raise EmptyGraph("graph has no vertices")
-        return min(self._vertices)
+        return self._start
 
 
 class VirtualCayleyCube(_Host):
@@ -461,16 +515,16 @@ class GraphView:
         return self.base.default_start()
 
 
-def cube_edges(n: int) -> list[tuple[int, int, int]]:
-    """Every edge (u, v, coordinate) of Q_n with u < v, in sorted order: the
-    order ``edges()`` gives.  Guarded to 1 <= n <= MAX_EXPLICIT_DIMENSION;
-    use VirtualCayleyCube beyond."""
+def cube_edges(n: int) -> Iterator[tuple[int, int, int]]:
+    """An iterator over every edge (u, v, coordinate) of Q_n with u < v, in
+    sorted order: the order ``edges()`` gives.  Guarded, when called, to
+    1 <= n <= MAX_EXPLICIT_DIMENSION; use VirtualCayleyCube beyond."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_EXPLICIT_DIMENSION:
         raise LimitExceeded(f"cayley_coloring materializes 2^{n} vertices; use VirtualCayleyCube")
     # for a fixed u, v = u + 2^q grows with q
-    return [(u, u | (1 << q), q) for u in range(1 << n) for q in range(n) if not u >> q & 1]
+    return ((u, u | (1 << q), q) for u in range(1 << n) for q in range(n) if not u >> q & 1)
 
 
 def cayley_coloring(n: int) -> ColoredCubeGraph:
@@ -554,6 +608,8 @@ def parse_graph(text: str, *, strict_vertices: bool = False) -> ColoredCubeGraph
         dimension = int(n_text)
         if dimension < 1:
             raise FormatError("dimension must be >= 1")
+        if dimension > MAX_EXPLICIT_DIMENSION:
+            raise FormatError(f"dimension must be <= {MAX_EXPLICIT_DIMENSION} for an explicit host")
         return dimension
 
     def vertex(dimension: int, v_text: str) -> None:
@@ -568,7 +624,6 @@ def parse_graph(text: str, *, strict_vertices: bool = False) -> ColoredCubeGraph
         edge_coordinate(u, v)  # reject malformed pairs
         if strict_vertices and not (u in declared and v in declared):
             raise FormatError("edge uses undeclared vertex under strict-vertices")
-        declared.update((u, v))
         edges.append((u, v, c))
 
     dimension = read_records(text, "cube", {"cube": (1, cube), "vertex": (1, vertex), "edge": (3, edge)})

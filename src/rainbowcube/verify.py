@@ -171,6 +171,20 @@ class OracleResult:
     exhausted: bool
 
 
+class _IncidentMemo(dict):
+    """The host's incident records at each vertex, asked of the host once,
+    the first time the vertex is looked up.  A search revisits its few
+    vertices many times, while an explicit host builds records per call."""
+
+    def __init__(self, g):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, x: int):
+        records = self[x] = self.g.incident(x)
+        return records
+
+
 def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
     """Exhaustive rainbow-embedding search by backtracking over vertex images.
 
@@ -185,6 +199,7 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
     # order[0] is the root 0, the only level-0 vertex, since the key is (level, id)
     order = sorted(range(t.n), key=lambda v: (t.level[v], v))
     nodes = 0
+    incident = _IncidentMemo(g)
 
     image: dict[int, int] = {}
     used_vertices: set[int] = set()
@@ -197,7 +212,7 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
             return True
         v = order[i]
         src = image[t.parent[v]]
-        for _, y, c in g.incident(src):
+        for _, y, c in incident[src]:
             if y in used_vertices or c in used_colors:
                 continue
             nodes += 1
@@ -242,10 +257,11 @@ def oracle_no_rainbow_cycle(g, max_len: int) -> bool:
         raise LimitExceeded(f"max_len must be even for a bipartite host, got {max_len}")
 
     verts = sorted(g.vertices)
+    incident = _IncidentMemo(g)
 
     def walk(start: int, here: int, depth: int, on_path: set[int], colors: set[int]) -> bool:
         # canonical traversal: intermediate vertices stay above `start`
-        for _, y, c in g.incident(here):
+        for _, y, c in incident[here]:
             if c in colors:
                 continue
             if y == start and depth >= 3:

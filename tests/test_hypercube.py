@@ -23,7 +23,7 @@ from rainbowcube.errors import (
     VertexNotInGraph,
 )
 from rainbowcube.gen import greedy_proper, refined_cayley, subgraph_min_degree
-from rainbowcube.hypercube import cube_edges
+from rainbowcube.hypercube import canonical_edge, cube_edges, parse_vertex
 from rainbowcube.prng import SplitMix64
 
 
@@ -123,7 +123,7 @@ class TestValidate:
     def test_accepts_exactly_the_proper_colorings(self, data):
         # every edge of Q_2 or Q_3 absent (-1) or colored 0..3
         n = data.draw(st.sampled_from([2, 3]))
-        cube = cube_edges(n)
+        cube = list(cube_edges(n))
         colors = data.draw(st.lists(st.integers(-1, 3), min_size=len(cube), max_size=len(cube)))
         edges = [(u, v, c) for (u, v, _), c in zip(cube, colors) if c >= 0]
         if brute_force_proper(edges):
@@ -154,6 +154,168 @@ class TestMinDegree:
     def test_degree_map(self):
         g = cayley_coloring(2)
         assert {v: g.degree(v) for v in g.vertices} == {0: 2, 1: 2, 2: 2, 3: 2}
+
+
+class DictHost:
+    """The reference model of an explicit host: a dict keyed by edge, every
+    query answered from its definition."""
+
+    def __init__(self, dimension, edges, vertices=()):
+        self.dimension = dimension
+        self.color = {canonical_edge(u, v): c for u, v, c in edges}
+        self.vertices = frozenset(vertices).union(*self.color)
+
+    def incident(self, x):
+        if x not in self.vertices:
+            raise VertexNotInGraph(x)
+        return tuple(
+            (q, x ^ (1 << q), self.color[canonical_edge(x, x ^ (1 << q))])
+            for q in range(self.dimension)
+            if canonical_edge(x, x ^ (1 << q)) in self.color
+        )
+
+    def degrees(self, colors=(), coords=()):
+        return [
+            sum(1 for q, _, c in self.incident(x) if c not in colors and q not in coords)
+            for x in self.vertices
+        ]
+
+
+def model_hosts():
+    """(name, dimension, edges, declared vertices) on Q_1 to Q_6: full
+    refined colorings, random subgraphs of them, greedy_proper's first-fit
+    colorings, and subgraphs with isolated declared vertices; each edge
+    list in a seeded shuffled order, some edges reversed."""
+    for n in range(1, 7):
+        for seed in range(3):
+            rng = SplitMix64(100 * n + seed)
+            splits = 1 + rng.randrange(3)
+            full = [(u, v, q * splits + rng.randrange(splits)) for u, v, q in cube_edges(n)]
+            part = [e for e in full if rng.randrange(4)]
+            sparse = [e for e in full if not rng.randrange(3)]
+            isolated = {rng.randrange(1 << n) for _ in range(3)}
+            for name, edges, declared in [
+                ("full", full, ()),
+                ("subgraph", part, ()),
+                ("greedy", list(greedy_proper(n, seed).edges()), ()),
+                ("isolated", sparse, isolated),
+            ]:
+                edges = [(v, u, c) if rng.randrange(2) else (u, v, c) for u, v, c in edges]
+                rng.shuffle(edges)
+                yield f"{name}-Q{n}-{seed}", n, edges, declared
+
+
+MODEL_HOSTS = list(model_hosts())
+
+
+class TestFlatStoreModel:
+    """The flat color store answers every query as the dict reference does."""
+
+    @pytest.mark.parametrize("name,n,edges,declared", MODEL_HOSTS, ids=[h[0] for h in MODEL_HOSTS])
+    def test_every_query_matches_the_reference(self, name, n, edges, declared):
+        g = ColoredCubeGraph(n, iter(edges), declared)
+        ref = DictHost(n, edges, declared)
+        top = 1 << n
+        assert g.vertices == ref.vertices
+        assert g.n_vertices() == len(ref.vertices)
+        assert g.n_edges() == len(ref.color)
+        assert list(g.edges()) == [(u, v, c) for (u, v), c in sorted(ref.color.items())]
+        probes = range(-2, top + 2)
+        for u in probes:
+            assert g.has_vertex(u) == (u in ref.vertices)
+            for v in [*probes, u | top, u ^ top, -u - 1]:
+                e = canonical_edge(u, v)
+                assert g.has_edge(u, v) == (e in ref.color), (u, v)
+                if e in ref.color:
+                    assert g.edge_color(u, v) == ref.color[e]
+                else:
+                    with pytest.raises(KeyError):
+                        g.edge_color(u, v)
+            if u in ref.vertices:
+                assert g.incident(u) == ref.incident(u)
+                assert g.degree(u) == len(ref.incident(u))
+            else:
+                for query in (g.incident, g.degree, lambda x: g.admissible(x, frozenset(), frozenset())):
+                    with pytest.raises(VertexNotInGraph):
+                        query(u)
+        if not ref.vertices:
+            with pytest.raises(EmptyGraph):
+                g.delta()
+            return
+        assert g.delta() == min(ref.degrees())
+        assert g.default_start() == min(ref.vertices)
+        rng = SplitMix64(len(edges))
+        for _ in range(10):
+            colors, coords = (frozenset(b) for b in random_bans(rng, 2 * n + 2))
+            assert g.delta_after_bans(colors, coords) == min(ref.degrees(colors, coords))
+            x = sorted(ref.vertices)[rng.randrange(len(ref.vertices))]
+            assert g.admissible(x, colors, coords) == [
+                (q, y, c) for q, y, c in ref.incident(x) if c not in colors and q not in coords
+            ]
+
+    def test_no_edge_leaves_the_cube(self):
+        # x | 2^n differs from x in one bit, coordinate n: slot x*n + n is
+        # the first slot of the next vertex's row, never x's own
+        g = cayley_coloring(3)
+        for x in range(8):
+            assert not g.has_edge(x, x | 8)
+            assert not g.has_edge(x | 8, x)
+            with pytest.raises(KeyError):
+                g.edge_color(x, x | 8)
+
+    def test_negative_and_out_of_range_endpoints(self):
+        g = cayley_coloring(3)
+        # -1 and -2 differ in bit 0 alone, like 0 and 1
+        for u, v in [(-1, -2), (-2, -1), (-1, 0), (0, -1), (7, 15), (8, 9), (-8, 0)]:
+            assert not g.has_edge(u, v)
+            with pytest.raises(KeyError):
+                g.edge_color(u, v)
+        for u, v in [(-1, 0), (7, 8), (8, 9)]:
+            with pytest.raises(ValueError, match="endpoint out of range"):
+                ColoredCubeGraph(3, [(u, v, 0)])
+
+    def test_edge_color_on_a_non_edge(self):
+        g = ColoredCubeGraph(3, [(0, 1, 5)], vertices=[2])
+        with pytest.raises(KeyError):
+            g.edge_color(0, 2)  # absent, both ends vertices
+        with pytest.raises(KeyError):
+            g.edge_color(0, 3)  # two bits apart
+        with pytest.raises(KeyError):
+            g.edge_color(1, 1)
+        assert g.edge_color(1, 0) == 5
+
+    def test_duplicate_and_negative_messages(self):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            ColoredCubeGraph(2, [(0, 1, 0), (1, 0, 1)])
+        # a repeat is a duplicate before its color is read
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            ColoredCubeGraph(2, [(0, 1, 0), (1, 0, -1)])
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\): negative color$"):
+            ColoredCubeGraph(2, [(1, 0, -1)])
+
+    def test_isolated_declared_vertices(self):
+        g = ColoredCubeGraph(3, [(0, 1, 0)], vertices=[0, 6])
+        assert g.vertices == {0, 1, 6}
+        assert (g.n_vertices(), g.n_edges(), g.delta()) == (3, 1, 0)
+        assert g.incident(6) == ()
+        assert g.delta_after_bans(frozenset(), frozenset()) == 0
+
+    def test_dimension_guard(self):
+        with pytest.raises(LimitExceeded):
+            ColoredCubeGraph(17, [(0, 1, 0)])
+        with pytest.raises(FormatError, match="dimension must be <= 16"):
+            parse_graph("cube 17\nedge 00000000000000000 00000000000000001 0\n")
+
+
+def test_vertex_text_check_decides_as_the_set_test():
+    for text in ["01", "10", "0a", "a0", "0 ", " 0", "012", "0b", "0_", "\u0661\u0660", "\uff10\uff11", "1\n"]:
+        by_set = len(text) == 2 and not set(text) - {"0", "1"}
+        try:
+            parse_vertex(text, 2)
+            accepted = True
+        except FormatError:
+            accepted = False
+        assert accepted == by_set, text
 
 
 class TestCandidateEdges:

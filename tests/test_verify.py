@@ -135,6 +135,18 @@ class TestOracle:
         with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
             oracle_find(cayley_coloring(4), path_tree(4), budget=-1)
 
+    def test_reads_each_visited_vertex_once(self, monkeypatch):
+        # Q_10 colored by coordinate has 10 colors, so no 12-edge path is
+        # rainbow; a budgeted search asks the host only at the vertices it
+        # places, and at each of them once
+        asked = []
+        incident = ColoredCubeGraph.incident
+        monkeypatch.setattr(ColoredCubeGraph, "incident",
+                            lambda self, x: asked.append(x) or incident(self, x))
+        result = oracle_find(cayley_coloring(10), path_tree(12), budget=40)
+        assert not result.exhausted
+        assert 1 < len(asked) == len(set(asked)) <= 41
+
     def test_completeness_spot_check(self):
         # Q_2 has 2 colors: no rainbow 3-edge path exists; confirm against
         # every one of the 4^4 total maps
@@ -163,6 +175,14 @@ class TestNoRainbowCycle:
         ring = [(0, 1), (1, 3), (2, 3), (0, 2)]
         rainbow = len({colors[e] for e in ring}) == 4
         assert oracle_no_rainbow_cycle(g, 4) == (not rainbow)
+
+    def test_reads_each_vertex_once(self, monkeypatch):
+        asked = []
+        incident = ColoredCubeGraph.incident
+        monkeypatch.setattr(ColoredCubeGraph, "incident",
+                            lambda self, x: asked.append(x) or incident(self, x))
+        assert oracle_no_rainbow_cycle(cayley_coloring(4), 8)
+        assert sorted(asked) == list(range(16))
 
     def test_guards(self):
         with pytest.raises(LimitExceeded):
