@@ -36,7 +36,7 @@ from .errors import (
     LimitExceeded,
     VertexNotInGraph,
 )
-from .records import read_records
+from .records import iter_records
 
 Edge = tuple[int, int]
 # incident-edge record: (coordinate, neighbor, color)
@@ -103,11 +103,22 @@ class ColoredCubeGraph(_Host):
     """Explicit edge-colored subgraph of Q_N.  Immutable after construction.
 
     ``edges`` is an iterable of (u, v, color) triples, read once, so it may
-    be a generator; endpoints are added to the vertex set automatically.  A
-    malformed edge (out of range, not a single bit flip, or a negative
-    color) raises ValueError here, and so does an improper coloring, naming
-    its first clash in vertex and then coordinate order.  N is at most
-    MAX_EXPLICIT_DIMENSION (LimitExceeded beyond).
+    be a generator; endpoints are added to the vertex set automatically.
+    ``vertices`` is read after the last edge, so a generator of edges may
+    still add to it.  Every check raises ValueError, in this order:
+
+    - as each edge is read: an endpoint out of range, endpoints that differ
+      in other than one bit, or a negative color; a repeated edge is not
+      checked further, its color unread;
+    - once the edges end: the first repeated edge, as a duplicate;
+    - then a vertex out of range;
+    - last, an improper coloring, naming its first clash in vertex and then
+      coordinate order.
+
+    An error that the edges iterable raises itself (``parse_graph``'s
+    numbered format errors) ends the read where it is raised, so it comes
+    before the last three groups.  N is at most MAX_EXPLICIT_DIMENSION
+    (LimitExceeded beyond), checked before anything is read.
 
     The store is the module's flat color list, each edge written at both
     ends.  The constructor's one pass over its rows checks properness and
@@ -132,11 +143,8 @@ class ColoredCubeGraph(_Host):
             )
         self.dimension = n = dimension
         top = 1 << n
-        verts = set(vertices)
-        for v in verts:
-            if not 0 <= v < top:
-                raise ValueError(f"vertex {v} outside [0, 2^{dimension})")
         colors = [-1] * (top * n)
+        repeat = None
         for u, v, c in edges:
             if not (0 <= u < top and 0 <= v < top):
                 raise ValueError(f"edge {canonical_edge(u, v)}: endpoint out of range")
@@ -145,13 +153,21 @@ class ColoredCubeGraph(_Host):
                 raise ValueError(f"edge {canonical_edge(u, v)}: endpoints differ in != 1 bit")
             q = x.bit_length() - 1
             i = u * n + q
-            # an edge already stored is well formed, so a repeat is named
-            # before its color is read, as a duplicate
+            # an edge already stored is well formed, so a repeat is a
+            # duplicate whatever its color; it is reported once the edges end
             if colors[i] >= 0:
-                raise ValueError(f"duplicate edge {canonical_edge(u, v)}")
+                if repeat is None:
+                    repeat = canonical_edge(u, v)
+                continue
             if c < 0:
                 raise ValueError(f"edge {canonical_edge(u, v)}: negative color")
             colors[i] = colors[v * n + q] = c
+        if repeat is not None:
+            raise ValueError(f"duplicate edge {repeat}")
+        verts = set(vertices)
+        for v in verts:
+            if not 0 <= v < top:
+                raise ValueError(f"vertex {v} outside [0, 2^{dimension})")
         # one pass over the rows (x's row is slots x*n to x*n + n - 1): the
         # vertices that edges touch, properness (a row's colors other than
         # -1 are distinct) and the minimum degree
@@ -589,20 +605,25 @@ def reads_color_index(g) -> bool:
 
 
 def format_graph(g: ColoredCubeGraph) -> str:
-    lines = [f"cube {g.dimension}"]
-    touched = set()
-    for u, v, _ in g.edges():
-        touched.update((u, v))
-    for v in sorted(g.vertices - touched):
-        lines.append(f"vertex {vertex_str(v, g.dimension)}")
-    for u, v, c in g.edges():
-        lines.append(f"edge {vertex_str(u, g.dimension)} {vertex_str(v, g.dimension)} {c}")
+    n = g.dimension
+    lines = [f"cube {n}"]
+    # an isolated vertex is one whose row holds no edge
+    lines += [f"vertex {vertex_str(v, n)}" for v in sorted(g.vertices) if not g.degree(v)]
+    lines += [f"edge {vertex_str(u, n)} {vertex_str(v, n)} {c}" for u, v, c in g.edges()]
     return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str, *, strict_vertices: bool = False) -> ColoredCubeGraph:
+    """The host a text describes, its records streamed into the constructor.
+
+    Edge lines are checked and turned into (u, v, color) as the constructor
+    reads them, so neither the text's lines nor its edges are ever held in
+    a list; every error is reported as if the whole text were read first.
+    """
     declared: set[int] = set()
-    edges: list[tuple[int, int, int]] = []
+    # each vertex text seen in this parse, checked once: a vertex of Q_N
+    # appears on up to N edge lines
+    seen: dict[str, int] = {}
 
     def cube(n_text: str) -> int:
         dimension = int(n_text)
@@ -613,21 +634,32 @@ def parse_graph(text: str, *, strict_vertices: bool = False) -> ColoredCubeGraph
         return dimension
 
     def vertex(dimension: int, v_text: str) -> None:
-        declared.add(parse_vertex(v_text, dimension))
+        v = seen.get(v_text)
+        if v is None:
+            v = seen[v_text] = parse_vertex(v_text, dimension)
+        declared.add(v)
 
-    def edge(dimension: int, u_text: str, v_text: str, c_text: str) -> None:
-        u = parse_vertex(u_text, dimension)
-        v = parse_vertex(v_text, dimension)
+    def edge(dimension: int, u_text: str, v_text: str, c_text: str) -> tuple[int, int, int]:
+        u = seen.get(u_text)
+        if u is None:
+            u = seen[u_text] = parse_vertex(u_text, dimension)
+        v = seen.get(v_text)
+        if v is None:
+            v = seen[v_text] = parse_vertex(v_text, dimension)
         c = int(c_text)
         if c < 0:
             raise FormatError("color must be nonnegative")
-        edge_coordinate(u, v)  # reject malformed pairs
+        x = u ^ v
+        if x == 0 or x & (x - 1):
+            edge_coordinate(u, v)  # raises, naming the bit count
         if strict_vertices and not (u in declared and v in declared):
             raise FormatError("edge uses undeclared vertex under strict-vertices")
-        edges.append((u, v, c))
+        return u, v, c
 
-    dimension = read_records(text, "cube", {"cube": (1, cube), "vertex": (1, vertex), "edge": (3, edge)})
+    stream = iter_records(text, "cube", {"cube": (1, cube), "vertex": (1, vertex), "edge": (3, edge)})
+    dimension = next(stream)
     try:
-        return ColoredCubeGraph(dimension, edges, declared)
+        # the constructor reads `declared` after the last edge line
+        return ColoredCubeGraph(dimension, stream, declared)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

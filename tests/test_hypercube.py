@@ -23,7 +23,7 @@ from rainbowcube.errors import (
     VertexNotInGraph,
 )
 from rainbowcube.gen import greedy_proper, refined_cayley, subgraph_min_degree
-from rainbowcube.hypercube import canonical_edge, cube_edges, parse_vertex
+from rainbowcube.hypercube import canonical_edge, cube_edges, parse_vertex, vertex_str
 from rainbowcube.prng import SplitMix64
 
 
@@ -292,6 +292,28 @@ class TestFlatStoreModel:
             ColoredCubeGraph(2, [(0, 1, 0), (1, 0, -1)])
         with pytest.raises(ValueError, match=r"^edge \(0, 1\): negative color$"):
             ColoredCubeGraph(2, [(1, 0, -1)])
+
+    def test_check_order(self):
+        # each edge's own checks as it is read, then the first repeat, then
+        # the vertices, read after the edges, then properness
+        clash, repeat, bad = (0, 2, 0), (1, 0, 1), (0, 3, 0)
+        for edges, vertices, message in [
+            ([(0, 1, 0), repeat, bad], [9], r"^edge \(0, 3\): endpoints differ in != 1 bit$"),
+            ([(0, 1, 0), repeat, clash, (2, 0, 5)], [9], r"^duplicate edge \(0, 1\)$"),
+            ([(0, 1, 0), clash], [9], r"^vertex 9 outside \[0, 2\^2\)$"),
+            ([(0, 1, 0), clash], [3], r"^vertex 00: edges to 01 and 10 share color 0$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ColoredCubeGraph(2, iter(edges), iter(vertices))
+
+    def test_vertices_read_after_the_edges(self):
+        declared = []
+
+        def edges():
+            declared.append(3)
+            yield 0, 1, 0
+
+        assert ColoredCubeGraph(2, edges(), declared).vertices == {0, 1, 3}
 
     def test_isolated_declared_vertices(self):
         g = ColoredCubeGraph(3, [(0, 1, 0)], vertices=[0, 6])
@@ -607,6 +629,11 @@ class TestGraphFormat:
         ok = "cube 2\nvertex 00\nvertex 01\nedge 00 01 0\n"
         assert parse_graph(ok, strict_vertices=True).n_edges() == 1
 
+    def test_vertex_line_after_the_edges_counts(self):
+        g = parse_graph("cube 2\nedge 00 01 0\nvertex 11\n")
+        assert g.vertices == {0, 1, 3}
+        assert g.delta() == 0
+
     def test_rejects_malformed(self):
         for text in [
             "edge 00 01 0\n",          # no header
@@ -618,3 +645,137 @@ class TestGraphFormat:
         ]:
             with pytest.raises(FormatError):
                 parse_graph(text)
+
+
+def two_phase_parse(text, strict_vertices=False):
+    """The reference host parser: every line of ``text.splitlines()`` read
+    and every edge kept in a list, then the constructor, so every numbered
+    format error comes before any error the constructor finds."""
+    dimension, declared, edges = None, set(), []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *fields = line.split()
+        try:
+            if kind not in ("cube", "vertex", "edge"):
+                raise FormatError(f"unknown record {kind!r}")
+            if kind == "cube":
+                if dimension is not None:
+                    raise FormatError("duplicate cube header")
+                if len(fields) != 1:
+                    raise FormatError("cube header needs one field")
+                n = int(fields[0])
+                if n < 1:
+                    raise FormatError("dimension must be >= 1")
+                if n > 16:
+                    raise FormatError("dimension must be <= 16 for an explicit host")
+                dimension = n
+                continue
+            if dimension is None:
+                raise FormatError(f"{kind} before cube header")
+            if len(fields) != (1 if kind == "vertex" else 3):
+                raise FormatError(f"{kind} needs {'one field' if kind == 'vertex' else 'three fields'}")
+            if kind == "vertex":
+                declared.add(parse_vertex(fields[0], dimension))
+                continue
+            u, v = parse_vertex(fields[0], dimension), parse_vertex(fields[1], dimension)
+            c = int(fields[2])
+            if c < 0:
+                raise FormatError("color must be nonnegative")
+            edge_coordinate(u, v)
+            if strict_vertices and not (u in declared and v in declared):
+                raise FormatError("edge uses undeclared vertex under strict-vertices")
+            edges.append((u, v, c))
+        except (FormatError, ValueError, DifferingBitCount) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+    if dimension is None:
+        raise FormatError("missing cube header")
+    try:
+        return ColoredCubeGraph(dimension, edges, declared)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def mutated_host_texts(count):
+    """(seed, text): small host texts, some declaring every vertex, each
+    with one to four seeded mutations: a line duplicated, dropped or swapped,
+    a bad or other vertex, a negative or clashing color, an unknown record,
+    comments and blank lines, or a vertex line after the edges."""
+    for seed in range(count):
+        rng = SplitMix64(seed)
+        n = 2 + rng.randrange(3)
+        g = [
+            lambda: refined_cayley(n, seed, 2),
+            lambda: greedy_proper(n, seed),
+            lambda: subgraph_min_degree(n, n - 1, seed),
+        ][seed % 3]()
+        lines = format_graph(g).splitlines()
+        if rng.randrange(2):
+            lines[1:1] = [f"vertex {vertex_str(v, n)}" for v in sorted(g.vertices) if g.degree(v)]
+        for _ in range(1 + rng.randrange(4)):
+            k = rng.randrange(len(lines))
+            kind = rng.randrange(9)
+            fields = lines[k].split()
+            # a well-formed vertex or edge line, whose fields a mutation may change
+            record = len(fields) == {"vertex": 2, "edge": 4}.get(fields[0] if fields else "")
+            if kind == 0:
+                lines.insert(rng.randrange(len(lines) + 1), lines[k])
+            elif kind == 1 and len(lines) > 1:
+                del lines[k]
+            elif kind == 2:
+                j = rng.randrange(len(lines))
+                lines[j], lines[k] = lines[k], lines[j]
+            elif kind == 3 and record:
+                bad = ["0" * (n + 1), "0" * (n - 1) + "2", "1", vertex_str(rng.randrange(1 << n), n)][rng.randrange(4)]
+                fields[1 + rng.randrange(len(fields) - 1 if fields[0] == "edge" else 1)] = bad
+                lines[k] = " ".join(fields)
+            elif kind in (4, 5) and record and fields[0] == "edge":
+                # a negative color, or one that may clash at an endpoint
+                fields[3] = str(-1 - rng.randrange(3) if kind == 4 else rng.randrange(2 * n))
+                lines[k] = " ".join(fields)
+            elif kind == 6:
+                lines.insert(k, ["bogus", "edges 1", "cube", "vertex"][rng.randrange(4)])
+            elif kind == 7:
+                lines.insert(k, ["", "# a comment", "   ", "\t# edge 00 01 0"][rng.randrange(4)])
+                lines[-1] += "  # trailing"
+            else:
+                lines.append(f"vertex {vertex_str(rng.randrange(1 << n), n)}")
+        yield seed, "\n".join(lines) + "\n"
+
+
+MUTATED_HOST_TEXTS = list(mutated_host_texts(200))
+
+
+def parse_outcome(parse, text, strict):
+    try:
+        g = parse(text, strict_vertices=strict)
+    except Exception as exc:  # the outcome compared is the exception
+        return type(exc), str(exc)
+    return g.dimension, list(g.edges()), g.vertices
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_streamed_parse_matches_the_two_phase_reference(strict):
+    outcomes = set()
+    for seed, text in MUTATED_HOST_TEXTS:
+        expected = parse_outcome(two_phase_parse, text, strict)
+        assert parse_outcome(parse_graph, text, strict) == expected, (seed, text)
+        outcomes.add(expected[1] if expected[0] is FormatError else "host")
+    # the corpus reaches hosts, numbered format errors and constructor errors
+    assert "host" in outcomes
+    assert any(o.startswith("line ") for o in outcomes if o != "host")
+    assert any(o.startswith("duplicate edge") for o in outcomes)
+    assert any("share color" in o for o in outcomes)
+
+
+def test_parse_peak_stays_near_the_host_it_keeps():
+    text = format_graph(refined_cayley(12, 5, 2))
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges() == 12 << 11
+    assert peak < 3 * kept, (peak, kept)

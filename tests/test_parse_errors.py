@@ -6,6 +6,7 @@ pin what each of them reports, line numbers included.
 
 import pytest
 
+from rainbowcube import records
 from rainbowcube.embed import parse_embedding
 from rainbowcube.errors import CycleDetected, DisconnectedInput, FormatError, IndexOutOfRange
 from rainbowcube.hypercube import parse_graph
@@ -43,6 +44,10 @@ GRAPH_CASES = [
     # found when the host is built, after the last line: no line number
     ("cube 2\nedge 00 01 0\nedge 01 00 1\n", "duplicate edge (0, 1)"),
     ("cube 2\nedge 00 01 0\nedge 00 10 0\n", "vertex 00: edges to 01 and 10 share color 0"),
+    # every numbered error comes first, whatever the host already holds
+    ("cube 2\nedge 00 01 0\nedge 01 00 1\nbogus\n", "line 4: unknown record 'bogus'"),
+    ("cube 2\nedge 00 01 0\nedge 01 00 -1\n", "line 3: color must be nonnegative"),
+    ("cube 2\nedge 00 01 0\nedge 00 10 0\nedge 00 01 0\n", "duplicate edge (0, 1)"),
 ]
 
 STRICT_GRAPH_CASES = [
@@ -139,3 +144,54 @@ def test_embedding_skips_edge_and_trace_lines_anywhere():
         "map 1 01\n"
     )
     assert parse_embedding(text) == ({0: 0, 1: 1}, 1, 2)
+
+
+# every line boundary of str.splitlines, "\r\n" counting as one
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+READERS = [
+    # reader, its header, a line it reads past
+    (parse_graph, "cube 2", "edge 00 01 0"),
+    (parse_tree, "tree 2", "# parents 0"),
+    (parse_embedding, "embedding 1 2", "trace x"),
+]
+
+
+def mixed_text(header, good, seed):
+    """(text, the number of the `bogus` line): the header, records and blank
+    lines joined by every kind of line end in turn, the last line unended
+    or not, with `bogus` placed by the seed."""
+    parts = [header] + [good if i % 3 else "" for i in range(1, 2 * len(LINE_ENDS))]
+    parts.insert(1 + seed % (len(parts) - 1), "bogus  # the bad record")
+    text = "".join(p + LINE_ENDS[(i + seed) % len(LINE_ENDS)] for i, p in enumerate(parts))
+    if seed % 2:
+        text = text[: -len(LINE_ENDS[(len(parts) - 1 + seed) % len(LINE_ENDS)])]
+    return text, text.splitlines().index("bogus  # the bad record") + 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 64, records._BLOCK])
+def test_block_reading_numbers_lines_as_splitlines(monkeypatch, block):
+    # a small block makes records straddle block ends, "\r\n" split between
+    # two blocks included
+    monkeypatch.setattr(records, "_BLOCK", block)
+    for seed in range(2 * len(LINE_ENDS)):
+        for read, header, good in READERS:
+            text, lineno = mixed_text(header, good, seed)
+            assert list(records._lines(text)) == text.splitlines()
+            with pytest.raises(FormatError) as info:
+                read(text)
+            assert str(info.value) == f"line {lineno}: unknown record 'bogus'", (seed, text)
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+def test_line_end_at_the_default_block_end(end):
+    # the padding line ends `offset` characters past the first block's end,
+    # so its line end lies before, on or after that end, and a "\r\n" is
+    # split across it once
+    for offset in range(-2, 3):
+        for read, header, good in READERS:
+            pad = "#" * (records._BLOCK - len(header) - len(end) + offset)
+            text = f"{header}{end}{pad}{end}{good}{end}bogus{end}"
+            lineno = text.splitlines().index("bogus") + 1
+            with pytest.raises(FormatError, match=f"^line {lineno}: unknown record 'bogus'$"):
+                read(text)
