@@ -49,7 +49,6 @@ from .hypercube import (
     candidate_edges,
     edge_coordinate,
     parse_vertex,
-    reads_color_index,
     vertex_str,
 )
 from .prng import SplitMix64
@@ -83,6 +82,8 @@ class ExtensionRequest:
     `witnesses` are already-mapped tree edges at `source` whose images have
     pairwise distinct colors inside x_col and pairwise distinct coordinates
     inside x_coor; each one offsets a forbidden class in the degree count.
+    The count reads x_col and x_coor alone, but the step takes no color
+    already mapped either, inside x_col or not: the embedding is rainbow.
     """
 
     source: int
@@ -113,9 +114,8 @@ class PartialEmbedding:
     them in id order for the whole tree), `used_colors` the colors of its
     mapped edges, and `_edges`/`_coords` those edges and their coordinates.
     `all_colors`, the colors of every mapped edge, never gains a duplicate,
-    so the mapped part stays rainbow at all times.  On a host whose
-    candidate query reads it, `sorted_colors` lists them in increasing
-    order (else it is None); both are shared by every frame.  A caller
+    so the mapped part stays rainbow at all times, and `sorted_colors`
+    lists them in increasing order; both are shared by every frame.  A caller
     starts from an empty map, sets the root's image in `image` and adds
     vertices with `premap`.  Confined to a single embedding run.
     """
@@ -132,25 +132,18 @@ class PartialEmbedding:
     trace: list[TraceEntry] = field(init=False, default_factory=list)
     vertices: Sequence[int] = field(init=False)
     all_colors: set[int] = field(init=False)
-    sorted_colors: list[int] | None = field(init=False)
+    sorted_colors: list[int] = field(init=False)
     is_frame: bool = field(init=False, default=False)
     _edges: set[int] = field(init=False, repr=False)
     _coords: set[int] = field(init=False, repr=False)
     # the last witness list this frame checked (see _check_witnesses)
     _checked: tuple | None = field(init=False, default=None, repr=False)
-    # the x_col that _extend last built, and whether there is a color index
-    # and the view bans only mapped colors, none of this frame's own (see
-    # _color_index)
-    _x_col: frozenset[int] | None = field(init=False, default=None, repr=False)
-    _bans_mapped: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = range(self.tree.n)
         self.all_colors = self.used_colors
+        self.sorted_colors = []
         self._edges, self._coords = set(), set()
-        self.sorted_colors = [] if reads_color_index(self.graph) else None
-        # nothing is mapped yet, and a color the view bans never will be
-        self._bans_mapped = self.sorted_colors is not None and not _bans(self.graph)[0]
 
     @property
     def root(self) -> int:
@@ -164,9 +157,6 @@ class PartialEmbedding:
 
     def coords_of(self, edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.coord_of[e] for e in edges)
-
-    def colors_of(self, edges: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.color_of[e] for e in edges)
 
     def premap(self, child: int, y: int):
         """Map `child` to `y` by hand, its parent already mapped: the edge
@@ -196,8 +186,7 @@ class PartialEmbedding:
         self.coord_of[child] = coord
         self.used_colors.add(color)
         self.all_colors.add(color)
-        if self.sorted_colors is not None:
-            insort(self.sorted_colors, color)
+        insort(self.sorted_colors, color)
         self._edges.add(child)
         self._coords.add(coord)
 
@@ -208,8 +197,10 @@ class PartialEmbedding:
         if len(set(colors)) != len(colors) or len(set(coords)) != len(coords):
             raise PreconditionViolated(f"{context}: mapped edges are not doubly distinct")
 
-    def lift(self, vertices: Sequence[int], view) -> "PartialEmbedding":
-        """Open a frame on `vertices` over `view`, a view of this frame's host.
+    def lift(self, vertices: Sequence[int], banned_coords: Iterable[int] = ()) -> "PartialEmbedding":
+        """Open a frame on `vertices`, in this frame's view further
+        restricted by the colors this frame has used outside `vertices` and
+        by `banned_coords`.
 
         `vertices` lists the frame's subroot first and is parent-closed
         below it.  The frame writes into this embedding's maps and trace;
@@ -218,22 +209,21 @@ class PartialEmbedding:
         that is checked here because a banned pre-mapped edge means a
         bookkeeping error upstream.
         """
-        if _base(view) is not _base(self.graph):
-            raise PreconditionViolated("a frame's view must be over the embedding's host")
         color_of, coord_of = self.color_of, self.coord_of
         premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
-        banned_colors, banned_coords = _bans(view)
+        own = {color_of[w] for w in premapped}
+        # nothing new to ban leaves this frame's view itself
+        view = self.graph.restrict(self.used_colors - own, banned_coords)
+        banned_colors, banned = _bans(view)
         for w in premapped:
-            if color_of[w] in banned_colors or coord_of[w] in banned_coords:
+            if color_of[w] in banned_colors or coord_of[w] in banned:
                 raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
         sub = PartialEmbedding(self.tree, view, self.rng)
         sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, color_of, coord_of, self.trace
-        sub.used_colors = {color_of[w] for w in premapped}
+        sub.used_colors = own
         sub.vertices, sub.all_colors, sub.is_frame = vertices, self.all_colors, True
         sub.sorted_colors = self.sorted_colors
         sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
-        # the check above keeps the frame's colors out of the view's bans
-        sub._bans_mapped = sub.sorted_colors is not None and banned_colors <= self.all_colors
         return sub
 
     def adopt(self, sub: "PartialEmbedding"):
@@ -246,16 +236,9 @@ class PartialEmbedding:
         that is already mapped; and `record` refused any color used in any
         frame.
         """
-        if self._bans_mapped and not sub.used_colors.isdisjoint(_bans(self.graph)[0]):
-            self._bans_mapped = False
         self.used_colors |= sub.used_colors
         self._edges |= sub._edges
         self._coords |= sub._coords
-
-
-def _base(g):
-    """The host under a view, or the host itself."""
-    return g.base if isinstance(g, GraphView) else g
 
 
 def _bans(view) -> tuple[frozenset[int], frozenset[int]]:
@@ -271,7 +254,7 @@ def _bans(view) -> tuple[frozenset[int], frozenset[int]]:
     from H (a view's edge_color is its host's).  (3) A view over H keeps
     exactly the edges of H whose color and coordinate it does not ban
     (GraphView.has_edge), and H itself bans nothing.  Every frame is over
-    H, since `lift` refuses a view over another host, and no mapped edge is
+    H, since `lift` restricts its opener's view, and no mapped edge is
     rewritten, since `record`'s callers refuse a mapped child.  So the two
     set tests equal `view.has_edge`.
     """
@@ -321,7 +304,15 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
             f" - r={r} >= delta={pe.graph.delta()}"
         )
 
-    cands = candidate_edges(pe.graph, pe.image[v], req.x_col, req.x_coor, _color_index(pe, req))
+    # the step bans every mapped color, which changes no step of the engine:
+    # there x_col and the view's bans already hold every mapped color.
+    # `_extend` makes x_col the frame's `used_colors`, which for the whole
+    # tree are all of them; a frame that `lift` opens bans the colors its
+    # opener used outside it and starts from the colors mapped inside it, so
+    # by induction the two cover every mapped color when a frame opens; a
+    # step adds its color to `used_colors`, and `adopt` hands a closed
+    # frame's colors to its opener before the opener's next step
+    cands = candidate_edges(pe.graph, pe.image[v], req.x_col, req.x_coor, pe.sorted_colors)
     if not cands:
         raise NoCandidate(f"step {req.label}: counting bound held but no edge was admissible")
     coord, y, color = cands[0] if pe.rng is None else cands[pe.rng.randrange(len(cands))]
@@ -382,55 +373,12 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
     pe._checked = (req, view, seen_colors, seen_coords)
 
 
-def _color_index(pe: PartialEmbedding, req: ExtensionRequest) -> list[int] | None:
-    """`pe.sorted_colors` when it lists exactly the colors a step bans, x_col
-    with the view's banned colors; else None, and the candidate query
-    takes their union.
-
-    The lever: for every request of the engine, x_col and the view's banned
-    colors are disjoint and their union is `all_colors`.  `_extend` builds
-    x_col as the frame's `used_colors`.  The whole tree's frame is over the
-    host, which bans nothing unless it is itself a view, and its
-    `used_colors` is `all_colors`.  A frame that `lift_child` opens bans
-    every color its opener has used outside the new frame, on top of the
-    opener's bans; the new frame's `used_colors` are the colors used inside
-    it.  The two spider frames
-    split their opener's colors the same way: leg one's frame bans the
-    other legs' half colors, the remaining legs' frame bans leg one's.  So,
-    by induction from the whole tree, a frame's colors and its view's
-    banned colors part `all_colors` when it opens.  A step then records a
-    color new to `all_colors` into the frame's `used_colors`, and `adopt`
-    hands a closed frame's colors to its opener before the opener's next
-    step, so the parting holds at every step.
-
-    The test, O(1), decides exactly, whoever built the request or the
-    frame, from three facts.  (1) Every color in `used_colors` is in
-    `all_colors`: `record` adds to both, `lift` and `adopt` take colors of
-    mapped edges.  (2) If x_col is the frame's `_x_col`, it is a copy of
-    `used_colors`, which never loses a color, so x_col lies inside it.
-    (3) `_bans_mapped` holds only where there is an index, and while it
-    holds, the view bans only colors in `all_colors` and none in
-    `used_colors`.  `__post_init__` and `lift` check both (`lift` the
-    second by refusing a banned pre-mapped edge), the first for good, since
-    `all_colors` only grows; a step records a color the view allows (a
-    candidate of the view or, in this path, one outside `all_colors`;
-    `premap` asks the view); and `adopt` clears the flag when a closed
-    frame brings a banned color.  Hence
-    |x_col| + |banned| <= |used_colors| + |banned| <= |all_colors|, and
-    equality of the ends forces x_col = `used_colors` and the parting.
-    """
-    if (pe._bans_mapped and req.x_col is pe._x_col
-            and len(req.x_col) + len(_bans(pe.graph)[0]) == len(pe.all_colors)):
-        return pe.sorted_colors
-    return None
-
-
 def _extend(pe: PartialEmbedding, target: int, x_coor: frozenset[int], label: str,
             witnesses: tuple[int, ...] = ()) -> PartialEmbedding:
     """extend_one from `target`'s parent, dodging `x_coor` and, as every step
     of every stage does, each color the frame has used."""
-    pe._x_col = x_col = frozenset(pe.used_colors)
-    request = ExtensionRequest(pe.tree.parent[target], target, x_col, x_coor, witnesses, label)
+    request = ExtensionRequest(pe.tree.parent[target], target, frozenset(pe.used_colors), x_coor,
+                               witnesses, label)
     return extend_one(pe, request)
 
 
@@ -623,23 +571,23 @@ def _spider_frame(pe: PartialEmbedding, legs: Sequence[tuple[int, ...]] | None =
             witnesses = ()
         _extend(pe, e1, pe.used_coords(), "spider0", witnesses)
 
-    # step 1: finish leg one as a path, shielded from the other legs' halves
+    # step 1: finish leg one as a path, shielded from the other legs' halves,
+    # whose colors are the ones this frame has used outside leg one
     rest_half_edges = [leg[i] for leg in rest for i in range(1, (len(leg) - 1) // 2 + 1)]
-    view1 = g.restrict(pe.colors_of(rest_half_edges), pe.coords_of(rest_half_edges))
+    sub = pe.lift(leg1, pe.coords_of(rest_half_edges))
     leg1_len = len(leg1) - 1
-    if not view1.delta_at_least(leg1_len):
+    if not sub.graph.delta_at_least(leg1_len):
         raise PreconditionViolated(
-            f"leg-one view delta={view1.delta()} < leg length {leg1_len}"
+            f"leg-one view delta={sub.graph.delta()} < leg length {leg1_len}"
         )
-    sub = pe.lift(leg1, view1)
     extend_path(sub)
     pe.adopt(sub)
 
-    # step 2: recurse on the remaining legs, shielded from leg one's colors;
-    # their frame checks view2's degree against their edge count first
+    # step 2: recurse on the remaining legs, shielded from leg one's colors,
+    # the ones this frame has used outside them; their frame checks its
+    # view's degree against their edge count first
     if rest:
-        view2 = g.restrict(pe.colors_of(leg1[1:]), ())
-        sub = pe.lift(leg1[:1] + tuple(v for leg in rest for v in leg[1:]), view2)
+        sub = pe.lift(leg1[:1] + tuple(v for leg in rest for v in leg[1:]))
         yield _spider_frame(sub, rest)
         pe.adopt(sub)
 
@@ -769,20 +717,15 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         if len({pe.coord_of[e] for e in branch}) != len(branch):
             raise PreconditionViolated("branch anchor set repeats a coordinate")
 
-    def lift_child(v: int, banned_coords) -> PartialEmbedding:
-        # a frame on v's subtree in the view that bans every color used
-        # outside it, plus `banned_coords`.  Its degree is not checked here:
-        # before it maps an edge, the frame (_tree_frame or _spider_frame)
-        # checks delta_at_least(e_total) on this same view, and e_total is
-        # the subtree's edge count
-        sub_vertices = order[pos[v] : end[v]]
-        own = pe.colors_of(filter(pe.coord_of.__contains__, sub_vertices[1:]))
-        view = g.restrict(frozenset(pe.used_colors) - own, banned_coords)
-        return pe.lift(sub_vertices, view)
+    # steps 6 to 8 open a frame on a child's subtree, whose view `lift` makes
+    # ban every color used outside it.  Its degree is not checked here:
+    # before it maps an edge, the frame (_tree_frame or _spider_frame)
+    # checks delta_at_least(e_total) on that view, and e_total is the
+    # subtree's edge count
 
     # step 6: finish the spiders
     for sc in cls.spiders:
-        sub = lift_child(sc.vertex, ())
+        sub = pe.lift(order[pos[sc.vertex] : end[sc.vertex]])
         yield _spider_frame(sub)
         pe.adopt(sub)
 
@@ -800,7 +743,7 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         elif sub_ceil != sub_floor:
             # deficiency >= 2: also shield the later anchors' coordinates
             later_coords = pe.coords_of(chain([v], *(b_sets[v2] for v2 in cls.rest[j:])))
-        sub = lift_child(v, later_coords)
+        sub = pe.lift(order[pos[v] : end[v]], later_coords)
         yield _spider_frame(sub) if lone_odd_leg else _tree_frame(sub, root_img)
         pe.adopt(sub)
 

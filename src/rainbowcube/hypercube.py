@@ -346,28 +346,25 @@ class FreeCoordinates(Sequence):
 
     The bans come in two parts.  `banned` is a sorted sequence, read in
     place and never copied, so it must not change while the sequence is in
-    use.  `more` holds further sets of bans, read by membership alone, and
-    `banned_sets` holds sets whose union is the set of `banned`, so that
-    the bans only `more` makes can be told apart when a count needs them.
+    use.  `more` holds further sets of bans, read by membership alone.
 
     Truth and the first record make no pass over any ban: they cost
     O(log |banned|) for the record and for each coordinate below it that
     only `more` bans.  `len` and any other ``[i]`` first list those
-    coordinates, in one pass over `more`; then `len` costs O(1) and ``[i]``
-    O(log |banned|) times one plus the listed coordinates below the record.
+    coordinates, in one pass over `more` and `banned`; then `len` costs
+    O(1) and ``[i]`` O(log |banned|) times one plus the listed coordinates
+    below the record.
     None of these costs O(m).  Iteration gives the records in order, and the
     sequence compares equal to the list of them.
     """
 
-    __slots__ = ("_x", "_m", "_banned", "_lo", "_hi", "_more", "_banned_sets", "_extra", "_q0")
+    __slots__ = ("_x", "_m", "_banned", "_lo", "_hi", "_more", "_extra", "_q0")
 
-    def __init__(self, x: int, m: int, banned: Sequence[int],
-                 more: tuple[Collection[int], ...] = (),
-                 banned_sets: tuple[Collection[int], ...] = ()):
+    def __init__(self, x: int, m: int, banned: Sequence[int], more: tuple[Collection[int], ...] = ()):
         self._x, self._m, self._banned = x, m, banned
         # the bans that name a coordinate are banned[lo:hi]
         self._lo, self._hi = bisect_left(banned, 0), bisect_left(banned, m)
-        self._more, self._banned_sets = more, banned_sets
+        self._more = more
         self._extra: list[int] | None = None if more else []
         self._q0: int | None = None
 
@@ -407,7 +404,7 @@ class FreeCoordinates(Sequence):
         """The coordinates in [0, m) that `more` bans and `banned` does not, in order."""
         if self._extra is None:
             m = self._m
-            extra = set().union(*self._more).difference(*self._banned_sets)
+            extra = set().union(*self._more).difference(self._banned)
             self._extra = sorted(q for q in extra if 0 <= q < m)
         return self._extra
 
@@ -557,9 +554,10 @@ def candidate_edges(
     x: int,
     forbidden_colors: Iterable[int] = (),
     forbidden_coords: Iterable[int] = (),
-    sorted_colors: Sequence[int] | None = None,
+    mapped: Sequence[int] = (),
 ) -> Sequence[Incidence]:
-    """Incident edges at x avoiding the forbidden colors and coordinates.
+    """Incident edges at x avoiding the forbidden colors and coordinates,
+    the view's bans and the colors in `mapped`.
 
     Deterministic order: by coordinate (at a fixed vertex the coordinate
     determines the neighbor, so this is also lexicographic-by-neighbor
@@ -567,31 +565,22 @@ def candidate_edges(
     explicit host, and on the implicit cube a lazy :class:`FreeCoordinates`,
     whose length and items cost what the bans cost, not the cube's width.
 
-    `sorted_colors`, when given, must list in increasing order exactly the
-    colors the query bans: the forbidden colors together with those the
-    view bans; the caller vouches for that.  The implicit cube, whose
-    colors are coordinates, then reads that list in place, so its first or
-    i-th free coordinate comes from a binary search in it plus membership
-    tests of the coordinate bans, with no union or sort of the bans.  An
-    explicit host has no use for it (:func:`reads_color_index`).
+    `mapped` lists in increasing order the colors that a rainbow step may
+    not take again: those of the edges already mapped.  The implicit cube,
+    whose colors are coordinates, reads that list in place, so its first
+    candidate comes from a binary search in it plus membership tests of the
+    other bans, with no union or sort of the bans.  Without `mapped` it
+    takes the union of the bans, sorted once.  An explicit host adds
+    `mapped` to the union of banned colors that it takes anyway.
     """
     colors, coords = frozenset(forbidden_colors), frozenset(forbidden_coords)
-    if sorted_colors is None or not reads_color_index(g):
-        return g.admissible(x, colors, coords)
-    if isinstance(g, GraphView):
-        base, view_colors, view_coords = g.base, g.banned_colors, g.banned_coords
-    else:
-        base, view_colors, view_coords = g, (), ()
+    base = g.base if isinstance(g, GraphView) else g
+    if not mapped or not isinstance(base, VirtualCayleyCube):
+        return g.admissible(x, colors.union(mapped) if mapped else colors, coords)
     if not base.has_vertex(x):
         raise VertexNotInGraph(f"vertex {x} not in graph")
-    return FreeCoordinates(x, base.dimension, sorted_colors,
-                           (coords, view_coords), (colors, view_colors))
-
-
-def reads_color_index(g) -> bool:
-    """Whether :func:`candidate_edges` on `g` reads a `sorted_colors` index:
-    on the implicit cube and its views, whose colors are coordinates."""
-    return isinstance(g.base if isinstance(g, GraphView) else g, VirtualCayleyCube)
+    more = (coords, colors) if base is g else (coords, g.banned_coords, colors, g.banned_colors)
+    return FreeCoordinates(x, base.dimension, mapped, more)
 
 
 # --- text format ----------------------------------------------------------
@@ -606,10 +595,12 @@ def reads_color_index(g) -> bool:
 
 def format_graph(g: ColoredCubeGraph) -> str:
     n = g.dimension
+    # each vertex's text, made once: a vertex of Q_N ends up to N edge lines
+    text = {v: vertex_str(v, n) for v in g.vertices}
     lines = [f"cube {n}"]
     # an isolated vertex is one whose row holds no edge
-    lines += [f"vertex {vertex_str(v, n)}" for v in sorted(g.vertices) if not g.degree(v)]
-    lines += [f"edge {vertex_str(u, n)} {vertex_str(v, n)} {c}" for u, v, c in g.edges()]
+    lines += [f"vertex {text[v]}" for v in sorted(g.vertices) if not g.degree(v)]
+    lines += [f"edge {text[u]} {text[v]} {c}" for u, v, c in g.edges()]
     return "\n".join(lines) + "\n"
 
 

@@ -109,10 +109,6 @@ class RootedTree:
         order, pos, end, _ = self.preorder()
         return order[pos[v] : end[v]]
 
-    def subtree_edge_count(self, v: int) -> int:
-        _, pos, end, _ = self.preorder()
-        return end[v] - pos[v] - 1
-
     def __repr__(self) -> str:
         return f"RootedTree(parents={list(self.parent[1:])})"
 
@@ -210,10 +206,6 @@ class SpiderShape:
     root: int
     legs: tuple[tuple[int, ...], ...]   # each leg runs root -> leaf, inclusive
     leg_lengths: tuple[int, ...]
-
-    @property
-    def is_even(self) -> bool:
-        return all(length % 2 == 0 for length in self.leg_lengths)
 
     @property
     def odd_legs(self) -> int:

@@ -108,7 +108,7 @@ def test_criterion_4_structural_identities():
             failures += 1
         if t.n > 1:
             shape = as_spider(t)
-            if d == 0 and not (shape is not None and shape.is_even):
+            if d == 0 and not (shape is not None and shape.odd_legs == 0):
                 failures += 1
             if d == 1 and not (
                 floor == ceil or (shape is not None and shape.odd_legs == 1)

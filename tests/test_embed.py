@@ -43,7 +43,8 @@ from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph
 from rainbowcube.prng import SplitMix64
 
 from test_golden import comb, deep_corpus, stage_corpus
-from test_hypercube import random_views
+from test_hypercube import host_id, random_views
+from test_sweep import slice_runs
 from test_tree import CLASSIFY_49
 
 
@@ -597,11 +598,10 @@ class TestStrictChecks:
     def test_branch_that_repeats_a_coordinate_is_caught(self, monkeypatch):
         # candidates that ignore the coordinate bans: on a refined host colors
         # are not coordinates, so the tree stays rainbow while the spider
-        # child's anchor set repeats a coordinate (an explicit host takes no
-        # color index, so it is passed through unread)
+        # child's anchor set repeats a coordinate
         original = embed.candidate_edges
         monkeypatch.setattr(embed, "candidate_edges",
-                            lambda g, x, colors, coords, index: original(g, x, colors, (), index))
+                            lambda g, x, colors, coords, mapped: original(g, x, colors, (), mapped))
         with pytest.raises(PreconditionViolated, match="^branch anchor set repeats a coordinate$"):
             embed_rainbow_tree(refined_cayley(6, 0, 2), build_tree([0, 0, 2, 3, 4, 5]))
 
@@ -687,8 +687,10 @@ class TestFrames:
     def test_frame_shares_the_map_and_keeps_its_own_sets(self):
         g = cayley_coloring(4)
         pe = mapped_path(g, 3, 2)
-        sub = pe.lift((1, 2, 3), g.restrict({pe.color_of[1]}, ()))
+        sub = pe.lift((1, 2, 3))
         assert sub.root == 1 and sub.mapped_edges() == {2} and sub.used_coords() == {1}
+        # its view bans the color its opener used outside it
+        assert (sub.graph.banned_colors, sub.graph.banned_coords) == ({pe.color_of[1]}, set())
         extend_one(sub, ExtensionRequest(2, 3, frozenset(sub.used_colors), sub.used_coords()))
         assert pe.image[3] == sub.image[3] and pe.trace[-1][1] == 3
         assert sub.used_colors == {1, 2} and pe.all_colors == {0, 1, 2}
@@ -703,37 +705,58 @@ class TestFrames:
             with pytest.raises(TypeError):
                 PartialEmbedding(path_tree(2), g, **{name: set()})
         pe = mapped_path(g, 2, 1)
-        sub = pe.lift((1, 2), g)
-        assert not pe.is_frame and sub.is_frame and sub.lift((1, 2), g).is_frame
+        sub = pe.lift((1, 2))
+        assert not pe.is_frame and sub.is_frame and sub.lift((1, 2)).is_frame
+        with pytest.raises(TypeError):
+            pe.lift((1, 2), (), g)  # the view is the opener's, never the caller's
+
+    def test_a_frame_restricts_its_openers_view(self):
+        g = cayley_coloring(3)
+        pe = mapped_path(g, 2, 2)
+        # nothing used outside the frame and no coordinate: the opener's view itself
+        assert pe.lift((0, 1, 2)).graph is g
+        frame = pe.lift((1, 2), {2})
+        assert frame.graph.base is g
+        assert (frame.graph.banned_colors, frame.graph.banned_coords) == ({pe.color_of[1]}, {2})
+        assert frame.lift((1, 2)).graph is frame.graph
+        pe.graph = g.restrict({5}, {7})
+        inner = pe.lift((1, 2), {6})
+        assert inner.graph.base is g
+        assert (inner.graph.banned_colors, inner.graph.banned_coords) == ({5, pe.color_of[1]}, {6, 7})
 
     def test_premapped_edge_banned_from_the_view(self):
         g = cayley_coloring(3)
         pe = mapped_path(g, 2, 2)
+        pe.graph = g.restrict({pe.color_of[1]}, ())
         with pytest.raises(PreconditionViolated, match="pre-mapped edge 1 was banned"):
-            pe.lift((0, 1, 2), g.restrict({pe.color_of[1]}, ()))
-        frame = pe.lift((0, 1, 2), g.restrict((), {7}))
-        # a view that narrows the frame's view, and one that does not
-        for view in (frame.graph.restrict((), {pe.coord_of[2]}),
-                     g.restrict((), {pe.coord_of[2]})):
-            with pytest.raises(PreconditionViolated, match="pre-mapped edge 2 was banned"):
-                frame.lift((1, 2), view)
+            pe.lift((0, 1, 2))
+        pe.graph = g
+        frame = pe.lift((0, 1, 2), {7})
+        # a coordinate the frame bans, and one its opener's view bans
+        with pytest.raises(PreconditionViolated, match="pre-mapped edge 2 was banned"):
+            frame.lift((1, 2), {pe.coord_of[2]})
+        frame.graph = frame.graph.restrict((), {pe.coord_of[2]})
+        with pytest.raises(PreconditionViolated, match="pre-mapped edge 2 was banned"):
+            frame.lift((1, 2))
 
     def test_color_reused_across_frames(self):
-        # the frame's own colors are fresh, but record checks every frame's:
-        # leaving vertex 1 by coordinate 0 goes back over edge 1's color
+        # a frame's view bans the colors its opener had used when it opened,
+        # but record checks every frame's: the frame on 3-4 opens before the
+        # frame on 1-2 maps edge 2, then takes the same color by premap
         g = cayley_coloring(3)
-        pe = mapped_path(g, 2, 1)
-        sub = pe.lift((1, 2), g)
-        assert not sub.used_colors
-        with pytest.raises(PreconditionViolated, match="color 0 reused at edge 2"):
-            extend_one(sub, ExtensionRequest(1, 2, frozenset(), frozenset()))
+        pe = premapped(g, build_tree([0, 1, 0, 3]), {0: 0, 1: 0b001, 3: 0b010})
+        left, right = pe.lift((1, 2)), pe.lift((3, 4))
+        extend_one(left, ExtensionRequest(1, 2, frozenset(), frozenset()))
+        assert left.color_of[2] == 2 and 2 not in right.graph.banned_colors
+        with pytest.raises(PreconditionViolated, match="color 2 reused at edge 4"):
+            right.premap(4, 0b110)
 
     def test_a_frame_cannot_remap_a_vertex(self):
         # adopt no longer compares images: the map is shared, and extend_one
         # refuses a target that is already mapped
         g = cayley_coloring(3)
         pe = mapped_path(g, 2, 2)
-        sub = pe.lift((1, 2), g)
+        sub = pe.lift((1, 2))
         with pytest.raises(PreconditionViolated, match="not a frontier edge"):
             extend_one(sub, ExtensionRequest(1, 2, frozenset(), frozenset()))
 
@@ -770,27 +793,27 @@ class TestFrames:
 
 
 def live_as_witness(g, t, leaf, wit, view) -> bool:
-    """Whether extend_one takes `wit` for live in a frame over `view`: the
-    engine's embedding of t with `leaf` unmapped again, then a step that
-    maps `leaf` backed by `wit` alone."""
+    """Whether extend_one takes `wit` for live in an embedding over `view`:
+    the engine's embedding of t with `leaf` unmapped again and its graph
+    set to `view`, then a step that maps `leaf` backed by `wit` alone."""
     pe = embed_rainbow_tree(g, t)
     for mapped in (pe.image, pe.color_of, pe.coord_of):
         del mapped[leaf]
+    pe.graph = view
     v = t.parent[leaf]
-    sub = pe.lift((v, leaf), view)  # `leaf` is unmapped, so lift checks nothing
     req = ExtensionRequest(v, leaf, frozenset({pe.color_of[wit]}),
                            frozenset({pe.coord_of[wit]}), (wit,))
     try:
-        extend_one(sub, req)
+        extend_one(pe, req)
     except RainbowCubeError as exc:
         return "is not live" not in str(exc)
     return True
 
 
-def lifts(pe, vertices, view) -> bool:
-    """Whether `lift` opens a frame on `vertices` over `view`."""
+def lifts(pe, vertices, banned_coords) -> bool:
+    """Whether `lift` opens a frame on `vertices` with `banned_coords`."""
     try:
-        pe.lift(vertices, view)
+        pe.lift(vertices, banned_coords)
     except PreconditionViolated as exc:
         assert "was banned" in str(exc)
         return False
@@ -807,18 +830,23 @@ class TestLiveness:
 
     @pytest.mark.parametrize("g", LIVENESS_HOSTS, ids=lambda g: type(g).__name__)
     def test_lift_decides_as_the_view_does(self, g):
+        # the opener's graph is any view of the host, and `lift` bans a
+        # coordinate on top: a pre-mapped edge survives exactly when that
+        # view without the coordinate has it
         for seed in (None, 3):
             t = random_tree(g.delta(), 40 + g.dimension)
             pe = embed_rainbow_tree(g, t, seed=seed)
             assert pe.mapped_edges() == set(pe.coord_of)
-            frame = pe.lift(range(t.n), g)
+            frame = pe.lift(range(t.n))
             verdicts = set()
             for view in [g, *random_views(g, g.dimension, 10)]:
+                pe.graph = frame.graph = view
                 for w in t.edge_ids():
-                    expected = view.has_edge(pe.image[t.parent[w]], pe.image[w])
-                    assert lifts(pe, (t.parent[w], w), view) == expected
-                    assert lifts(frame, (t.parent[w], w), view) == expected
-                    verdicts.add(expected)
+                    for banned in ((), {(w + pe.coord_of[w]) % g.dimension}):
+                        expected = view.restrict((), banned).has_edge(pe.image[t.parent[w]], pe.image[w])
+                        assert lifts(pe, (t.parent[w], w), banned) == expected
+                        assert lifts(frame, (t.parent[w], w), banned) == expected
+                        verdicts.add(expected)
             assert verdicts == {True, False}
 
     @pytest.mark.parametrize("g", LIVENESS_HOSTS, ids=lambda g: type(g).__name__)
@@ -851,34 +879,6 @@ class TestLiveness:
             pe = embed_rainbow_tree(g, t)
             assert pe.mapped_edges() == set(pe.coord_of)
         assert callers and not {"extend_one", "lift"} & set(callers)
-
-    def test_a_view_of_another_host_is_refused(self):
-        # another host on the same cube may lack a mapped edge or color it
-        # otherwise, so its bans say nothing about the edge; refused even
-        # where the edge is there with the same color
-        g = cayley_coloring(3)
-        pe = mapped_path(g, 2, 2)
-        a, b = pe.image[0], pe.image[1]
-        without = ColoredCubeGraph(3, [(u, v, c) for u, v, c in g.edges() if {u, v} != {a, b}])
-        shifted = ColoredCubeGraph(3, [(u, v, (c + 1) % 3) for u, v, c in g.edges()])
-        frame = pe.lift((0, 1, 2), g.restrict({9}, ()))
-        for opener in (pe, frame):
-            for view in (without, without.restrict({7}, ()), shifted.restrict({pe.color_of[1]}, ()),
-                         cayley_coloring(3), VirtualCayleyCube(3).restrict((), {7})):
-                with pytest.raises(PreconditionViolated, match="view must be over the embedding's host"):
-                    opener.lift((0, 1, 2), view)
-            assert lifts(opener, (0, 1, 2), g.restrict({9}, {9}))
-
-    def test_no_edge_is_drawn_from_another_host(self):
-        # a frame over another host would map edge 2 with that host's color;
-        # it is refused before it holds a pre-mapped edge to check
-        g = cayley_coloring(3)
-        shifted = ColoredCubeGraph(3, [(u, v, (c + 1) % 3) for u, v, c in g.edges()])
-        pe = mapped_path(g, 2, 1)
-        for view in (shifted, shifted.restrict({0}, ())):
-            with pytest.raises(PreconditionViolated, match="view must be over the embedding's host"):
-                pe.lift((1, 2), view)
-        assert pe.mapped_edges() == {1} and len(pe.trace) == 1
 
 
 class TestPremap:
@@ -1073,7 +1073,7 @@ class TestWitnessCache:
 def union_candidates(g, x, colors, coords):
     """The candidates at x by their definition: the host's edges at x whose
     color and coordinate lie outside the union of every ban, by coordinate."""
-    base = embed._base(g)
+    base = g.base if isinstance(g, GraphView) else g
     banned_colors, banned_coords = embed._bans(g)
     colors, coords = set(colors) | banned_colors, set(coords) | banned_coords
     if isinstance(base, VirtualCayleyCube):
@@ -1082,76 +1082,50 @@ def union_candidates(g, x, colors, coords):
 
 
 class TestColorIndex:
-    """extend_one reads the shared sorted color index in place of the
-    union of x_col and the view's banned colors, when it is that union."""
+    """extend_one bans every mapped color, read from the shared sorted
+    `sorted_colors`; on every step of the engine that bans nothing that
+    x_col and the view's banned colors do not already ban."""
 
-    @pytest.mark.parametrize("corpus", [stage_corpus, deep_corpus], ids=["stages", "deep"])
-    def test_every_step_gets_the_union_candidates(self, corpus, monkeypatch):
+    @pytest.mark.parametrize("corpus, kinds", [
+        ("stages", {"VirtualCayleyCube", "ColoredCubeGraph"}),
+        ("deep", {"VirtualCayleyCube"}),
+        ("slice", {"ColoredCubeGraph"}),
+    ], ids=["stages", "deep", "slice"])
+    def test_every_step_gets_the_union_candidates(self, corpus, kinds, monkeypatch):
         original = embed.candidate_edges
-        indexed = set()
+        hosts = set()
 
-        def checked(g, x, colors, coords, index):
-            got = original(g, x, colors, coords, index)
+        def checked(g, x, colors, coords, mapped):
+            got = original(g, x, colors, coords, mapped)
+            # the lever: the mapped colors are banned already
+            assert set(mapped) <= colors | embed._bans(g)[0]
             expected = union_candidates(g, x, colors, coords)
             assert len(got) == len(expected) and list(got) == expected
             assert [got[i] for i in range(len(got))] == expected and bool(got) == bool(expected)
-            indexed.add((type(embed._base(g)).__name__, index is not None))
+            assert list(original(g, x, colors, coords)) == expected
+            hosts.add(type(g.base if isinstance(g, GraphView) else g).__name__)
             return got
 
         monkeypatch.setattr(embed, "candidate_edges", checked)
-        for _, g, t, seed in corpus():
-            embed_rainbow_tree(g, t, seed=seed)
-        # the lever holds at every step of the engine, so every step on the
-        # implicit cube reads the index; an explicit host keeps none
-        assert ("VirtualCayleyCube", True) in indexed
-        assert all(by_index == (host == "VirtualCayleyCube") for host, by_index in indexed)
+        if corpus == "slice":
+            assert all(why is None for _, why in slice_runs())
+        else:
+            for _, g, t, seed in {"stages": stage_corpus, "deep": deep_corpus}[corpus]():
+                embed_rainbow_tree(g, t, seed=seed)
+        assert hosts == kinds
 
-    @staticmethod
-    def path_with_a_root_leaf():
-        """The path 0-1-2-3 plus a root edge 4 in VirtualCayleyCube(8), with
-        1 and 2 mapped, colored 0 and 1."""
-        g = VirtualCayleyCube(8)
-        return g, premapped(g, build_tree([0, 1, 2, 0]), {0: 0, 1: 0b1, 2: 0b11})
-
-    def hand_built(self):
-        # one color mapped, and a request whose x_col is another color
-        g = VirtualCayleyCube(6)
+    @pytest.mark.parametrize("g", [VirtualCayleyCube(6), cayley_coloring(6)], ids=host_id)
+    def test_a_hand_built_request_takes_no_mapped_color(self, g):
+        # x_col names color 5 but not color 0, which edge 1 has: the edge of
+        # color 0 is not offered, so the step takes the next one
         pe = premapped(g, build_tree([0, 0]), {0: 0, 1: 0b1})
-        req = ExtensionRequest(0, 2, frozenset({5}), frozenset())
-        return pe, req.x_col, lambda: extend_one(pe, req), 0
-
-    def unmapped_ban(self):
-        # a frame whose view bans a color nothing has
-        g, pe = self.path_with_a_root_leaf()
-        frame = pe.lift((1, 2, 3), g.restrict({7}, ()))
-        return frame, frozenset(frame.used_colors), lambda: embed._extend(frame, 3, frozenset(), "t"), 0
-
-    def banned_color_adopted(self):
-        # a frame adopts a frame over a wider view that holds a color its own
-        # view bans, then another frame maps color 5
-        g, pe = self.path_with_a_root_leaf()
-        frame = pe.lift((1, 2, 3), g.restrict({0}, ()))
-        frame.adopt(frame.lift((0, 1, 2, 3), g))
-        other = pe.lift((0, 4), g)
-        other.premap(4, 1 << 5)
-        return (frame, frozenset(frame.used_colors),
-                lambda: embed._extend(frame, 3, frozenset({2, 3, 4}), "t"), 5)
-
-    @pytest.mark.parametrize("case", ["hand_built", "unmapped_ban", "banned_color_adopted"])
-    def test_sizes_alone_do_not_decide(self, case):
-        # in each case |x_col| + |banned colors| == |all_colors| although x_col
-        # and the banned colors do not make up all_colors; the union's first
-        # candidate has a mapped color, which `record` refuses, where the
-        # index would have skipped it
-        pe, x_col, step, color = getattr(self, case)()
-        banned = embed._bans(pe.graph)[0]
-        assert len(x_col) + len(banned) == len(pe.all_colors) and x_col | banned != pe.all_colors
-        with pytest.raises(PreconditionViolated, match=f"^color {color} reused"):
-            step()
+        extend_one(pe, ExtensionRequest(0, 2, frozenset({5}), frozenset()))
+        assert (pe.color_of[2], pe.image[2]) == (1, 0b10)
 
     def test_index_follows_every_frame(self):
-        g = VirtualCayleyCube(40)
-        for t in (build_tree([0] * 40), comb(40), random_spider((13, 13, 14)), random_tree(40, 9)):
-            pe = embed_rainbow_tree(g, t, seed=3)
-            assert pe.sorted_colors == sorted(pe.all_colors) == sorted(pe.color_of.values())
-        assert embed_rainbow_tree(cayley_coloring(6), comb(6)).sorted_colors is None
+        for g in (VirtualCayleyCube(40), cayley_coloring(8)):
+            n = g.delta()
+            for t in (build_tree([0] * n), comb(n), random_spider((n // 3, n // 3, n - 2 * (n // 3))),
+                      random_tree(n, 9)):
+                pe = embed_rainbow_tree(g, t, seed=3)
+                assert pe.sorted_colors == sorted(pe.all_colors) == sorted(pe.color_of.values())

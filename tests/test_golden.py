@@ -22,6 +22,8 @@ from rainbowcube import (
 )
 from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph_min_degree
 
+from test_sweep import exact_delta_calls
+
 GOLDEN = "1d3b114a8aa1854dcd7f1de84ee2449b2fb9c500edd49533e7875d4900e978ab"
 GOLDEN_CASES = 144
 SEEDS = (None, 1, 2)
@@ -94,8 +96,11 @@ def test_corpus_reaches_every_stage():
     assert labels >= STAGE_LABELS
 
 
-def test_golden_digest():
+def test_golden_digest(monkeypatch):
+    calls = exact_delta_calls(monkeypatch)
     assert corpus_digest() == (GOLDEN, GOLDEN_CASES)
+    # the paper's bound alone decides every degree check of the engine
+    assert calls == []
 
 
 # The deep corpus: 200-edge trees in Q_200, deep enough for the extension to
@@ -120,8 +125,10 @@ def deep_corpus():
             yield f"deep {name} seed={seed}", g, t, seed
 
 
-def test_deep_digest():
+def test_deep_digest(monkeypatch):
+    calls = exact_delta_calls(monkeypatch)
     assert corpus_digest(deep_corpus()) == (DEEP, DEEP_CASES)
+    assert calls == []
 
 
 # The stage corpus: every tree with at most 8 edges (486 of them) on four
@@ -147,7 +154,9 @@ def stage_corpus():
                 yield f"stages {name} tree={i} seed={seed}", g, t, seed
 
 
-def test_stage_corpus():
+def test_stage_corpus(monkeypatch):
+    calls = exact_delta_calls(monkeypatch)
     labels = set()
     assert corpus_digest(stage_corpus(), labels=labels) == (STAGES, STAGES_CASES)
     assert labels == STAGE_LABELS
+    assert calls == []

@@ -512,6 +512,10 @@ class TestAdmissibleScan:
                 expected = filtered_incident(g, view, x, fc, fx)
                 assert candidate_edges(view, x, fc, fx) == expected
                 assert list(view.incident(x)) == filtered_incident(g, view, x, (), ())
+                # mapped colors are banned on top of every other ban
+                mapped, _ = random_bans(rng, g.dimension + 3, g.dimension // 2)
+                assert (candidate_edges(view, x, fc, fx, sorted(mapped))
+                        == filtered_incident(g, view, x, fc | mapped, fx))
 
     def test_virtual_scan_builds_no_incident_tuple(self, monkeypatch):
         g = VirtualCayleyCube(30)
@@ -549,23 +553,30 @@ class TestLazyCandidates:
     @pytest.mark.parametrize("m", [1, 2, 9, 40])
     def test_every_operation_agrees_with_the_filter(self, m):
         g = VirtualCayleyCube(m)
+        rng = SplitMix64(m + 1)
         for view, x, fc, fx in self.cases(m):
             expected = filtered_incident(g, view, x, fc, fx)
-            # the third reads the banned colors from a sorted list, and the
-            # banned coordinates by membership alone
-            for got in (candidate_edges(view, x, fc, fx),
-                        candidate_edges(view.base, x, fc | view.banned_colors,
-                                        fx | view.banned_coords),
-                        candidate_edges(view, x, fc, fx, sorted(fc | view.banned_colors))):
-                n = len(expected)
-                assert len(got) == n and bool(got) == bool(expected)
-                assert [got[i] for i in range(n)] == expected
-                assert [got[i] for i in range(-n, 0)] == expected
+            # the third and fourth read mapped colors from a sorted list, and
+            # the other bans by membership alone: colors that x_col and the
+            # view ban, as in the engine, and colors some of which nothing
+            # else bans, whose records drop out
+            mapped, _ = random_bans(rng, m + 3, m // 2 + 1)
+            for got, want in (
+                (candidate_edges(view, x, fc, fx), expected),
+                (candidate_edges(view.base, x, fc | view.banned_colors, fx | view.banned_coords), expected),
+                (candidate_edges(view, x, fc, fx, sorted(fc | view.banned_colors)), expected),
+                (candidate_edges(view, x, fc, fx, sorted(mapped)),
+                 filtered_incident(g, view, x, fc | mapped, fx)),
+            ):
+                n = len(want)
+                assert len(got) == n and bool(got) == bool(want)
+                assert [got[i] for i in range(n)] == want
+                assert [got[i] for i in range(-n, 0)] == want
                 for i in (n, n + 1, -n - 1):
                     with pytest.raises(IndexError):
                         got[i]
-                assert list(got) == expected and got[1:] == expected[1:]
-                assert got == expected and expected == got and got != expected + [None]
+                assert list(got) == want and got[1:] == want[1:]
+                assert got == want and want == got and got != want + [None]
 
     @pytest.mark.parametrize("m", [9, 40])
     def test_a_seeded_pick_is_the_lists(self, m):

@@ -137,7 +137,7 @@ class TestDeficiency:
         t = build_tree(parents)
         if t.n > 1 and deficiency(t) == 0:
             shape = as_spider(t)
-            assert shape is not None and shape.is_even
+            assert shape is not None and shape.odd_legs == 0
 
     @given(parent_lists())
     @settings(max_examples=200, deadline=None)
@@ -159,12 +159,11 @@ class TestAsSpider:
     def test_path(self):
         shape = as_spider(path_tree(4))
         assert shape.leg_lengths == (4,)
-        assert shape.is_even
+        assert shape.odd_legs == 0
 
     def test_five_legs(self):
         shape = as_spider(random_spider([5, 4, 4, 2, 2]))
         assert sorted(shape.leg_lengths, reverse=True) == [5, 4, 4, 2, 2]
-        assert not shape.is_even
         assert shape.odd_legs == 1
 
     def test_branching_example_is_not_a_spider(self):
@@ -208,7 +207,7 @@ class TestClassifyChildren:
         t = build_tree(CLASSIFY_49)
         cls = classify_children(t)
         order = [
-            t.subtree_edge_count(v)
+            len(t.subtree_preorder(v)) - 1
             - 2
             * sum(
                 1
@@ -257,7 +256,7 @@ class TestSubtrees:
             floor = {w for w in sub[1:] if t.level[w] - base <= (t.level_max[w] - base) // 2}
             ceil = {w for w in sub[1:] if t.level[w] - base <= -((base - t.level_max[w]) // 2)}
             assert t.subtree_preorder(v) == tuple(sub)
-            assert t.subtree_edge_count(v) == copy.n_edges() == len(sub) - 1
+            assert len(t.subtree_preorder(v)) - 1 == copy.n_edges() == len(sub) - 1
             assert half_floor(t, v) == floor and half_ceil(t, v) == ceil
             assert {index[w] for w in floor} == half_floor(copy)
             assert {index[w] for w in ceil} == half_ceil(copy)
