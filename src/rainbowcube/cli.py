@@ -3,10 +3,10 @@
 Exit codes: 0 success / all checks pass; 1 internal engine failure, any
 unexpected exception or uncertified `embed` output included (a
 counterexample bundle is dumped when possible); 2 verification mismatch or
-fuzz counterexample; 3 unreadable or unparsable input (an improper host,
-an empty host for `embed`, an embedding file that does not fit the tree
-and host), an unwritable --out, or a number out of range (`gen`,
-`--budget`, `--jobs`, ...); 4 host minimum degree below the tree size.
+fuzz counterexample; 3 unreadable or unparsable input (an improper host, a
+malformed tree, an empty host for `embed`, an embedding file that does not
+fit the tree and host), an unwritable --out, or a number out of range
+(`gen`, `--budget`, `--jobs`, ...); 4 host minimum degree below the tree size.
 `oracle --budget` that runs out is not an error: it reports
 exhausted=False and exits 0.  RAINBOW_SEED overrides --seed everywhere.
 """
@@ -20,7 +20,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import gen as genmod
 from .embed import embed_rainbow_tree, format_embedding, parse_embedding
-from .errors import DegreeTooSmall, FormatError, LimitExceeded, RainbowCubeError
+from .errors import (
+    CycleDetected,
+    DegreeTooSmall,
+    DisconnectedInput,
+    FormatError,
+    IndexOutOfRange,
+    LimitExceeded,
+    RainbowCubeError,
+)
 from .hypercube import MAX_EXPLICIT_DIMENSION, format_graph, parse_graph, parse_vertex
 from .prng import derive_seed
 from .tree import (
@@ -78,7 +86,11 @@ def _load_graph(path: str, strict_vertices: bool = False):
 
 
 def _load_tree(path: str):
-    return parse_tree(_read(path))
+    # a malformed tree is unparsable input, whichever check refused it
+    try:
+        return parse_tree(_read(path))
+    except (CycleDetected, DisconnectedInput, IndexOutOfRange) as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _seed(args) -> int:

@@ -31,7 +31,7 @@ counting argument, not that the input was bad.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -44,13 +44,7 @@ from .errors import (
     PreconditionViolated,
     VertexNotInGraph,
 )
-from .hypercube import (
-    GraphView,
-    candidate_edges,
-    edge_coordinate,
-    parse_vertex,
-    vertex_str,
-)
+from .hypercube import candidate_edges, edge_coordinate, parse_vertex, vertex_str
 from .prng import SplitMix64
 from .records import read_records
 from .tree import (
@@ -97,8 +91,6 @@ class ExtensionRequest:
 # trace record: (label, tree edge, graph edge src->dst, |x_col|, |x_coor|, r)
 TraceEntry = tuple[str, int, int, int, int, int, int]
 
-_NOTHING: frozenset[int] = frozenset()
-
 
 @dataclass
 class PartialEmbedding:
@@ -113,11 +105,11 @@ class PartialEmbedding:
     is its view of the host, `vertices` its vertices, subroot first (all of
     them in id order for the whole tree), `used_colors` the colors of its
     mapped edges, and `_edges`/`_coords` those edges and their coordinates.
-    `all_colors`, the colors of every mapped edge, never gains a duplicate,
-    so the mapped part stays rainbow at all times, and `sorted_colors`
-    lists them in increasing order; both are shared by every frame.  A caller
-    starts from an empty map, sets the root's image in `image` and adds
-    vertices with `premap`.  Confined to a single embedding run.
+    `sorted_colors` lists the colors of every mapped edge in increasing
+    order and never gains a duplicate, so the mapped part stays rainbow at
+    all times; every frame shares it.  A caller starts from an empty map,
+    sets the root's image in `image` and adds vertices with `premap`.
+    Confined to a single embedding run.
     """
 
     tree: RootedTree
@@ -131,7 +123,6 @@ class PartialEmbedding:
     used_colors: set[int] = field(init=False, default_factory=set)
     trace: list[TraceEntry] = field(init=False, default_factory=list)
     vertices: Sequence[int] = field(init=False)
-    all_colors: set[int] = field(init=False)
     sorted_colors: list[int] = field(init=False)
     is_frame: bool = field(init=False, default=False)
     _edges: set[int] = field(init=False, repr=False)
@@ -141,7 +132,6 @@ class PartialEmbedding:
 
     def __post_init__(self):
         self.vertices = range(self.tree.n)
-        self.all_colors = self.used_colors
         self.sorted_colors = []
         self._edges, self._coords = set(), set()
 
@@ -179,22 +169,24 @@ class PartialEmbedding:
         frame's view at its parent's image (from extend_one) or the host's
         own edge there (from premap), its only callers."""
         # checked against every frame's colors, so no color is reused across frames either
-        if color in self.all_colors:
+        colors = self.sorted_colors
+        i = bisect_left(colors, color)
+        if i < len(colors) and colors[i] == color:
             raise PreconditionViolated(f"color {color} reused at edge {child}")
         self.image[child] = y
         self.color_of[child] = color
         self.coord_of[child] = coord
         self.used_colors.add(color)
-        self.all_colors.add(color)
-        insort(self.sorted_colors, color)
+        colors.insert(i, color)
         self._edges.add(child)
         self._coords.add(coord)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):
-        edges = list(edges)
-        colors = [self.color_of[e] for e in edges]
+        # the colors need no check: `record` is the only writer of color_of
+        # (premap and extend_one both go through it) and refuses any color
+        # already mapped, so any set of mapped edges has distinct colors
         coords = [self.coord_of[e] for e in edges]
-        if len(set(colors)) != len(colors) or len(set(coords)) != len(coords):
+        if len(set(coords)) != len(coords):
             raise PreconditionViolated(f"{context}: mapped edges are not doubly distinct")
 
     def lift(self, vertices: Sequence[int], banned_coords: Iterable[int] = ()) -> "PartialEmbedding":
@@ -208,20 +200,34 @@ class PartialEmbedding:
         mapped inside it.  Those pre-mapped edges must survive in the view;
         that is checked here because a banned pre-mapped edge means a
         bookkeeping error upstream.
+
+        A mapped edge w is live in a view of the embedding's host H exactly
+        when color_of[w] is not a banned color and coord_of[w] not a banned
+        coordinate, from three facts.  (1) `record`, from extend_one, takes a
+        candidate of a view over H, which is one of H's own incidence records
+        (GraphView.admissible passes them through); so H has the edge, with
+        color color_of[w] and coordinate coord_of[w].  (2) `premap` reads both
+        from H (a view's edge_color is its host's).  (3) A view over H keeps
+        exactly the edges of H whose color and coordinate it does not ban
+        (GraphView.has_edge), and H is its own view with no bans.  Every frame
+        is over H, since `lift` restricts its opener's view, and no mapped
+        edge is rewritten, since `record`'s callers refuse a mapped child.
+        So the two set tests here and in _check_witnesses equal
+        `view.has_edge`.
         """
         color_of, coord_of = self.color_of, self.coord_of
         premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
         own = {color_of[w] for w in premapped}
         # nothing new to ban leaves this frame's view itself
         view = self.graph.restrict(self.used_colors - own, banned_coords)
-        banned_colors, banned = _bans(view)
+        banned_colors, banned = view.banned_colors, view.banned_coords
         for w in premapped:
             if color_of[w] in banned_colors or coord_of[w] in banned:
                 raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
         sub = PartialEmbedding(self.tree, view, self.rng)
         sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, color_of, coord_of, self.trace
         sub.used_colors = own
-        sub.vertices, sub.all_colors, sub.is_frame = vertices, self.all_colors, True
+        sub.vertices, sub.is_frame = vertices, True
         sub.sorted_colors = self.sorted_colors
         sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
         return sub
@@ -239,28 +245,6 @@ class PartialEmbedding:
         self.used_colors |= sub.used_colors
         self._edges |= sub._edges
         self._coords |= sub._coords
-
-
-def _bans(view) -> tuple[frozenset[int], frozenset[int]]:
-    """The colors and coordinates `view` bans; a host bans none.  Read once
-    per step and once per `lift`; the callers test each edge inline.
-
-    A mapped edge w is live in a view of the embedding's host H exactly
-    when color_of[w] is not a banned color and coord_of[w] not a banned
-    coordinate, from three facts.  (1) `record`, from extend_one, takes a
-    candidate of a view over H, which is one of H's own incidence records
-    (GraphView.admissible passes them through); so H has the edge, with
-    color color_of[w] and coordinate coord_of[w].  (2) `premap` reads both
-    from H (a view's edge_color is its host's).  (3) A view over H keeps
-    exactly the edges of H whose color and coordinate it does not ban
-    (GraphView.has_edge), and H itself bans nothing.  Every frame is over
-    H, since `lift` restricts its opener's view, and no mapped edge is
-    rewritten, since `record`'s callers refuse a mapped child.  So the two
-    set tests equal `view.has_edge`.
-    """
-    if isinstance(view, GraphView):
-        return view.banned_colors, view.banned_coords
-    return _NOTHING, _NOTHING
 
 
 Frame = Iterator["Frame"]  # a frame's steps; it yields each frame it opens
@@ -355,7 +339,7 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
 
     parent, color_of, coord_of = pe.tree.parent, pe.color_of, pe.coord_of
     x_col, x_coor = req.x_col, req.x_coor
-    banned_colors, banned_coords = _bans(view)
+    banned_colors, banned_coords = view.banned_colors, view.banned_coords
     for wit in islice(witnesses, k, None):
         if wit not in coord_of:
             raise PreconditionViolated(f"witness edge {wit} is unmapped")
@@ -460,9 +444,9 @@ def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
         return pe
     nprime = min(n // 2 + 1, n)
     expected = set(path[1 : nprime + 1])
-    if pe.mapped_edges() != expected:
+    if pe._edges != expected:
         raise PreconditionViolated(
-            f"path domain must be the first {nprime} edges, got {sorted(pe.mapped_edges())}"
+            f"path domain must be the first {nprime} edges, got {sorted(pe._edges)}"
         )
     pe.require_doubly_distinct(expected, "extend_path input")
 
@@ -538,7 +522,7 @@ def _spider_frame(pe: PartialEmbedding, legs: Sequence[tuple[int, ...]] | None =
 
     # the lower half of a spider: the first floor(len/2) edges of every leg
     floor = {leg[i] for leg in legs for i in range(1, (len(leg) - 1) // 2 + 1)}
-    mapped = pe.mapped_edges()
+    mapped = pe._edges
     extra = mapped - floor
     if not floor <= mapped or len(extra) > 1:
         raise PreconditionViolated("spider domain must be the lower half plus at most one edge")
@@ -649,10 +633,10 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     if g.has_edge(root_img, z_bad):
         raise PreconditionViolated("blocked vertex is joined to the root image in the host")
     floor = half_floor(t, root)
-    if pe.mapped_edges() != floor:
+    if pe._edges != floor:
         raise PreconditionViolated("extend_tree domain must be exactly the lower half")
     pe.require_doubly_distinct(floor, "extend_tree input")
-    if q in pe.used_coords():
+    if q in pe._coords:
         raise PreconditionViolated("blocked coordinate already used by the lower half")
 
     cls = classify_children(t, root)

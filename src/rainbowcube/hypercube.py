@@ -8,14 +8,15 @@ when no two edges sharing an endpoint carry the same color.  Every host is
 proper by construction: :class:`ColoredCubeGraph` refuses an improper
 coloring, and the implicit cube colors each edge by its coordinate.
 
-Two host flavors share one query surface: :class:`ColoredCubeGraph` is an
+Every host answers one set of queries: :class:`ColoredCubeGraph` is an
 explicit host, while :class:`VirtualCayleyCube` is the full cube with
 color == coordinate, kept implicit so the ambient dimension can be large.
 An explicit host of Q_N stores one flat list of 2^N * N colors, slot
 x*N + q holding the color of the edge at x in coordinate q or -1 when that
 edge is absent, beside its vertex set; N is at most MAX_EXPLICIT_DIMENSION.
 It keeps no records: incident-edge records are built when a query asks for
-them.  ``restrict`` produces O(1) filtered views; no host is ever copied.
+them.  ``restrict`` produces O(1) filtered views, and a host is its own
+view with nothing banned; no host is ever copied.
 ``candidate_edges`` returns a sequence of incident records: a list on an
 explicit host, and on the implicit cube a lazy one that builds only the
 records it is asked for.
@@ -72,18 +73,38 @@ def parse_vertex(text: str, dimension: int) -> int:
 
 
 class _Host:
-    """Queries shared by the two host flavors; each defines delta()."""
+    """The view protocol of every host and view: a host is its own view
+    (`base`) with nothing banned, so one `restrict` and one `delta_at_least`
+    serve both.  Each subclass defines delta()."""
 
     __slots__ = ()
 
+    banned_colors: frozenset[int] = frozenset()
+    banned_coords: frozenset[int] = frozenset()
+
+    @property
+    def base(self):
+        return self
+
     def delta_at_least(self, k: int) -> bool:
-        return self.delta() >= k
+        """Whether delta() >= k, without a host scan when a bound settles it.
+
+        Every vertex has at most one edge per coordinate (cube geometry) and,
+        since every host is proper by construction, at most one edge per
+        color.  So each banned class removes at most one edge at each vertex,
+        and delta(view) >= delta(base) - |banned colors| - |banned coords|;
+        for a host, which bans nothing, the bound is its own delta.  When
+        the bound falls short of k, the exact delta() decides, so the answer
+        is always the same as delta() >= k.
+        """
+        bound = self.base.delta() - len(self.banned_colors) - len(self.banned_coords)
+        return bound >= k or self.delta() >= k
 
     def restrict(self, banned_colors: Iterable[int] = (), banned_coords: Iterable[int] = ()):
         bc, bx = frozenset(banned_colors), frozenset(banned_coords)
         if not bc and not bx:
             return self
-        return GraphView(self, bc, bx)
+        return GraphView(self.base, self.banned_colors | bc, self.banned_coords | bx)
 
 
 def _clash(x: int, row: Sequence[int], dimension: int) -> str | None:
@@ -461,7 +482,7 @@ class FreeCoordinates(Sequence):
         return f"FreeCoordinates({list(self)!r})"
 
 
-class GraphView:
+class GraphView(_Host):
     """Edge-filtered view of a host: whole color/coordinate classes removed."""
 
     __slots__ = ("base", "banned_colors", "banned_coords", "_delta")
@@ -479,13 +500,11 @@ class GraphView:
     def has_vertex(self, v: int) -> bool:
         return self.base.has_vertex(v)
 
-    def _allows(self, q: int, c: int) -> bool:
-        return c not in self.banned_colors and q not in self.banned_coords
-
     def has_edge(self, u: int, v: int) -> bool:
         if not self.base.has_edge(u, v):
             return False
-        return self._allows(edge_coordinate(u, v), self.base.edge_color(u, v))
+        return (self.base.edge_color(u, v) not in self.banned_colors
+                and edge_coordinate(u, v) not in self.banned_coords)
 
     def edge_color(self, u: int, v: int) -> int:
         return self.base.edge_color(u, v)
@@ -504,25 +523,6 @@ class GraphView:
         if self._delta is None:
             self._delta = self.base.delta_after_bans(self.banned_colors, self.banned_coords)
         return self._delta
-
-    def delta_at_least(self, k: int) -> bool:
-        """Whether delta() >= k, without a host scan when a bound settles it.
-
-        Every vertex has at most one edge per coordinate (cube geometry) and,
-        since every host is proper by construction, at most one edge per
-        color.  So each banned class removes at most one edge at each vertex,
-        and delta(view) >= delta(base) - |banned colors| - |banned coords|.
-        When that bound falls short of k, the exact delta() decides, so the
-        answer is always the same as delta() >= k.
-        """
-        bound = self.base.delta() - len(self.banned_colors) - len(self.banned_coords)
-        return bound >= k or self.delta() >= k
-
-    def restrict(self, banned_colors: Iterable[int] = (), banned_coords: Iterable[int] = ()):
-        bc, bx = frozenset(banned_colors), frozenset(banned_coords)
-        if not bc and not bx:
-            return self
-        return GraphView(self.base, self.banned_colors | bc, self.banned_coords | bx)
 
     def default_start(self) -> int:
         return self.base.default_start()
@@ -574,12 +574,12 @@ def candidate_edges(
     `mapped` to the union of banned colors that it takes anyway.
     """
     colors, coords = frozenset(forbidden_colors), frozenset(forbidden_coords)
-    base = g.base if isinstance(g, GraphView) else g
+    base = g.base
     if not mapped or not isinstance(base, VirtualCayleyCube):
         return g.admissible(x, colors.union(mapped) if mapped else colors, coords)
     if not base.has_vertex(x):
         raise VertexNotInGraph(f"vertex {x} not in graph")
-    more = (coords, colors) if base is g else (coords, g.banned_coords, colors, g.banned_colors)
+    more = (coords, g.banned_coords, colors, g.banned_colors)
     return FreeCoordinates(x, base.dimension, mapped, more)
 
 

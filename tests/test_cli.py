@@ -18,8 +18,10 @@ from rainbowcube import (
     verify,
 )
 from rainbowcube.cli import main
+from rainbowcube.errors import FormatError
 from rainbowcube.gen import random_spider
 
+from test_parse_errors import TREE_CASES
 from test_tree import BRANCHING_14
 
 
@@ -220,6 +222,35 @@ class TestImproperHostFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == self.MESSAGE
+        assert not bundle.exists()
+
+
+class TestMalformedTreeFile:
+    """A tree file that parse_tree refuses with a typed error (a cycle, a
+    parent out of range, a wrong parent count) is bad input in every
+    command that reads a tree."""
+
+    CASES = [(text, kind, message) for text, kind, message in TREE_CASES if kind is not FormatError]
+
+    @pytest.mark.parametrize("command", ["embed", "verify", "oracle", "check-tree"])
+    @pytest.mark.parametrize("text, kind, message", CASES,
+                             ids=[f"{kind.__name__}{i}" for i, (_, kind, _) in enumerate(CASES)])
+    def test_exits_3(self, command, text, kind, message, q3, tmp_path, capsys):
+        tree = tmp_path / "bad.tree"
+        tree.write_text(text)
+        bundle = tmp_path / "bundle"
+        emb = tmp_path / "emb.txt"
+        emb.write_text("embedding 2 3\nmap 0 000\n")
+        argv = {
+            "embed": ["embed", q3, str(tree), "--bundle-dir", str(bundle)],
+            "verify": ["verify", q3, str(tree), str(emb)],
+            "oracle": ["oracle", q3, str(tree)],
+            "check-tree": ["check-tree", str(tree)],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert not bundle.exists()
 
 

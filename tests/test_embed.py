@@ -36,10 +36,11 @@ from rainbowcube import (
     path_tree,
     replay_trace,
     verify,
+    write_bundle,
 )
 from rainbowcube.embed import choose_z_bad
 from rainbowcube.errors import DegreeTooSmall, NoCandidate, PreconditionViolated, RainbowCubeError
-from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph_min_degree
+from rainbowcube.gen import greedy_proper, random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.prng import SplitMix64
 
 from test_golden import comb, deep_corpus, stage_corpus
@@ -166,7 +167,7 @@ class TestExtendOne:
         message = rf"^step extend: vertex {target} is outside \[1, 4\)$"
         with pytest.raises(PreconditionViolated, match=message):
             extend_one(pe, ExtensionRequest(0, target, frozenset(), frozenset()))
-        assert pe.image == {0: 0} and pe.trace == [] and not pe.all_colors
+        assert pe.image == {0: 0} and pe.trace == [] and not pe.sorted_colors
 
 
 class TestEmbedHalf:
@@ -422,6 +423,28 @@ class TestExtendTree:
                 extend_tree(pe, z)
 
 
+@st.composite
+def hosts_and_trees(draw):
+    """(host, parents): a host family, its dimension and, where the family
+    takes one, its minimum degree, each drawn on its own, then a tree of at
+    most delta(host) edges as the parent of each vertex below its own index,
+    so that Hypothesis shrinks a failure into a smaller host or tree."""
+    family = draw(st.sampled_from(["subgraph_min_degree", "refined_cayley", "greedy_proper",
+                                   "VirtualCayleyCube"]))
+    n = draw(st.integers(4, 6))
+    seed = draw(st.integers(0, 2**32))
+    if family == "subgraph_min_degree":
+        g = subgraph_min_degree(n, draw(st.integers(1, n)), seed)
+    elif family == "refined_cayley":
+        g = refined_cayley(n, seed, draw(st.integers(1, 3)))
+    elif family == "greedy_proper":
+        g = greedy_proper(n, seed)
+    else:
+        g = VirtualCayleyCube(n)
+    edges = draw(st.integers(0, g.delta()))
+    return g, [draw(st.integers(0, i)) for i in range(edges)]
+
+
 class TestEmbedRainbowTree:
     def test_three_edge_path_exact(self):
         g = cayley_coloring(3)
@@ -469,16 +492,24 @@ class TestEmbedRainbowTree:
             images.add(tuple(sorted(pe.image.items())))
         assert len(images) > 1
 
-    @given(st.integers(0, 2**32))
+    @given(case=hosts_and_trees())
     @settings(max_examples=60, deadline=None)
-    def test_random_hosts_and_trees(self, seed):
-        rng = SplitMix64(seed)
-        n = 4 + rng.randrange(3)
-        d = 1 + rng.randrange(n)
-        g = subgraph_min_degree(n, d, rng.next_u64())
-        t = random_tree(rng.randrange(d + 1), rng.next_u64())
-        pe = embed_rainbow_tree(g, t)
-        assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
+    def test_random_hosts_and_trees(self, case, tmp_path_factory):
+        g, parents = case
+        t = build_tree(parents)
+        pe = None
+        try:
+            pe = embed_rainbow_tree(g, t)
+            report = verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
+            failure = None if report.ok else report.first_failure()
+        except Exception as exc:  # any exception is an engine failure, bundled like the rest
+            failure = f"{type(exc).__name__}: {exc}"
+        if failure is not None:
+            bundle = tmp_path_factory.mktemp("counterexample")
+            # the implicit cube is written as the explicit host it equals
+            host = cayley_coloring(g.dimension) if isinstance(g, VirtualCayleyCube) else g
+            write_bundle(str(bundle), host, t, pe)
+            raise AssertionError(f"{failure}; bundle written to {bundle}")
 
 
 def spider_mix_tree(rng, max_edges=12):
@@ -693,7 +724,7 @@ class TestFrames:
         assert (sub.graph.banned_colors, sub.graph.banned_coords) == ({pe.color_of[1]}, set())
         extend_one(sub, ExtensionRequest(2, 3, frozenset(sub.used_colors), sub.used_coords()))
         assert pe.image[3] == sub.image[3] and pe.trace[-1][1] == 3
-        assert sub.used_colors == {1, 2} and pe.all_colors == {0, 1, 2}
+        assert sub.used_colors == {1, 2} and pe.sorted_colors == [0, 1, 2]
         pe.adopt(sub)
         assert pe.mapped_edges() == {1, 2, 3}
 
@@ -701,7 +732,7 @@ class TestFrames:
         g = cayley_coloring(3)
         # the maps too: a caller fills them through premap alone
         for name in ("image", "color_of", "coord_of", "used_colors", "trace",
-                     "vertices", "all_colors", "sorted_colors", "is_frame", "_edges", "_coords"):
+                     "vertices", "sorted_colors", "is_frame", "_edges", "_coords"):
             with pytest.raises(TypeError):
                 PartialEmbedding(path_tree(2), g, **{name: set()})
         pe = mapped_path(g, 2, 1)
@@ -899,7 +930,7 @@ class TestPremap:
         assert (pe.color_of, pe.coord_of) == ({1: 1, 2: 2}, {1: 0, 2: 1})
         assert pe.image == {0: 0b000, 1: 0b001, 2: 0b011}
         assert pe.mapped_edges() == {1, 2} and pe.used_coords() == {0, 1}
-        assert pe.used_colors == pe.all_colors == {1, 2} and pe.trace == []
+        assert pe.used_colors == {1, 2} and pe.sorted_colors == [1, 2] and pe.trace == []
         with pytest.raises(TypeError):
             pe.premap(2, 0b011, 0)  # the color is the host's, never the caller's
 
@@ -944,7 +975,7 @@ def union_extend_one(pe, req):
         raise PreconditionViolated(f"step {req.label}: {w} is not a child of {v}")
     parent, color_of, coord_of = t.parent, pe.color_of, pe.coord_of
     seen_colors, seen_coords = set(), set()
-    banned_colors, banned_coords = embed._bans(pe.graph)
+    banned_colors, banned_coords = pe.graph.banned_colors, pe.graph.banned_coords
     for wit in req.witnesses:
         if wit not in coord_of:
             raise PreconditionViolated(f"witness edge {wit} is unmapped")
@@ -1073,9 +1104,8 @@ class TestWitnessCache:
 def union_candidates(g, x, colors, coords):
     """The candidates at x by their definition: the host's edges at x whose
     color and coordinate lie outside the union of every ban, by coordinate."""
-    base = g.base if isinstance(g, GraphView) else g
-    banned_colors, banned_coords = embed._bans(g)
-    colors, coords = set(colors) | banned_colors, set(coords) | banned_coords
+    base = g.base
+    colors, coords = set(colors) | g.banned_colors, set(coords) | g.banned_coords
     if isinstance(base, VirtualCayleyCube):
         return [(q, x ^ (1 << q), q) for q in sorted(set(range(base.dimension)) - colors - coords)]
     return [(q, y, c) for q, y, c in base.incident(x) if c not in colors and q not in coords]
@@ -1098,12 +1128,12 @@ class TestColorIndex:
         def checked(g, x, colors, coords, mapped):
             got = original(g, x, colors, coords, mapped)
             # the lever: the mapped colors are banned already
-            assert set(mapped) <= colors | embed._bans(g)[0]
+            assert set(mapped) <= colors | g.banned_colors
             expected = union_candidates(g, x, colors, coords)
             assert len(got) == len(expected) and list(got) == expected
             assert [got[i] for i in range(len(got))] == expected and bool(got) == bool(expected)
             assert list(original(g, x, colors, coords)) == expected
-            hosts.add(type(g.base if isinstance(g, GraphView) else g).__name__)
+            hosts.add(type(g.base).__name__)
             return got
 
         monkeypatch.setattr(embed, "candidate_edges", checked)
@@ -1128,4 +1158,4 @@ class TestColorIndex:
             for t in (build_tree([0] * n), comb(n), random_spider((n // 3, n // 3, n - 2 * (n // 3))),
                       random_tree(n, 9)):
                 pe = embed_rainbow_tree(g, t, seed=3)
-                assert pe.sorted_colors == sorted(pe.all_colors) == sorted(pe.color_of.values())
+                assert pe.sorted_colors == sorted(pe.used_colors) == sorted(pe.color_of.values())

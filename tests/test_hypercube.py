@@ -488,6 +488,38 @@ class TestDeltaAtLeast:
         assert view.delta_at_least(g.delta() - 3)
 
 
+@pytest.mark.parametrize("g", PROPER_HOSTS, ids=host_id)
+def test_a_host_is_its_own_view_with_nothing_banned(g):
+    assert g.base is g and g.banned_colors == g.banned_coords == frozenset()
+    assert g.restrict() is g and g.restrict((), ()) is g
+    bare = GraphView(g, frozenset(), frozenset())
+    for k in range(-1, g.delta() + 3):
+        assert g.delta_at_least(k) == bare.delta_at_least(k)
+    rng = SplitMix64(g.dimension)
+    width = g.dimension + 3
+    xs = [x for x in range(1 << g.dimension) if g.has_vertex(x)]
+    for _ in range(12):
+        bc, bx = (frozenset(b) for b in random_bans(rng, width))
+        if bc or bx:
+            view, direct = g.restrict(bc, bx), GraphView(g, bc, bx)
+            assert view.base is g and (view.banned_colors, view.banned_coords) == (bc, bx)
+            assert view.delta() == direct.delta()
+            for k in range(-1, g.delta() + 3):
+                assert view.delta_at_least(k) == direct.delta_at_least(k)
+        else:
+            view = direct = bare
+        for x in xs:
+            assert view.incident(x) == direct.incident(x) and view.degree(x) == direct.degree(x)
+            for q in range(g.dimension):
+                assert view.has_edge(x, x ^ (1 << q)) == direct.has_edge(x, x ^ (1 << q))
+        x = xs[rng.randrange(len(xs))]
+        fc, fx = random_bans(rng, width, g.dimension // 2)
+        mapped = sorted(random_bans(rng, width, g.dimension // 2)[0])
+        assert list(candidate_edges(g, x, fc, fx)) == list(candidate_edges(bare, x, fc, fx))
+        assert (list(candidate_edges(g, x, fc, fx, mapped))
+                == list(candidate_edges(bare, x, fc, fx, mapped)))
+
+
 def filtered_incident(g, view, x, fc, fx):
     """candidate_edges by its definition: the host's incident records at x,
     filtered by the view's bans, then by the request's forbidden sets."""

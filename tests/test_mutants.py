@@ -1,0 +1,104 @@
+"""The mutation matrix: each mutant weakens one forbidden set or witness
+list of the engine, and the stage corpus must catch it.
+
+A mutant is run over ``test_golden.stage_corpus()`` until the first case
+that raises a package error or fails ``verify`` with path-distinctness and
+the blocked vertex.  The test pins that case and the detector that caught
+it.  A mutant that survives the whole corpus points to a gap in the corpus,
+never to a check that could be removed.
+"""
+
+import re
+from itertools import islice
+
+import pytest
+
+import rainbowcube.embed as embed
+from rainbowcube import embed_rainbow_tree, verify
+from rainbowcube.errors import PreconditionViolated, RainbowCubeError
+
+from test_golden import stage_corpus
+
+EXTEND = embed._extend
+LIFT = embed.PartialEmbedding.lift
+
+
+def mutate_step(stage, change):
+    """`_extend` with `change(pe, target, x_coor, witnesses)` rewriting the
+    forbidden coordinates and witnesses of every step labelled `stage`."""
+
+    def _extend(pe, target, x_coor, label, witnesses=()):
+        if label == stage:
+            x_coor, witnesses = change(pe, target, x_coor, witnesses)
+        return EXTEND(pe, target, x_coor, label, witnesses)
+
+    return _extend
+
+
+def without_q(pe, target, x_coor, witnesses):
+    # the step dodges the frame's coordinates plus q, which they never hold
+    return pe.used_coords(), witnesses
+
+
+def window_one_edge_short(pe, target, x_coor, witnesses):
+    # extend_path's window for edge i is path[lo:i]; the mutant starts it at lo + 1
+    path = pe.vertices
+    i = path.index(target)
+    lo = max(2 * i - len(path), 1)
+    return pe.coords_of(path[lo + 1 : i]), witnesses
+
+
+def lift_bans_own_colors(self, vertices, banned_coords=()):
+    """`lift` banning every color its opener used, the frame's own too: the
+    opener's view, banning the frame's own colors, goes through the real
+    `lift`, which bans the rest."""
+    own = {self.color_of[w] for w in islice(vertices, 1, None) if w in self.color_of}
+    opener = self.graph
+    self.graph = opener.restrict(own)
+    try:
+        return LIFT(self, vertices, banned_coords)
+    finally:
+        self.graph = opener
+
+
+def first_catch():
+    """(case index, detector, message) of the first stage-corpus case that a
+    package error or verify refuses, or None when every case passes."""
+    for k, (_, g, t, seed) in enumerate(stage_corpus()):
+        try:
+            pe = embed_rainbow_tree(g, t, seed=seed)
+        except RainbowCubeError as exc:
+            return k, type(exc), str(exc)
+        report = verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad)
+        if not report.ok:
+            return k, "verify", report.first_failure()
+    return None
+
+
+STEP = (embed, "_extend")
+FRAME = (embed.PartialEmbedding, "lift")
+
+
+@pytest.mark.parametrize("where, mutant, case, detector, message", [
+    pytest.param(STEP, mutate_step("step1", without_q), 2012, PreconditionViolated,
+                 r"tree embedding not injective", id="step1-without-q"),
+    pytest.param(STEP, mutate_step("path", window_one_edge_short), 72, PreconditionViolated,
+                 r"witness edge 4 lies outside the forbidden sets", id="path-window-one-edge-short"),
+    pytest.param(STEP, mutate_step("step2", without_q), 1976, PreconditionViolated,
+                 r"tree embedding not injective", id="step2-without-q"),
+    # step 4's counting check
+    pytest.param(STEP, mutate_step("step4", lambda pe, t, x, w: (x, w[:-1])), 400, PreconditionViolated,
+                 r"step step4: \|x_col\|=7 \+ \|x_coor\|=7 - r=6 >= delta=8",
+                 id="step4-last-witness-dropped"),
+    pytest.param(STEP, mutate_step("step5", lambda pe, t, x, w: (frozenset(), w)), 146,
+                 PreconditionViolated, r"witness edge 5 lies outside the forbidden sets",
+                 id="step5-empty-x_coor"),
+    # lift's liveness check on the frame's pre-mapped edges
+    pytest.param(FRAME, lift_bans_own_colors, 14, PreconditionViolated,
+                 r"pre-mapped edge 2 was banned from the restricted host", id="lift-bans-own-colors"),
+])
+def test_the_stage_corpus_catches_the_mutant(where, mutant, case, detector, message, monkeypatch):
+    monkeypatch.setattr(*where, mutant)
+    caught = first_catch()
+    assert caught is not None, "the mutant survived the stage corpus"
+    assert caught[0] == case and caught[1] is detector and re.fullmatch(message, caught[2]), caught
