@@ -10,7 +10,7 @@ from rainbowcube import embed_rainbow_tree, vertex_str, verify
 from rainbowcube.gen import random_tree, subgraph_min_degree
 
 host = subgraph_min_degree(n=5, d=4, seed=2024)
-print(f"host: subgraph of Q_5, {host.n_edges()} edges, min degree {host.delta()}")
+print(f"host: subgraph of Q_5, {len(list(host.edges()))} edges, min degree {host.delta()}")
 
 tree = random_tree(m_edges=4, seed=7)
 print(f"tree: parents {list(tree.parent[1:])}")

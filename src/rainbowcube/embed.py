@@ -58,16 +58,6 @@ from .tree import (
 )
 
 
-def endpoints_must_differ(coords: Sequence[int]) -> bool:
-    """True when a walk using these edge coordinates cannot close.
-
-    If more than m/2 distinct coordinates appear among m edges, some
-    coordinate appears exactly once, so the endpoints differ in that bit.
-    False is inconclusive, not a claim of equality.
-    """
-    return 2 * len(set(coords)) > len(coords)
-
-
 @dataclass(frozen=True)
 class ExtensionRequest:
     """One greedy growth step: map `target` (an unmapped child of `source`)
@@ -139,9 +129,6 @@ class PartialEmbedding:
     def root(self) -> int:
         return self.vertices[0]
 
-    def mapped_edges(self) -> set[int]:
-        return set(self._edges)
-
     def used_coords(self) -> frozenset[int]:
         return frozenset(self._coords)
 
@@ -205,7 +192,7 @@ class PartialEmbedding:
         when color_of[w] is not a banned color and coord_of[w] not a banned
         coordinate, from three facts.  (1) `record`, from extend_one, takes a
         candidate of a view over H, which is one of H's own incidence records
-        (GraphView.admissible passes them through); so H has the edge, with
+        (candidate_edges asks H's `admissible`); so H has the edge, with
         color color_of[w] and coordinate coord_of[w].  (2) `premap` reads both
         from H (a view's edge_color is its host's).  (3) A view over H keeps
         exactly the edges of H whose color and coordinate it does not ban
@@ -404,9 +391,9 @@ def certify_path_windows(coords: Sequence[int]) -> None:
     is the one with (m + k) // 2 >= j, that is m = max(2j - k, k + 2).
     (2) The window for (k, m) holds L = (m - k)/2 + 1 distinct coordinates
     of the walk coords[k:m], which has only m - k = 2(L - 1) edges; so more
-    than half of the walk's coordinates are distinct, and
-    endpoints_must_differ(coords[k:m]) follows from the window check.  It
-    is not checked again.
+    than half of the walk's coordinates are distinct, some coordinate
+    appears in it exactly once, and its endpoints differ in that bit.  That
+    follows from the window check and is not checked again.
     """
     n = len(coords)
     # repeat[k]: least j such that coords[k : j + 1] repeats a coordinate (n if none)

@@ -17,7 +17,11 @@ edge is absent, beside its vertex set; N is at most MAX_EXPLICIT_DIMENSION.
 It keeps no records: incident-edge records are built when a query asks for
 them.  ``restrict`` produces O(1) filtered views, and a host is its own
 view with nothing banned; no host is ever copied.
-``candidate_edges`` returns a sequence of incident records: a list on an
+
+Each host answers the one candidate query, ``admissible``, which takes the
+bans as collections read by membership plus the sorted list of mapped
+colors; ``candidate_edges`` passes it the request's and the view's bans
+unchanged.  It returns a sequence of incident records: a list on an
 explicit host, and on the implicit cube a lazy one that builds only the
 records it is asked for.
 """
@@ -42,6 +46,8 @@ from .records import iter_records
 Edge = tuple[int, int]
 # incident-edge record: (coordinate, neighbor, color)
 Incidence = tuple[int, int, int]
+# bans of one kind, colors or coordinates: sets read by membership alone
+Bans = tuple[Collection[int], ...]
 
 # the widest cube built explicitly (2^16 vertices); VirtualCayleyCube goes beyond
 MAX_EXPLICIT_DIMENSION = 16
@@ -148,7 +154,7 @@ class ColoredCubeGraph(_Host):
     they return, admissible() only those that survive the bans.
     """
 
-    __slots__ = ("dimension", "_colors", "_vertices", "_n_edges", "_delta", "_start")
+    __slots__ = ("dimension", "_colors", "_vertices", "_delta", "_start")
 
     def __init__(
         self,
@@ -205,7 +211,6 @@ class ColoredCubeGraph(_Host):
             delta = min(delta, n - absent)
         self._colors = colors
         self._vertices = frozenset(verts)
-        self._n_edges = (len(colors) - colors.count(-1)) // 2
         self._delta = delta
         self._start = min(verts, default=None)
 
@@ -215,9 +220,6 @@ class ColoredCubeGraph(_Host):
 
     def n_vertices(self) -> int:
         return len(self._vertices)
-
-    def n_edges(self) -> int:
-        return self._n_edges
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, color) in sorted order."""
@@ -258,8 +260,14 @@ class ColoredCubeGraph(_Host):
         """Incident edges at x as (coordinate, neighbor, color), by coordinate."""
         return tuple([(q, x ^ (1 << q), c) for q, c in enumerate(self._row(x)) if c >= 0])
 
-    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> list[Incidence]:
-        """Incident edges at x avoiding `colors` and `coords`, by coordinate."""
+    def admissible(self, x: int, color_bans: Bans, coord_bans: Bans, mapped: Sequence[int]) -> list[Incidence]:
+        """Incident edges at x whose color is neither in `mapped` nor in any
+        set of `color_bans`, and whose coordinate is in no set of
+        `coord_bans`, by coordinate.  The bans are unioned once, for a row of
+        at most 16 slots."""
+        colors, coords = set(mapped), set()
+        colors.update(*color_bans)
+        coords.update(*coord_bans)
         return [
             (q, x ^ (1 << q), c)
             for q, c in enumerate(self._row(x))
@@ -300,8 +308,10 @@ class ColoredCubeGraph(_Host):
 class VirtualCayleyCube(_Host):
     """The full cube Q_n with color(e) == coordinate(e), stored implicitly.
 
-    Holds no vertex or edge tables, so n may be large; only neighborhood
-    queries are supported (no vertex iteration).
+    Holds no vertex or edge tables, so n may be large.  Up to
+    MAX_EXPLICIT_DIMENSION it also lists its vertices and edges, so that
+    format_graph, write_bundle and the oracle take it as they take an
+    explicit host; beyond, listing raises LimitExceeded.
     """
 
     __slots__ = ("dimension",)
@@ -311,11 +321,22 @@ class VirtualCayleyCube(_Host):
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
 
+    def _listable(self) -> int:
+        n = self.dimension
+        if n > MAX_EXPLICIT_DIMENSION:
+            raise LimitExceeded(f"listing Q_{n} takes 2^{n} vertices; the limit is 2^{MAX_EXPLICIT_DIMENSION}")
+        return n
+
+    @property
+    def vertices(self) -> range:
+        return range(1 << self._listable())
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Yield (u, v, coordinate) in sorted order, as cayley_coloring's host does."""
+        return cube_edges(self._listable())
+
     def n_vertices(self) -> int:
         return 1 << self.dimension
-
-    def n_edges(self) -> int:
-        return self.dimension << (self.dimension - 1)
 
     def has_vertex(self, v: int) -> bool:
         return 0 <= v < (1 << self.dimension)
@@ -330,17 +351,15 @@ class VirtualCayleyCube(_Host):
         return edge_coordinate(u, v)
 
     def incident(self, x: int) -> tuple[Incidence, ...]:
-        return tuple(self.admissible(x, frozenset(), frozenset()))
+        return tuple(self.admissible(x, (), (), ()))
 
-    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> "FreeCoordinates":
-        """Incident edges at x avoiding `colors` and `coords`, by coordinate.
-
-        Colors coincide with coordinates, so the admissible edges are the
-        coordinates outside one set union; they are listed lazily.
-        """
+    def admissible(self, x: int, color_bans: Bans, coord_bans: Bans, mapped: Sequence[int]) -> "FreeCoordinates":
+        """As ColoredCubeGraph.admissible.  Colors coincide with coordinates,
+        so the answer is the coordinates that no ban names, listed lazily: the
+        sorted `mapped` read in place, the sets by membership, nothing unioned."""
         if not self.has_vertex(x):
             raise VertexNotInGraph(f"vertex {x} not in graph")
-        return FreeCoordinates(x, self.dimension, sorted(colors | coords))
+        return FreeCoordinates(x, self.dimension, mapped, coord_bans + color_bans)
 
     def degree(self, x: int) -> int:
         if not self.has_vertex(x):
@@ -375,13 +394,12 @@ class FreeCoordinates(Sequence):
     coordinates, in one pass over `more` and `banned`; then `len` costs
     O(1) and ``[i]`` O(log |banned|) times one plus the listed coordinates
     below the record.
-    None of these costs O(m).  Iteration gives the records in order, and the
-    sequence compares equal to the list of them.
+    None of these costs O(m).  Iteration gives the records in order.
     """
 
     __slots__ = ("_x", "_m", "_banned", "_lo", "_hi", "_more", "_extra", "_q0")
 
-    def __init__(self, x: int, m: int, banned: Sequence[int], more: tuple[Collection[int], ...] = ()):
+    def __init__(self, x: int, m: int, banned: Sequence[int], more: Bans = ()):
         self._x, self._m, self._banned = x, m, banned
         # the bans that name a coordinate are banned[lo:hi]
         self._lo, self._hi = bisect_left(banned, 0), bisect_left(banned, m)
@@ -435,9 +453,7 @@ class FreeCoordinates(Sequence):
     def __bool__(self) -> bool:
         return self._first() < self._m
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
+    def __getitem__(self, i: int) -> Incidence:
         if i == 0:
             q = self._first()
         else:
@@ -471,16 +487,6 @@ class FreeCoordinates(Sequence):
                 yield q, x ^ (1 << q), q
             start = stop + 1
 
-    def __eq__(self, other):
-        if isinstance(other, FreeCoordinates):
-            other = list(other)
-        return list(self) == other if isinstance(other, list) else NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"FreeCoordinates({list(self)!r})"
-
 
 class GraphView(_Host):
     """Edge-filtered view of a host: whole color/coordinate classes removed."""
@@ -510,13 +516,7 @@ class GraphView(_Host):
         return self.base.edge_color(u, v)
 
     def incident(self, x: int) -> tuple[Incidence, ...]:
-        return tuple(self.base.admissible(x, self.banned_colors, self.banned_coords))
-
-    def admissible(self, x: int, colors: frozenset[int], coords: frozenset[int]) -> Sequence[Incidence]:
-        return self.base.admissible(x, colors | self.banned_colors, coords | self.banned_coords)
-
-    def degree(self, x: int) -> int:
-        return len(self.incident(x))
+        return tuple(self.base.admissible(x, (self.banned_colors,), (self.banned_coords,), ()))
 
     def delta(self) -> int:
         """Exact minimum degree of the view (a scan of an explicit host), cached."""
@@ -566,21 +566,13 @@ def candidate_edges(
     whose length and items cost what the bans cost, not the cube's width.
 
     `mapped` lists in increasing order the colors that a rainbow step may
-    not take again: those of the edges already mapped.  The implicit cube,
-    whose colors are coordinates, reads that list in place, so its first
-    candidate comes from a binary search in it plus membership tests of the
-    other bans, with no union or sort of the bans.  Without `mapped` it
-    takes the union of the bans, sorted once.  An explicit host adds
-    `mapped` to the union of banned colors that it takes anyway.
+    not take again: those of the edges already mapped.  One route serves
+    every host and view: the view's host answers ``admissible`` with the
+    request's and the view's bans as they are, each read by membership,
+    and `mapped` as it is.
     """
     colors, coords = frozenset(forbidden_colors), frozenset(forbidden_coords)
-    base = g.base
-    if not mapped or not isinstance(base, VirtualCayleyCube):
-        return g.admissible(x, colors.union(mapped) if mapped else colors, coords)
-    if not base.has_vertex(x):
-        raise VertexNotInGraph(f"vertex {x} not in graph")
-    more = (coords, g.banned_coords, colors, g.banned_colors)
-    return FreeCoordinates(x, base.dimension, mapped, more)
+    return g.base.admissible(x, (colors, g.banned_colors), (coords, g.banned_coords), mapped)
 
 
 # --- text format ----------------------------------------------------------
@@ -593,7 +585,8 @@ def candidate_edges(
 # Coordinates are always recomputed from the endpoint bits, never read.
 
 
-def format_graph(g: ColoredCubeGraph) -> str:
+def format_graph(g: ColoredCubeGraph | VirtualCayleyCube) -> str:
+    # the implicit cube, up to Q_16, is written as the explicit host it equals
     n = g.dimension
     # each vertex's text, made once: a vertex of Q_N ends up to N edge lines
     text = {v: vertex_str(v, n) for v in g.vertices}

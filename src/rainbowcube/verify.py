@@ -15,7 +15,7 @@ from .embed import embed_rainbow_tree, format_embedding, format_trace
 from .errors import DegreeTooSmall, LimitExceeded
 from .hypercube import edge_coordinate, format_graph, vertex_str
 from .report import Check, VerificationReport
-from .tree import RootedTree, format_tree, half_ceil
+from .tree import RootedTree, format_tree
 
 
 def verify(
@@ -126,34 +126,6 @@ def _path_repeat_witness(t: RootedTree, coord) -> str:
         path.append(t.parent[path[-1]])
     coords = [coord[v] for v in reversed(path) if half_level[pos[v]] <= 1]
     return f"root path to leaf {leaf} repeats a coordinate in {coords}"
-
-
-def disjoint_images_guaranteed(
-    t1: RootedTree,
-    image1: dict[int, int],
-    t2: RootedTree,
-    image2: dict[int, int],
-) -> bool:
-    """Do two homomorphisms with adjacent root images satisfy the disjointness
-    hypotheses?
-
-    (a) each is path-distinct on its upper-closed half, (b) the half images
-    use disjoint coordinate sets, (c) the root-root edge's coordinate meets
-    neither.  When all hold the image vertex sets cannot intersect.
-    """
-    x = image1[0] ^ image2[0]
-    if x == 0 or x & (x - 1):
-        return False
-    connector = x.bit_length() - 1
-
-    half_coords = []
-    for t, image in ((t1, image1), (t2, image2)):
-        coords = {c: edge_coordinate(image[t.parent[c]], image[c]) for c in half_ceil(t)}
-        if _path_repeat_witness(t, coords):
-            return False
-        half_coords.append(set(coords.values()))
-    first, second = half_coords
-    return not first & second and connector not in first | second
 
 
 @dataclass

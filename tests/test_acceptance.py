@@ -8,25 +8,27 @@ import time
 from rainbowcube import (
     build_tree,
     cayley_coloring,
-    deficiency,
-    degree_sum_identity,
     embed_rainbow_tree,
-    enumerate_trees,
     format_embedding,
     format_tree,
-    half_ceil,
-    half_floor,
-    iota_injection,
     oracle_find,
     oracle_no_rainbow_cycle,
     path_tree,
     verify,
 )
-from rainbowcube import as_spider
 from rainbowcube.cli import main
 from rainbowcube.errors import NoCandidate, PreconditionViolated
 from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.prng import SplitMix64, derive_seed
+from rainbowcube.tree import (
+    as_spider,
+    deficiency,
+    degree_sum_identity,
+    enumerate_trees,
+    half_ceil,
+    half_floor,
+    iota_injection,
+)
 
 from test_tree import BRANCHING_14
 

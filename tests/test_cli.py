@@ -10,7 +10,6 @@ from rainbowcube import (
     build_tree,
     cayley_coloring,
     cross_check,
-    enumerate_trees,
     format_graph,
     format_tree,
     parse_embedding,
@@ -20,6 +19,7 @@ from rainbowcube import (
 from rainbowcube.cli import main
 from rainbowcube.errors import FormatError
 from rainbowcube.gen import random_spider
+from rainbowcube.tree import enumerate_trees
 
 from test_parse_errors import TREE_CASES
 from test_tree import BRANCHING_14

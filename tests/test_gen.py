@@ -2,13 +2,9 @@ import hashlib
 
 import pytest
 
-from rainbowcube import (
-    cayley_coloring,
-    deficiency,
-    format_graph,
-    generate,
-)
+from rainbowcube import cayley_coloring, format_graph
 from rainbowcube.gen import (
+    generate,
     greedy_proper,
     random_spider,
     random_tree,
@@ -16,6 +12,7 @@ from rainbowcube.gen import (
     subgraph_min_degree,
 )
 from rainbowcube.prng import SplitMix64, derive_seed
+from rainbowcube.tree import deficiency
 
 from test_hypercube import brute_force_proper
 

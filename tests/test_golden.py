@@ -15,12 +15,12 @@ from rainbowcube import (
     build_tree,
     cayley_coloring,
     embed_rainbow_tree,
-    enumerate_trees,
     format_embedding,
     path_tree,
     verify,
 )
 from rainbowcube.gen import random_spider, random_tree, refined_cayley, subgraph_min_degree
+from rainbowcube.tree import enumerate_trees
 
 from test_sweep import exact_delta_calls
 

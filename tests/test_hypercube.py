@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from rainbowcube import (
     ColoredCubeGraph,
-    GraphView,
     VirtualCayleyCube,
-    candidate_edges,
     cayley_coloring,
-    edge_coordinate,
     format_graph,
     parse_graph,
 )
@@ -23,7 +20,15 @@ from rainbowcube.errors import (
     VertexNotInGraph,
 )
 from rainbowcube.gen import greedy_proper, refined_cayley, subgraph_min_degree
-from rainbowcube.hypercube import canonical_edge, cube_edges, parse_vertex, vertex_str
+from rainbowcube.hypercube import (
+    GraphView,
+    candidate_edges,
+    canonical_edge,
+    cube_edges,
+    edge_coordinate,
+    parse_vertex,
+    vertex_str,
+)
 from rainbowcube.prng import SplitMix64
 
 
@@ -66,7 +71,7 @@ class TestCayleyColoring:
     def test_q3_counts(self):
         g = cayley_coloring(3)
         assert g.n_vertices() == 8
-        assert g.n_edges() == 12
+        assert len(list(g.edges())) == 12
         by_color = {}
         for u, v, c in g.edges():
             by_color.setdefault(c, []).append((u, v))
@@ -218,7 +223,6 @@ class TestFlatStoreModel:
         top = 1 << n
         assert g.vertices == ref.vertices
         assert g.n_vertices() == len(ref.vertices)
-        assert g.n_edges() == len(ref.color)
         assert list(g.edges()) == [(u, v, c) for (u, v), c in sorted(ref.color.items())]
         probes = range(-2, top + 2)
         for u in probes:
@@ -235,7 +239,7 @@ class TestFlatStoreModel:
                 assert g.incident(u) == ref.incident(u)
                 assert g.degree(u) == len(ref.incident(u))
             else:
-                for query in (g.incident, g.degree, lambda x: g.admissible(x, frozenset(), frozenset())):
+                for query in (g.incident, g.degree, lambda x: g.admissible(x, (), (), ())):
                     with pytest.raises(VertexNotInGraph):
                         query(u)
         if not ref.vertices:
@@ -249,7 +253,7 @@ class TestFlatStoreModel:
             colors, coords = (frozenset(b) for b in random_bans(rng, 2 * n + 2))
             assert g.delta_after_bans(colors, coords) == min(ref.degrees(colors, coords))
             x = sorted(ref.vertices)[rng.randrange(len(ref.vertices))]
-            assert g.admissible(x, colors, coords) == [
+            assert g.admissible(x, (colors,), (coords,), ()) == [
                 (q, y, c) for q, y, c in ref.incident(x) if c not in colors and q not in coords
             ]
 
@@ -318,7 +322,7 @@ class TestFlatStoreModel:
     def test_isolated_declared_vertices(self):
         g = ColoredCubeGraph(3, [(0, 1, 0)], vertices=[0, 6])
         assert g.vertices == {0, 1, 6}
-        assert (g.n_vertices(), g.n_edges(), g.delta()) == (3, 1, 0)
+        assert (g.n_vertices(), len(list(g.edges())), g.delta()) == (3, 1, 0)
         assert g.incident(6) == ()
         assert g.delta_after_bans(frozenset(), frozenset()) == 0
 
@@ -406,7 +410,7 @@ class TestViews:
     def test_restrict_filters(self):
         g = cayley_coloring(3)
         view = g.restrict({0}, {1})
-        assert view.degree(0) == 1
+        assert len(view.incident(0)) == 1
         assert view.delta() == 1
         assert not view.has_edge(0, 1)
         assert view.has_edge(0, 4)
@@ -509,7 +513,7 @@ def test_a_host_is_its_own_view_with_nothing_banned(g):
         else:
             view = direct = bare
         for x in xs:
-            assert view.incident(x) == direct.incident(x) and view.degree(x) == direct.degree(x)
+            assert view.incident(x) == direct.incident(x)
             for q in range(g.dimension):
                 assert view.has_edge(x, x ^ (1 << q)) == direct.has_edge(x, x ^ (1 << q))
         x = xs[rng.randrange(len(xs))]
@@ -542,11 +546,11 @@ class TestAdmissibleScan:
                 x = rng.randrange(1 << min(g.dimension, 20))
                 fc, fx = random_bans(rng, g.dimension + 3, g.dimension // 2)
                 expected = filtered_incident(g, view, x, fc, fx)
-                assert candidate_edges(view, x, fc, fx) == expected
+                assert list(candidate_edges(view, x, fc, fx)) == expected
                 assert list(view.incident(x)) == filtered_incident(g, view, x, (), ())
                 # mapped colors are banned on top of every other ban
                 mapped, _ = random_bans(rng, g.dimension + 3, g.dimension // 2)
-                assert (candidate_edges(view, x, fc, fx, sorted(mapped))
+                assert (list(candidate_edges(view, x, fc, fx, sorted(mapped)))
                         == filtered_incident(g, view, x, fc | mapped, fx))
 
     def test_virtual_scan_builds_no_incident_tuple(self, monkeypatch):
@@ -560,8 +564,12 @@ class TestAdmissibleScan:
         assert [q for q, _, _ in got] == [q for q in range(30) if q not in {0, 1, 3, 5}]
 
     def test_unknown_vertex_in_a_virtual_view(self):
-        with pytest.raises(VertexNotInGraph):
-            candidate_edges(VirtualCayleyCube(3).restrict({0}), 8)
+        # the engine's route passes the mapped colors; a caller's may not
+        g = VirtualCayleyCube(3)
+        for host in (g, g.restrict({0})):
+            for mapped in ((), [1]):
+                with pytest.raises(VertexNotInGraph):
+                    candidate_edges(host, 8, (), (), mapped)
 
 
 class TestLazyCandidates:
@@ -607,8 +615,7 @@ class TestLazyCandidates:
                 for i in (n, n + 1, -n - 1):
                     with pytest.raises(IndexError):
                         got[i]
-                assert list(got) == want and got[1:] == want[1:]
-                assert got == want and want == got and got != want + [None]
+                assert list(got) == want
 
     @pytest.mark.parametrize("m", [9, 40])
     def test_a_seeded_pick_is_the_lists(self, m):
@@ -670,7 +677,7 @@ class TestGraphFormat:
         with pytest.raises(FormatError):
             parse_graph(text, strict_vertices=True)
         ok = "cube 2\nvertex 00\nvertex 01\nedge 00 01 0\n"
-        assert parse_graph(ok, strict_vertices=True).n_edges() == 1
+        assert list(parse_graph(ok, strict_vertices=True).edges()) == [(0, 1, 0)]
 
     def test_vertex_line_after_the_edges_counts(self):
         g = parse_graph("cube 2\nedge 00 01 0\nvertex 11\n")
@@ -820,5 +827,5 @@ def test_parse_peak_stays_near_the_host_it_keeps():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.n_edges() == 12 << 11
+    assert len(list(g.edges())) == 12 << 11
     assert peak < 3 * kept, (peak, kept)

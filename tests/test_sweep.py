@@ -24,10 +24,11 @@ from __future__ import annotations
 import pytest
 
 import rainbowcube.embed as embed
-from rainbowcube import ColoredCubeGraph, GraphView, embed_half, enumerate_trees, extend_tree, verify
-from rainbowcube.embed import choose_z_bad
+from rainbowcube import ColoredCubeGraph, extend_tree, verify
+from rainbowcube.embed import choose_z_bad, embed_half
 from rainbowcube.errors import RainbowCubeError
-from rainbowcube.hypercube import cube_edges
+from rainbowcube.hypercube import GraphView, cube_edges
+from rainbowcube.tree import enumerate_trees
 
 
 def proper_colorings(n: int, max_colors: int):

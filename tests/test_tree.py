@@ -2,21 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowcube import (
-    as_spider,
-    build_tree,
-    canonical_form,
-    classify_children,
-    deficiency,
-    degree_sum_identity,
-    enumerate_trees,
-    format_tree,
-    half_ceil,
-    half_floor,
-    iota_injection,
-    parse_tree,
-    path_tree,
-)
+from rainbowcube import build_tree, format_tree, parse_tree, path_tree
 from rainbowcube.errors import (
     CycleDetected,
     DisconnectedInput,
@@ -26,6 +12,17 @@ from rainbowcube.errors import (
     LimitExceeded,
 )
 from rainbowcube.gen import random_spider, random_tree
+from rainbowcube.tree import (
+    as_spider,
+    canonical_form,
+    classify_children,
+    deficiency,
+    degree_sum_identity,
+    enumerate_trees,
+    half_ceil,
+    half_floor,
+    iota_injection,
+)
 
 # 14-vertex branching example: a root path splitting into four maximal paths
 # of lengths 4, 7, 3, 4

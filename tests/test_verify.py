@@ -11,10 +11,8 @@ from rainbowcube import (
     cayley_coloring,
     cross_check,
     embed_rainbow_tree,
-    enumerate_trees,
     format_embedding,
-    half_ceil,
-    disjoint_images_guaranteed,
+    format_graph,
     oracle_find,
     oracle_no_rainbow_cycle,
     parse_embedding,
@@ -24,10 +22,14 @@ from rainbowcube import (
     verify,
     write_bundle,
 )
+from rainbowcube.cli import main
 from rainbowcube.errors import LimitExceeded
 from rainbowcube.gen import random_tree, refined_cayley, subgraph_min_degree
+from rainbowcube.hypercube import edge_coordinate
 from rainbowcube.prng import SplitMix64
 from rainbowcube.report import Check
+from rainbowcube.tree import enumerate_trees, half_ceil
+from rainbowcube.verify import _path_repeat_witness
 
 
 class TestVerify:
@@ -228,6 +230,30 @@ class TestCrossCheck:
         assert summary.ok and not summary.engine_found
 
 
+def disjoint_images_guaranteed(t1, image1, t2, image2) -> bool:
+    """Do two homomorphisms with adjacent root images satisfy the disjointness
+    hypotheses?
+
+    (a) each is path-distinct on its upper-closed half, (b) the half images
+    use disjoint coordinate sets, (c) the root-root edge's coordinate meets
+    neither.  When all hold the image vertex sets cannot intersect.  The
+    rule under test here, with the verifier's one-pass path check.
+    """
+    x = image1[0] ^ image2[0]
+    if x == 0 or x & (x - 1):
+        return False
+    connector = x.bit_length() - 1
+
+    half_coords = []
+    for t, image in ((t1, image1), (t2, image2)):
+        coords = {c: edge_coordinate(image[t.parent[c]], image[c]) for c in half_ceil(t)}
+        if _path_repeat_witness(t, coords):
+            return False
+        half_coords.append(set(coords.values()))
+    first, second = half_coords
+    return not first & second and connector not in first | second
+
+
 class TestDisjointImagesRule:
     @staticmethod
     def _random_instance(rng):
@@ -392,3 +418,18 @@ class TestBundles:
                  if line.startswith("trace ")]
         assert trace
         assert (tmp_path / "case" / "trace.txt").read_text() == "".join(f"{line}\n" for line in trace)
+
+    def test_implicit_cube_bundles_as_the_explicit_host_it_equals(self, tmp_path):
+        g, t = VirtualCayleyCube(4), path_tree(2)
+        case = tmp_path / "case"
+        write_bundle(str(case), g, t, embed_rainbow_tree(g, t))
+        assert (case / "graph.txt").read_text() == format_graph(cayley_coloring(4))
+        assert main(["verify", *(str(case / name) for name in ("graph.txt", "tree.txt", "embedding.txt"))]) == 0
+        # the oracle and the cross-check list its vertices as they list an explicit host's
+        assert oracle_find(g, t).found and cross_check(g, t).ok
+
+    def test_implicit_cube_past_q16_is_not_listed(self):
+        g = VirtualCayleyCube(17)
+        for listing in (format_graph, lambda g: g.vertices, lambda g: g.edges()):
+            with pytest.raises(LimitExceeded):
+                listing(g)
