@@ -52,9 +52,8 @@ from .tree import (
     as_spider,
     build_tree,  # noqa: F401 -- perfbench/test_smoke.py reads embed.build_tree
     classify_children,
+    half_ceil,
     half_floor,
-    subtree_ceil_edges,
-    subtree_floor_edges,
 )
 
 
@@ -568,7 +567,9 @@ def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
     avoiding `z_bad`, path-distinct on the upper-closed half.
 
     `z_bad` must be a cube neighbor of the root's image whose connecting
-    edge is absent from the host, with its coordinate unused so far.  The
+    edge is absent from the host, with its coordinate unused so far.  That
+    and the domain are checked here, where a caller hands them in; on every
+    inner frame they hold by the proof at the branch anchor-set check.  The
     recursion classifies the root's children into leaves u_1..u_l, children
     s_1..s_k carrying even spiders, and the rest t_1..t_m in order of
     increasing deficiency, then grows the embedding in eight stages:
@@ -590,7 +591,21 @@ def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
          vertex of every recursion is the root's image;
       8. finish t_m by recursion, blocking the root's image.
     """
-    _run(_tree_frame(pe, z_bad))
+    t, root = pe.tree, pe.root
+    root_img = pe.image[root]
+    if t.children[root]:  # else the last check alone refuses z_bad == root_img
+        try:
+            q = edge_coordinate(root_img, z_bad)
+        except DifferingBitCount as exc:
+            raise PreconditionViolated("blocked vertex is not a cube neighbor of the root image") from exc
+        if pe.graph.has_edge(root_img, z_bad):
+            raise PreconditionViolated("blocked vertex is joined to the root image in the host")
+        if pe._edges != half_floor(t, root):
+            raise PreconditionViolated("extend_tree domain must be exactly the lower half")
+        pe.require_doubly_distinct(pe._edges, "extend_tree input")
+        if q in pe._coords:
+            raise PreconditionViolated("blocked coordinate already used by the lower half")
+        _run(_tree_frame(pe, z_bad))
     # checked once too: the blocked vertex of every inner frame is the image
     # of its opener's subroot, which lies outside it and inside this frame
     if z_bad in _check_injective(pe, "tree"):
@@ -599,42 +614,28 @@ def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
 
 
 def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
-    """extend_tree on the subtree at a frame's subroot.  Every frame it
-    opens is rooted at a child, so frames nest no deeper than the tree."""
+    """extend_tree on the subtree at a frame's subroot, which has a child
+    (steps 7 and 8 open none on a leaf).  Every frame it opens is rooted at
+    a child, so frames nest no deeper than the tree."""
     t, g = pe.tree, pe.graph
     root = pe.root
     order, pos, end, _ = t.preorder()
     root_img = pe.image[root]
     e_total = end[root] - pos[root] - 1
-    if e_total == 0:
-        if root_img == z_bad:
-            raise PreconditionViolated("root image equals the blocked vertex")
-        return
-
     if not g.delta_at_least(e_total):
         raise PreconditionViolated(f"delta={g.delta()} < e(T)={e_total}")
-    try:
-        q = edge_coordinate(root_img, z_bad)
-    except DifferingBitCount as exc:
-        raise PreconditionViolated("blocked vertex is not a cube neighbor of the root image") from exc
-    if g.has_edge(root_img, z_bad):
-        raise PreconditionViolated("blocked vertex is joined to the root image in the host")
-    floor = half_floor(t, root)
-    if pe._edges != floor:
-        raise PreconditionViolated("extend_tree domain must be exactly the lower half")
-    pe.require_doubly_distinct(floor, "extend_tree input")
-    if q in pe._coords:
-        raise PreconditionViolated("blocked coordinate already used by the lower half")
+    q = edge_coordinate(root_img, z_bad)
+    floor = frozenset(pe._edges)
 
     cls = classify_children(t, root)
     k, ell, m = len(cls.spiders), len(cls.leaves), len(cls.rest)
 
     a_sets = {
-        sc.vertex: (frozenset({sc.vertex}) | subtree_floor_edges(t, sc.vertex))
+        sc.vertex: (frozenset({sc.vertex}) | half_floor(t, sc.vertex))
         - {sc.mid_edge}
         for sc in cls.spiders
     }
-    b_sets = {v: frozenset({v}) | subtree_floor_edges(t, v) for v in cls.rest}
+    b_sets = {v: frozenset({v}) | half_floor(t, v) for v in cls.rest}
     ab = set().union(*a_sets.values(), *b_sets.values())
 
     # the anchor-set checks: raised, not asserted, so that `python -O` keeps them
@@ -683,7 +684,13 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         )
         _extend(pe, sc.after_mid_edge, pe.coords_of(later_anchor), "step5", (sc.mid_edge,))
 
-    # each branch anchor set is {v} | the lower half of v's subtree, mapped by step 3
+    # each branch anchor set is {v} | the lower half of v's subtree, mapped by step 3.
+    # So the tree frame that steps 7 and 8 open on v gets what extend_tree
+    # checks: its pre-mapped edges are v's lower half (steps 1 to 5 map no
+    # other edge below v, and each frame of steps 6 and 7 stays in its own
+    # subtree), rainbow (`record`) and, by this check, of coordinates distinct
+    # from each other and from coord_of[v]; its blocked vertex root_img is v's
+    # image flipped in coord_of[v], across v's edge, whose color `lift` bans.
     for branch in chain((a_sets[sc.vertex] | {sc.mid_edge} for sc in cls.spiders), b_sets.values()):
         if len({pe.coord_of[e] for e in branch}) != len(branch):
             raise PreconditionViolated("branch anchor set repeats a coordinate")
@@ -703,7 +710,7 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     # steps 7 and 8: the remaining subtrees, in deficiency order
     for j, v in enumerate(cls.rest, start=1):
         sub_floor = b_sets[v] - {v}
-        sub_ceil = subtree_ceil_edges(t, v) if j < m else sub_floor
+        sub_ceil = half_ceil(t, v) if j < m else sub_floor
         later_coords = ()
         lone_odd_leg = sub_ceil != sub_floor and end[v] - pos[v] - 1 - 2 * len(sub_floor) == 1
         if lone_odd_leg:

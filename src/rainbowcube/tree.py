@@ -185,12 +185,6 @@ def half_ceil(t: RootedTree, v: int = 0) -> frozenset[int]:
     return frozenset(compress(*_in_half(t, v, 1)))
 
 
-# the halves of a child's subtree, under the names the extension's anchor
-# bookkeeping looks them up by
-subtree_floor_edges = half_floor
-subtree_ceil_edges = half_ceil
-
-
 def deficiency(t: RootedTree, v: int = 0) -> int:
     """e - 2*e(lower half) of the subtree at v; nonnegative, and counts odd
     legs on spiders."""
@@ -221,7 +215,8 @@ def as_spider(t: RootedTree, v: int = 0) -> SpiderShape | None:
     """
     if not t.children[v]:
         raise EmptyTree("single-vertex tree has no legs")
-    if _branches_below(t, v) is not None:
+    order, pos, end, _ = t.preorder()
+    if any(len(t.children[w]) > 1 for w in order[pos[v] + 1 : end[v]]):
         return None
     legs = []
     for c in t.children[v]:
@@ -230,13 +225,6 @@ def as_spider(t: RootedTree, v: int = 0) -> SpiderShape | None:
             leg.append(t.children[leg[-1]][0])
         legs.append(tuple(leg))
     return SpiderShape(v, tuple(legs), tuple(len(leg) - 1 for leg in legs))
-
-
-def _branches_below(t: RootedTree, v: int) -> int | None:
-    """A proper descendant of v with two or more children, or None."""
-    order, pos, end, _ = t.preorder()
-    children = t.children
-    return next((w for w in order[pos[v] + 1 : end[v]] if len(children[w]) > 1), None)
 
 
 # --- classification of the root's children ----------------------------------
@@ -280,17 +268,16 @@ def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
             continue
         d = deficiency(t, v)
         if d == 0:
-            # zero deficiency forces an even spider below v; check it live
-            w = _branches_below(t, v)
-            if w is not None:
-                raise AssertionError(f"deficiency 0 but vertex {w} branches below {v}")
+            # zero deficiency forces an even spider below v (depths below v):
+            # iota_injection maps the lower half injectively past the upper-closed
+            # half, so d = 0 leaves no middle edge and no edge past it unhit.  It
+            # hits a leaf edge at depth L >= 2 only from the depth-1 edge above
+            # (depth j goes to L - j + 1 on that edge's one deepest path), so each
+            # child of v heads a path, and an odd path would have a middle edge.
             leg = [v]
             while t.children[leg[-1]]:
                 leg.append(t.children[leg[-1]][0])
-            length = len(leg) - 1
-            if length % 2:
-                raise AssertionError(f"deficiency 0 but designated leg below {v} is odd")
-            half = length // 2
+            half = (len(leg) - 1) // 2
             spiders.append(SpiderChild(v, tuple(leg), half, leg[half], leg[half + 1]))
         else:
             rest.append((d, v))
@@ -321,6 +308,9 @@ def iota_injection(t: RootedTree) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     ceil_set = half_ceil(t)
+    # the iota lemma, so no tree fails the checks below: w at level d <= l/2
+    # goes to level l - d + 1 > (l + 1)/2, past the upper-closed half, on a path
+    # to level l; its image p fixes l = level_max(p) and so d: iota is one-to-one
     for w in sorted(half_floor(t)):
         d, l = t.level[w], t.level_max[w]
         down = _max_level_path(t, w)  # w = v_d, ..., v_l

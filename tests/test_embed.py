@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,15 +32,21 @@ from rainbowcube import (
     write_bundle,
 )
 from rainbowcube.embed import certify_path_windows, choose_z_bad, embed_half, replay_trace
-from rainbowcube.errors import DegreeTooSmall, NoCandidate, PreconditionViolated, RainbowCubeError
+from rainbowcube.errors import (
+    DegreeTooSmall,
+    NoCandidate,
+    PreconditionViolated,
+    RainbowCubeError,
+    VertexNotInGraph,
+)
 from rainbowcube.gen import greedy_proper, random_spider, random_tree, refined_cayley, subgraph_min_degree
-from rainbowcube.hypercube import GraphView, candidate_edges
+from rainbowcube.hypercube import GraphView, _Host, candidate_edges, cube_edges
 from rainbowcube.prng import SplitMix64
-from rainbowcube.tree import enumerate_trees, half_floor
+from rainbowcube.tree import classify_children, enumerate_trees, half_floor
 
 from test_golden import comb, deep_corpus, stage_corpus
 from test_hypercube import host_id, random_views
-from test_sweep import slice_runs
+from test_sweep import exact_delta_calls, slice_runs
 from test_tree import CLASSIFY_49
 
 
@@ -171,6 +178,11 @@ class TestExtendOne:
             extend_one(pe, ExtensionRequest(0, target, frozenset(), frozenset()))
         assert pe.image == {0: 0} and pe.trace == [] and not pe.sorted_colors
 
+    def test_refuses_a_target_that_is_not_a_child_of_the_source(self):
+        pe = premapped(VirtualCayleyCube(4), path_tree(2), {0: 0})
+        with pytest.raises(PreconditionViolated, match="^step extend: 2 is not a child of 0$"):
+            extend_one(pe, ExtensionRequest(0, 2, frozenset(), frozenset()))
+
 
 class TestEmbedHalf:
     def test_star_maps_only_root(self):
@@ -188,6 +200,10 @@ class TestEmbedHalf:
     def test_degree_guard(self):
         with pytest.raises(DegreeTooSmall):
             embed_half(cayley_coloring(2), path_tree(4), 0)
+
+    def test_start_outside_the_host(self):
+        with pytest.raises(VertexNotInGraph, match="^start vertex 8 not in host$"):
+            embed_half(cayley_coloring(3), path_tree(2), 8)
 
     def test_doubly_distinct_over_all_small_trees(self):
         g = cayley_coloring(5)
@@ -231,6 +247,11 @@ class TestExtendPath:
         t = path_tree(4)
         pe = premapped(g, t, {0: 0, 1: 1})  # one edge short of floor(n/2)+1
         with pytest.raises(PreconditionViolated):
+            extend_path(pe)
+
+    def test_rejects_a_tree_that_is_not_a_path(self):
+        pe = premapped(cayley_coloring(3), build_tree([0, 0]), {0: 0})
+        with pytest.raises(PreconditionViolated, match="^extend_path needs a path tree with ids in order$"):
             extend_path(pe)
 
     def test_window_certificate_rejects_repeats(self):
@@ -352,6 +373,28 @@ class TestExtendSpider:
         with pytest.raises(PreconditionViolated):
             extend_spider(pe)
 
+    def test_rejects_a_domain_short_of_the_lower_half(self):
+        pe = premapped(cayley_coloring(4), random_spider([2, 2]), {0: 0})
+        with pytest.raises(PreconditionViolated,
+                           match="^spider domain must be the lower half plus at most one edge$"):
+            extend_spider(pe)
+
+    def test_rejects_an_extra_edge_past_a_first_missing_one(self):
+        # vertex 3's image is set by hand, so edge 4 is mapped below an edge
+        # that is not
+        g = cayley_coloring(4)
+        pe = premapped(g, path_tree(4), {0: 0, 1: 1, 2: 3})
+        pe.image[3] = 7
+        pe.premap(4, 15)
+        with pytest.raises(PreconditionViolated, match="^extra edge 4 is not a leg's first missing edge$"):
+            extend_spider(pe)
+
+    def test_rejects_an_odd_leg_beside_leg_one(self):
+        # the mapped edge makes its leg leg one, and the other leg is odd
+        pe = premapped(cayley_coloring(4), build_tree([0, 0]), {0: 0, 1: 1})
+        with pytest.raises(PreconditionViolated, match="^legs other than leg one must have even length$"):
+            extend_spider(pe)
+
 
 def legal_blockers(g, pe, extra_coords=2):
     """All blocked-vertex choices the extension contract allows here."""
@@ -411,18 +454,49 @@ class TestExtendTree:
         g = cayley_coloring(3)
         t = path_tree(2)
         pe = embed_half(g, t, 0)
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="^blocked vertex is joined to the root image in the host$"):
             extend_tree(pe, 2)  # 000-010 is an edge of the host
 
     def test_rejects_used_blocker_coordinate(self):
-        g = subgraph_min_degree(3, 2, 1)
-        t = path_tree(2)
-        pe = embed_half(g, t, 0)
-        (q,) = pe.coord_of.values()
-        z = pe.image[0] ^ (1 << q)
-        if not g.has_edge(pe.image[0], z):
-            with pytest.raises(PreconditionViolated):
-                extend_tree(pe, z)
+        # Q_5 without the edge 00000-00010: the path's second edge, in the
+        # lower half and away from the root, runs along coordinate 1, whose
+        # flip at the root is absent from the host
+        g = ColoredCubeGraph(5, [e for e in cayley_coloring(5).edges() if e[:2] != (0, 2)])
+        pe = embed_half(g, path_tree(4), 0)
+        assert pe.image == {0: 0, 1: 1, 2: 3} and not g.has_edge(0, 2)
+        with pytest.raises(PreconditionViolated, match="^blocked coordinate already used by the lower half$"):
+            extend_tree(pe, 2)
+
+    def test_rejects_a_blocker_that_is_not_a_cube_neighbor(self):
+        pe = embed_half(cayley_coloring(3), path_tree(2), 0)
+        with pytest.raises(PreconditionViolated,
+                           match="^blocked vertex is not a cube neighbor of the root image$"):
+            extend_tree(pe, 0b110)
+
+    def test_rejects_a_domain_other_than_the_lower_half(self):
+        pe = premapped(cayley_coloring(3), path_tree(2), {0: 0})
+        with pytest.raises(PreconditionViolated, match="^extend_tree domain must be exactly the lower half$"):
+            extend_tree(pe, 8)
+
+    @pytest.mark.parametrize("entry, args, more", [
+        ("extend_tree", (64,), {}),
+        ("extend_spider", (), {}),
+        ("extend_path", (), {4: 6}),
+    ])
+    def test_rejects_input_that_is_not_doubly_distinct(self, entry, args, more):
+        # Q_6 colored by coordinate, except that the coordinate-0 edges at
+        # vertices with bit 1 set take color 6; the path 0-1-3-2 is rainbow,
+        # but its edges 1 and 3 both run along coordinate 0
+        g = ColoredCubeGraph(6, [(u, v, 6 if q == 0 and u & 2 else q) for u, v, q in cube_edges(6)])
+        pe = premapped(g, path_tree(6), {0: 0, 1: 1, 2: 3, 3: 2, **more})
+        with pytest.raises(PreconditionViolated, match=f"^{entry} input: mapped edges are not doubly distinct$"):
+            getattr(embed, entry)(pe, *args)
+
+    def test_a_single_vertex_on_the_blocked_vertex(self):
+        # nothing to map, so the last check is the one that refuses it
+        pe = embed_half(cayley_coloring(3), build_tree([]), 5)
+        with pytest.raises(PreconditionViolated, match="^embedding touched the blocked vertex$"):
+            extend_tree(pe, 5)
 
 
 @st.composite
@@ -596,7 +670,8 @@ import sys
 import rainbowcube.embed as embed
 from rainbowcube import VirtualCayleyCube, build_tree
 from rainbowcube.errors import PreconditionViolated
-embed.subtree_floor_edges = lambda t, v: frozenset(t.subtree_preorder(v)[1:])
+from rainbowcube.tree import half_floor
+embed.half_floor = lambda t, v=0: frozenset(t.subtree_preorder(v)[1:]) if v else half_floor(t)
 try:
     embed.embed_rainbow_tree(VirtualCayleyCube(5), build_tree([0, 1, 1]))
 except PreconditionViolated as exc:
@@ -604,8 +679,32 @@ except PreconditionViolated as exc:
 """
 
 
+LIFT = PartialEmbedding.lift
+
+
+def lift_banning_unused_coordinates(self, vertices, banned_coords=()):
+    """`lift` that also bans every coordinate no mapped edge uses, so that
+    the frame's view keeps too few edges."""
+    unused = set(range(self.graph.dimension)) - set(self.coord_of.values())
+    return LIFT(self, vertices, unused.union(banned_coords))
+
+
+def lift_banning_phantom_colors(self, vertices, banned_coords=()):
+    """`lift` whose view also bans colors that no edge carries: each lowers
+    the view's degree bound, and none its exact degree."""
+    sub = LIFT(self, vertices, banned_coords)
+    sub.graph = sub.graph.restrict(range(100, 100 + self.graph.dimension))
+    return sub
+
+
+def classify_with(change):
+    """classify_children with `change` applied to its answer."""
+    return lambda t, root=0: change(classify_children(t, root))
+
+
 class TestStrictChecks:
-    """The anchor-set checks run on every embedding, and raise."""
+    """The counting-bound and anchor-set checks run on every frame, and
+    raise; each is caught breaking a fault injected upstream of it."""
 
     def test_the_package_has_no_assert_statement(self):
         # `python -O` strips assert statements, so no check may be one
@@ -638,6 +737,49 @@ class TestStrictChecks:
         with pytest.raises(PreconditionViolated, match="^branch anchor set repeats a coordinate$"):
             embed_rainbow_tree(refined_cayley(6, 0, 2), build_tree([0, 0, 2, 3, 4, 5]))
 
+    @pytest.mark.parametrize("where, fault, parents, message", [
+        pytest.param("classify_children", classify_with(lambda cls: replace(
+            cls, spiders=tuple(replace(sc, mid_edge=sc.after_mid_edge) for sc in cls.spiders))),
+            [0, 1, 2], "anchor set of spider child 1 is not half its subtree", id="mid-leg-edge-too-deep"),
+        pytest.param("half_floor", lambda t, v=0: frozenset(t.subtree_preorder(v)[1:]) if v else half_floor(t),
+                     [0, 1, 1], "anchor set of child 1 exceeds half its subtree", id="whole-subtrees"),
+        pytest.param("classify_children", classify_with(lambda cls: replace(cls, leaves=cls.leaves + cls.rest)),
+                     [0, 1], "anchor sets exceed half of the edges outside leaves and mid-legs",
+                     id="a-child-also-counted-as-a-leaf"),
+        pytest.param("half_floor", lambda t, v=0: frozenset() if v else half_floor(t),
+                     [0, 1, 2, 3], "anchor sets miss part of the lower half", id="no-lower-halves-below-the-root"),
+    ])
+    def test_broken_anchor_bookkeeping_is_caught(self, where, fault, parents, message, monkeypatch):
+        monkeypatch.setattr(embed, where, fault)
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            embed_rainbow_tree(VirtualCayleyCube(6), build_tree(parents))
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda g: embed_rainbow_tree(g, build_tree([0, 1, 2])), r"delta=1 < e\(S\)=2"),
+        (lambda g: extend_spider(embed_half(g, path_tree(4), 0)), "leg-one view delta=3 < leg length 4"),
+        (lambda g: embed_rainbow_tree(g, path_tree(2)), r"delta=0 < e\(T\)=1"),
+    ], ids=["spider-frame", "leg-one", "tree-frame"])
+    def test_an_overbanning_lift_is_caught_by_the_counting_bounds(self, run, message, monkeypatch):
+        monkeypatch.setattr(PartialEmbedding, "lift", lift_banning_unused_coordinates)
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            run(VirtualCayleyCube(6))
+
+    def test_the_exact_delta_decides_where_the_bound_falls_short(self, monkeypatch):
+        monkeypatch.setattr(PartialEmbedding, "lift", lift_banning_phantom_colors)
+        calls = exact_delta_calls(monkeypatch)
+        g, t = VirtualCayleyCube(3), build_tree([0, 1, 2])
+        pe = embed_rainbow_tree(g, t)
+        assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
+        assert calls
+        # by the bound alone, the spider frame's view, of exact degree 2, is
+        # refused for its two edges
+        def bound_only(view, k):
+            return view.base.delta() - len(view.banned_colors) - len(view.banned_coords) >= k
+
+        monkeypatch.setattr(_Host, "delta_at_least", bound_only)
+        with pytest.raises(PreconditionViolated, match=r"^delta=2 < e\(S\)=2$"):
+            embed_rainbow_tree(g, t)
+
 
 class TestTraceAndFormat:
     def test_replay_reproduces_embedding(self):
@@ -645,6 +787,13 @@ class TestTraceAndFormat:
         t = random_tree(4, 17)
         pe = embed_rainbow_tree(g, t)
         assert replay_trace(t, pe.trace, pe.image[0]) == pe.image
+
+    def test_replay_refuses_a_trace_that_does_not_chain(self):
+        t = random_tree(4, 17)
+        pe = embed_rainbow_tree(cayley_coloring(4), t)
+        first = pe.trace[0][1]
+        with pytest.raises(PreconditionViolated, match=f"^trace entry for edge {first} does not chain$"):
+            replay_trace(t, pe.trace, pe.image[0] ^ 1)
 
     def test_trace_window_fields(self):
         g = cayley_coloring(4)

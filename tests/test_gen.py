@@ -36,6 +36,11 @@ class TestSplitMix64:
         assert set(draws) <= set(range(7))
         assert len(set(draws)) > 1
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_randrange_needs_a_nonempty_range(self, n):
+        with pytest.raises(ValueError, match=f"^randrange needs n >= 1, got {n}$"):
+            SplitMix64(9).randrange(n)
+
     def test_shuffle_deterministic(self):
         a, b = list(range(10)), list(range(10))
         SplitMix64(3).shuffle(a)

@@ -156,6 +156,13 @@ class TestMinDegree:
         with pytest.raises(EmptyGraph):
             ColoredCubeGraph(3).delta()
 
+    def test_an_empty_host_has_no_start_and_no_view_delta(self):
+        g = ColoredCubeGraph(3)
+        with pytest.raises(EmptyGraph, match="^graph has no vertices$"):
+            g.default_start()
+        with pytest.raises(EmptyGraph, match="^graph has no vertices$"):
+            g.restrict([0]).delta()
+
     def test_degree_map(self):
         g = cayley_coloring(2)
         assert {v: g.degree(v) for v in g.vertices} == {0: 2, 1: 2, 2: 2, 3: 2}
@@ -331,6 +338,11 @@ class TestFlatStoreModel:
             ColoredCubeGraph(17, [(0, 1, 0)])
         with pytest.raises(FormatError, match="dimension must be <= 16"):
             parse_graph("cube 17\nedge 00000000000000000 00000000000000001 0\n")
+
+    @pytest.mark.parametrize("host", [ColoredCubeGraph, VirtualCayleyCube])
+    def test_dimension_zero_is_refused(self, host):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            host(0)
 
 
 def test_vertex_text_check_decides_as_the_set_test():
@@ -644,6 +656,10 @@ class TestVirtualCayley:
         g = VirtualCayleyCube(30)
         assert g.n_vertices() == 1 << 30
         assert g.degree(12345) == 30
+
+    def test_degree_outside_the_cube(self):
+        with pytest.raises(VertexNotInGraph, match=f"^vertex {1 << 30} not in graph$"):
+            VirtualCayleyCube(30).degree(1 << 30)
 
     def test_incident_matches_materialized(self):
         big, small = VirtualCayleyCube(3), cayley_coloring(3)

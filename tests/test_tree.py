@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,19 @@ class TestDeficiency:
                 shape is not None and shape.odd_legs == 1
             )
 
+    def test_zero_deficiency_is_an_even_spider_at_every_vertex(self):
+        # the reference for classify_children, which builds a spider child
+        # from zero deficiency alone
+        trees = chain(enumerate_trees(8), (random_tree(s % 33, s) for s in range(2000)))
+        checked = 0
+        for t in trees:
+            for v in range(t.n):
+                if t.children[v] and deficiency(t, v) == 0:
+                    shape = as_spider(t, v)
+                    assert shape is not None and shape.odd_legs == 0, (t, v)
+                    checked += 1
+        assert checked > 1000
+
     def test_spider_deficiency_counts_odd_legs(self):
         for legs in [[1], [2], [3, 3], [1, 2, 3], [5, 4, 4, 2, 2], [7, 1, 1]]:
             t = random_spider(legs)
@@ -215,6 +230,10 @@ class TestClassifyChildren:
             for v in cls.rest
         ]
         assert order == sorted(order) == [1, 1, 2, 3]
+
+    def test_a_leaf_has_nothing_to_classify(self):
+        with pytest.raises(EmptyTree, match="^no edges to classify$"):
+            classify_children(build_tree([0]), 1)
 
     @given(parent_lists())
     @settings(max_examples=150, deadline=None)
