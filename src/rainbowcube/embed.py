@@ -19,8 +19,8 @@ or a single leg, under the tree's own vertex ids, together with a view of
 the host that bans what the rest of the tree already uses.  Every frame
 writes into the one PartialEmbedding of the whole tree and keeps only its
 own sets of mapped edges, colors and coordinates, which its counting
-bounds are about.  Frames are generators that one loop, `_run`, drives depth
-first on an explicit stack, so a deep tree needs no interpreter recursion.
+bounds are about.  Tree frames are generators that one loop, `_run`, drives
+depth first on an explicit stack, so a deep tree needs no interpreter recursion.
 
 Every choice is deterministic (first admissible edge in coordinate order)
 unless a seed asks for randomized tie-breaking.  The per-step counting
@@ -135,17 +135,18 @@ class PartialEmbedding:
         return frozenset(self.coord_of[e] for e in edges)
 
     def premap(self, child: int, y: int):
-        """Map `child` to `y` by hand, its parent already mapped: the edge
-        takes the color this frame's host gives it and the coordinate its
-        endpoints give it.  Adds no trace entry.  The root's image is set
-        directly in `image`."""
+        """Map `child` to `y` by hand, below the root or a vertex mapped
+        through its edge: the edge takes the color this frame's host gives
+        it and the coordinate its endpoints give it.  Adds no trace entry.
+        The root's image is set directly in `image`."""
         if not 0 < child < self.tree.n:
             raise PreconditionViolated(f"premap: vertex {child} is outside [1, {self.tree.n})")
         if child in self.image:
             raise PreconditionViolated(f"premap: vertex {child} is already mapped")
-        x = self.image.get(self.tree.parent[child])
-        if x is None:
+        p = self.tree.parent[child]
+        if p not in (self.coord_of if p else self.image):
             raise PreconditionViolated(f"premap: the parent of vertex {child} is unmapped")
+        x = self.image[p]
         if not self.graph.has_edge(x, y):
             raise PreconditionViolated(f"premap: edge {child} maps to a non-edge")
         self.record(child, y, self.graph.edge_color(x, y), edge_coordinate(x, y))
@@ -452,11 +453,6 @@ def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
     return pe
 
 
-def _leg_first_missing(leg: tuple[int, ...]) -> int:
-    """First leg edge beyond the lower half: index floor(len)/2 + 1."""
-    return leg[(len(leg) - 1) // 2 + 1]
-
-
 def _check_injective(pe: PartialEmbedding, what: str) -> list[int]:
     """The images of a completed frame, checked for a repeat.
 
@@ -475,91 +471,81 @@ def extend_spider(pe: PartialEmbedding) -> PartialEmbedding:
 
     The partial map must cover the lower half, plus optionally the first
     missing edge of one leg; that leg is treated as leg one and, apart from
-    it, every leg must have even length.  The algorithm:
+    it, every leg must have even length.  That is checked here, once; a tree
+    frame passes leg one itself, and holds the rest by the proofs there:
 
       0. map leg one's first missing edge, dodging every color and
          coordinate used so far;
       1. finish leg one as a path inside the view that bans the colors and
          coordinates of the other legs' halves;
-      2. recurse on the remaining legs inside the view that bans leg one's
+      2. go on with the remaining legs inside the view that bans leg one's
          colors.
 
     Openness of the cross-leg walks then gives injectivity.
     """
-    _run(_spider_frame(pe))
-    _check_injective(pe, "spider")
-    return pe
-
-
-def _spider_frame(pe: PartialEmbedding, legs: Sequence[tuple[int, ...]] | None = None) -> Frame:
-    """extend_spider on a frame: the spider below its subroot, or these legs
-    of it.  A frame for the remaining legs has fewer legs than its opener."""
-    t, g = pe.tree, pe.graph
-    if legs is None:
-        if not t.children[pe.root]:
-            return
+    t = pe.tree
+    if t.children[pe.root]:
         shape = as_spider(t, pe.root)
         if shape is None:
             raise PreconditionViolated("extend_spider needs a spider")
         legs = shape.legs
-    e_total = sum(len(leg) - 1 for leg in legs)
-    if not g.delta_at_least(e_total):
-        raise PreconditionViolated(f"delta={g.delta()} < e(S)={e_total}")
-
-    # the lower half of a spider: the first floor(len/2) edges of every leg
-    floor = {leg[i] for leg in legs for i in range(1, (len(leg) - 1) // 2 + 1)}
-    mapped = pe._edges
-    extra = mapped - floor
-    if not floor <= mapped or len(extra) > 1:
-        raise PreconditionViolated("spider domain must be the lower half plus at most one edge")
-    pe.require_doubly_distinct(mapped, "extend_spider input")
-
-    if extra:
-        (x,) = extra
-        first = [leg for leg in legs if _leg_first_missing(leg) == x]
-        if not first:
-            raise PreconditionViolated(f"extra edge {x} is not a leg's first missing edge")
-        leg1 = first[0]
-    else:
+        # a leg's lower half is its first floor(len/2) edges, its first missing edge the next
+        floor = {e for leg in legs for e in leg[1 : (len(leg) + 1) // 2]}
+        extra = pe._edges - floor
+        if not floor <= pe._edges or len(extra) > 1:
+            raise PreconditionViolated("spider domain must be the lower half plus at most one edge")
+        pe.require_doubly_distinct(pe._edges, "extend_spider input")
         odd = [leg for leg in legs if (len(leg) - 1) % 2]
-        if len(odd) > 1:
+        if extra:
+            (x,) = extra
+            leg1 = next((leg for leg in legs if leg[(len(leg) + 1) // 2] == x), None)
+            if leg1 is None:
+                raise PreconditionViolated(f"extra edge {x} is not a leg's first missing edge")
+            if any(leg is not leg1 for leg in odd):
+                raise PreconditionViolated("legs other than leg one must have even length")
+        elif len(odd) > 1:
             raise PreconditionViolated("more than one odd leg")
-        leg1 = odd[0] if odd else legs[0]
-    rest = [leg for leg in legs if leg is not leg1]
-    if any((len(leg) - 1) % 2 for leg in rest):
-        raise PreconditionViolated("legs other than leg one must have even length")
-
-    # step 0: ensure leg one's first missing edge is mapped
-    e1 = _leg_first_missing(leg1)
-    if e1 not in pe.coord_of:
-        half1 = (len(leg1) - 1) // 2
-        if half1 >= 1:
-            witnesses = (leg1[half1],)
-        elif rest:
-            witnesses = (rest[0][1],)
         else:
-            witnesses = ()
-        _extend(pe, e1, pe.used_coords(), "spider0", witnesses)
+            leg1 = (odd or legs)[0]
+        _spider_legs(pe, leg1, [leg for leg in legs if leg is not leg1])
+    _check_injective(pe, "spider")
+    return pe
 
-    # step 1: finish leg one as a path, shielded from the other legs' halves,
-    # whose colors are the ones this frame has used outside leg one
-    rest_half_edges = [leg[i] for leg in rest for i in range(1, (len(leg) - 1) // 2 + 1)]
-    sub = pe.lift(leg1, pe.coords_of(rest_half_edges))
-    leg1_len = len(leg1) - 1
-    if not sub.graph.delta_at_least(leg1_len):
-        raise PreconditionViolated(
-            f"leg-one view delta={sub.graph.delta()} < leg length {leg1_len}"
-        )
-    extend_path(sub)
-    pe.adopt(sub)
 
-    # step 2: recurse on the remaining legs, shielded from leg one's colors,
-    # the ones this frame has used outside them; their frame checks its
-    # view's degree against their edge count first
-    if rest:
-        sub = pe.lift(leg1[:1] + tuple(v for leg in rest for v in leg[1:]))
-        yield _spider_frame(sub, rest)
+def _spider_legs(pe: PartialEmbedding, leg1: tuple[int, ...], rest: Sequence[tuple[int, ...]]) -> None:
+    """Steps 0 to 2 of extend_spider, one leg at a time, on a frame whose input
+    passes its checks.  Step 2's frame holds the remaining legs, all even and
+    mapped on their lower halves alone, so its leg one is the first of them."""
+    legs = (leg1, *rest)
+    frames = [pe]
+    for i, leg1 in enumerate(legs):
+        pe, rest = frames[-1], legs[i + 1 :]
+        e_total = sum(len(leg) - 1 for leg in legs[i:])
+        if not pe.graph.delta_at_least(e_total):
+            raise PreconditionViolated(f"delta={pe.graph.delta()} < e(S)={e_total}")
+
+        # step 0: ensure leg one's first missing edge is mapped, backed by an
+        # edge at its source: leg one's last mapped edge, or another leg's first
+        half1 = (len(leg1) - 1) // 2
+        if leg1[half1 + 1] not in pe.coord_of:
+            witnesses = (leg1[half1],) if half1 else (rest[0][1],) if rest else ()
+            _extend(pe, leg1[half1 + 1], pe.used_coords(), "spider0", witnesses)
+
+        # step 1: finish leg one as a path, shielded from the other legs' halves,
+        # whose colors are the ones this frame has used outside leg one
+        rest_half_edges = [e for leg in rest for e in leg[1 : (len(leg) + 1) // 2]]
+        sub = pe.lift(leg1, pe.coords_of(rest_half_edges))
+        if not sub.graph.delta_at_least(len(leg1) - 1):
+            raise PreconditionViolated(f"leg-one view delta={sub.graph.delta()} < leg length {len(leg1) - 1}")
+        extend_path(sub)
         pe.adopt(sub)
+
+        # step 2: the remaining legs, shielded from the colors this frame has
+        # used outside them, leg one's; each frame is adopted once its legs are done
+        if rest:
+            frames.append(pe.lift(leg1[:1] + tuple(v for leg in rest for v in leg[1:])))
+    for k in range(len(frames) - 1, 0, -1):
+        frames[k - 1].adopt(frames[k])
 
 
 def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
@@ -697,14 +683,19 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
 
     # steps 6 to 8 open a frame on a child's subtree, whose view `lift` makes
     # ban every color used outside it.  Its degree is not checked here:
-    # before it maps an edge, the frame (_tree_frame or _spider_frame)
+    # before it maps an edge, the frame (_tree_frame or _spider_legs)
     # checks delta_at_least(e_total) on that view, and e_total is the
     # subtree's edge count
 
-    # step 6: finish the spiders
+    # step 6: finish the spiders.  Each frame passes extend_spider's checks: an
+    # even spider (classify_children), mapped on its lower half (steps 1 to 3)
+    # and, for spiders 2..k, on sc.leg's first missing edge (step 5), all of
+    # distinct coordinates by the branch check and step 5's x_coor.  So leg
+    # one is sc.leg, which is legs[0]: both follow first children
     for sc in cls.spiders:
         sub = pe.lift(order[pos[sc.vertex] : end[sc.vertex]])
-        yield _spider_frame(sub)
+        leg1, *rest = as_spider(t, sc.vertex).legs
+        _spider_legs(sub, leg1, rest)
         pe.adopt(sub)
 
     # steps 7 and 8: the remaining subtrees, in deficiency order
@@ -722,7 +713,17 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
             # deficiency >= 2: also shield the later anchors' coordinates
             later_coords = pe.coords_of(chain([v], *(b_sets[v2] for v2 in cls.rest[j:])))
         sub = pe.lift(order[pos[v] : end[v]], later_coords)
-        yield _spider_frame(sub) if lone_odd_leg else _tree_frame(sub, root_img)
+        if lone_odd_leg:
+            # extend_spider's checks pass: deficiency 1 with a middle edge makes
+            # a spider with one odd leg (classify_children), mapped on its lower
+            # half and on mid, the odd leg's first missing edge, all of distinct
+            # coordinates by the branch check and step7-mid's x_coor.  So leg
+            # one is the odd leg
+            legs = as_spider(t, v).legs
+            leg1 = next(leg for leg in legs if (len(leg) - 1) % 2)
+            _spider_legs(sub, leg1, [leg for leg in legs if leg is not leg1])
+        else:
+            yield _tree_frame(sub, root_img)
         pe.adopt(sub)
 
 

@@ -98,9 +98,6 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
     """Random edge-deleted subgraph of a refined coloring of Q_n, repaired
     greedily (re-adding deleted edges at deficient vertices) until the
     minimum degree reaches d.
-
-    Repair terminates: in the worst case every edge returns and the full
-    cube has minimum degree n >= d.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -121,20 +118,19 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
         removed_at[u].append((u, v, c))
         removed_at[v].append((u, v, c))
 
+    # one pass: x's turn leaves degree[x] >= d, or x's deleted edges all back
+    # and degree[x] = n >= d; that stays so, since degrees only rise and
+    # only x's turn pops removed_at[x], so a second pass would restore nothing
     restored: set[tuple[int, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for x in range(1 << n):
-            while degree[x] < d and removed_at[x]:
-                u, v, c = removed_at[x].pop(0)
-                if (u, v) in restored:
-                    continue
-                restored.add((u, v))
-                kept.append((u, v, c))
-                degree[u] += 1
-                degree[v] += 1
-                changed = True
+    for x in range(1 << n):
+        while degree[x] < d and removed_at[x]:
+            u, v, c = removed_at[x].pop(0)
+            if (u, v) in restored:
+                continue
+            restored.add((u, v))
+            kept.append((u, v, c))
+            degree[u] += 1
+            degree[v] += 1
     return ColoredCubeGraph(n, kept)
 
 

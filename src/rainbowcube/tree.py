@@ -267,13 +267,15 @@ def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
             leaves.append(v)
             continue
         d = deficiency(t, v)
+        # d = 0 forces an even spider below v, and so does d = 1 with a middle
+        # edge, one odd leg aside (_tree_frame's step7-mid): iota_injection maps
+        # the lower half injectively past the upper-closed half, so d counts the
+        # middle edges and the edges past that half unhit, and both cases leave
+        # none unhit.  It hits a leaf edge at depth L >= 2 (depths below v) only
+        # from the depth-1 edge above (depth j goes to L - j + 1 on that edge's
+        # one deepest path), so each child of v heads a path; a path has a
+        # middle edge exactly when it is odd
         if d == 0:
-            # zero deficiency forces an even spider below v (depths below v):
-            # iota_injection maps the lower half injectively past the upper-closed
-            # half, so d = 0 leaves no middle edge and no edge past it unhit.  It
-            # hits a leaf edge at depth L >= 2 only from the depth-1 edge above
-            # (depth j goes to L - j + 1 on that edge's one deepest path), so each
-            # child of v heads a path, and an odd path would have a middle edge.
             leg = [v]
             while t.children[leg[-1]]:
                 leg.append(t.children[leg[-1]][0])

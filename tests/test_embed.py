@@ -42,7 +42,7 @@ from rainbowcube.errors import (
 from rainbowcube.gen import greedy_proper, random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.hypercube import GraphView, _Host, candidate_edges, cube_edges
 from rainbowcube.prng import SplitMix64
-from rainbowcube.tree import classify_children, enumerate_trees, half_floor
+from rainbowcube.tree import as_spider, classify_children, enumerate_trees, half_floor
 
 from test_golden import comb, deep_corpus, stage_corpus
 from test_hypercube import host_id, random_views
@@ -366,11 +366,9 @@ class TestExtendSpider:
             extend_spider(pe)
 
     def test_rejects_non_spider(self):
-        g = cayley_coloring(6)
-        t = build_tree(CLASSIFY_49[:9])  # a star is fine; use a branching tree
-        t = build_tree([0, 1, 1, 2])
-        pe = embed_half(g, t, 0)
-        with pytest.raises(PreconditionViolated):
+        # vertex 1 has two children, so the tree branches below the root
+        pe = embed_half(cayley_coloring(6), build_tree([0, 1, 1, 2]), 0)
+        with pytest.raises(PreconditionViolated, match="^extend_spider needs a spider$"):
             extend_spider(pe)
 
     def test_rejects_a_domain_short_of_the_lower_half(self):
@@ -380,12 +378,13 @@ class TestExtendSpider:
             extend_spider(pe)
 
     def test_rejects_an_extra_edge_past_a_first_missing_one(self):
-        # vertex 3's image is set by hand, so edge 4 is mapped below an edge
-        # that is not
+        # vertex 3's image is set by hand, which premap refuses to map below
+        # but a step takes: edge 4 is mapped below an edge that is not
         g = cayley_coloring(4)
         pe = premapped(g, path_tree(4), {0: 0, 1: 1, 2: 3})
         pe.image[3] = 7
-        pe.premap(4, 15)
+        extend_one(pe, ExtensionRequest(3, 4, frozenset(), frozenset()))
+        assert sorted(pe.coord_of) == [1, 2, 4]
         with pytest.raises(PreconditionViolated, match="^extra edge 4 is not a leg's first missing edge$"):
             extend_spider(pe)
 
@@ -394,6 +393,56 @@ class TestExtendSpider:
         pe = premapped(cayley_coloring(4), build_tree([0, 0]), {0: 0, 1: 1})
         with pytest.raises(PreconditionViolated, match="^legs other than leg one must have even length$"):
             extend_spider(pe)
+
+
+def spider_lifts(monkeypatch) -> list:
+    """Record each frame `lift` opens, as its vertices and its view."""
+    lifted, lift = [], PartialEmbedding.lift
+
+    def spy(self, vertices, banned_coords=()):
+        sub = lift(self, vertices, banned_coords)
+        lifted.append((tuple(vertices), sub.graph))
+        return sub
+
+    monkeypatch.setattr(PartialEmbedding, "lift", spy)
+    return lifted
+
+
+def assert_leg_one_shielded(pe, lifted, legs):
+    """A spider's last 2k - 1 frames alternate each leg one, in order, and
+    the remaining legs; each leg one's view bans exactly the coordinates of
+    the lower halves of the legs after it, the opener's view banning none."""
+    spider = lifted[1 - 2 * len(legs) :]
+    assert [vertices for vertices, _ in spider[::2]] == list(legs)
+    assert [vertices for vertices, _ in spider[1::2]] == [
+        legs[0][:1] + tuple(v for leg in legs[i:] for v in leg[1:]) for i in range(1, len(legs))]
+    for i, (_, view) in enumerate(spider[::2]):
+        halves = [e for leg in legs[i + 1 :] for e in leg[1 : (len(leg) + 1) // 2]]
+        assert halves or i == len(legs) - 1
+        assert view.banned_coords == {pe.coord_of[e] for e in halves}
+
+
+class TestLegOneShield:
+    """Step 1 finishes leg one in a view that bans the coordinates of the
+    other legs' lower halves, on every level of the spider."""
+
+    def test_extend_spider(self, monkeypatch):
+        g, t = refined_cayley(8, 1, 2), random_spider([4, 2, 2])
+        pe = embed_half(g, t, 0)
+        lifted = spider_lifts(monkeypatch)
+        extend_spider(pe)
+        assert verify(g, t, pe.image).ok and len(lifted) == 5
+        assert_leg_one_shielded(pe, lifted, as_spider(t).legs)
+
+    def test_a_spider_below_the_root(self, monkeypatch):
+        # vertex 1 carries a spider with legs of length 2, 4 and 2: an even
+        # spider child, finished in step 6
+        g, t = refined_cayley(9, 1, 2), build_tree([0, 1, 2, 1, 4, 5, 6, 1, 8])
+        lifted = spider_lifts(monkeypatch)
+        pe = embed_rainbow_tree(g, t)
+        assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
+        assert lifted[0][0] == tuple(range(1, 10)) and len(lifted) == 6
+        assert_leg_one_shielded(pe, lifted, as_spider(t, 1).legs)
 
 
 def legal_blockers(g, pe, extra_coords=2):
@@ -1089,17 +1138,22 @@ class TestPremap:
         ([(1, 0b011)], "edge 1 maps to a non-edge"),
         ([(1, 0b000)], "edge 1 maps to a non-edge"),
         ([(2, 0b010)], "the parent of vertex 2 is unmapped"),
+        # a dict is an image written by hand: the parent has no edge record
+        ([{1: 0b001}, (2, 0b011)], "the parent of vertex 2 is unmapped"),
         ([(1, 0b001), (1, 0b010)], "vertex 1 is already mapped"),
         ([(1, 0b001), (2, 0b000)], "color 1 reused at edge 2"),
         ([(1, 0b001), (-1, 0b011)], r"vertex -1 is outside \[1, 3\)"),
         ([(3, 0b001)], r"vertex 3 is outside \[1, 3\)"),
-    ], ids=["two bits", "loop", "unmapped parent", "mapped child", "reused color",
-            "negative id", "id past the tree"])
+    ], ids=["two bits", "loop", "unmapped parent", "parent image by hand", "mapped child",
+            "reused color", "negative id", "id past the tree"])
     def test_refuses(self, steps, message):
         pe = self.rooted(self.SHIFTED, [0, 1])
         *before, last = steps
-        for child, y in before:
-            pe.premap(child, y)
+        for step in before:
+            if isinstance(step, dict):
+                pe.image.update(step)
+            else:
+                pe.premap(*step)
         state = (dict(pe.image), dict(pe.color_of), set(pe._edges))
         with pytest.raises(PreconditionViolated, match=message):
             pe.premap(*last)

@@ -108,19 +108,19 @@ WITNESSES = {
             "test_embed.py::TestExtendPath::test_rejects_wrong_domain",
         "_check_injective: PreconditionViolated({} embedding not injective)":
             "test_embed.py::TestFrames::test_a_repeat_inside_an_inner_frame_is_caught_once",
-        "_spider_frame: PreconditionViolated(extend_spider needs a spider)":
+        "extend_spider: PreconditionViolated(extend_spider needs a spider)":
             "test_embed.py::TestExtendSpider::test_rejects_non_spider",
-        "_spider_frame: PreconditionViolated(delta={} < e(S)={})":
+        "_spider_legs: PreconditionViolated(delta={} < e(S)={})":
             "test_embed.py::TestStrictChecks::test_an_overbanning_lift_is_caught_by_the_counting_bounds",
-        "_spider_frame: PreconditionViolated(spider domain must be the lower half plus at most one edge)":
+        "extend_spider: PreconditionViolated(spider domain must be the lower half plus at most one edge)":
             "test_embed.py::TestExtendSpider::test_rejects_a_domain_short_of_the_lower_half",
-        "_spider_frame: PreconditionViolated(extra edge {} is not a leg's first missing edge)":
+        "extend_spider: PreconditionViolated(extra edge {} is not a leg's first missing edge)":
             "test_embed.py::TestExtendSpider::test_rejects_an_extra_edge_past_a_first_missing_one",
-        "_spider_frame: PreconditionViolated(more than one odd leg)":
+        "extend_spider: PreconditionViolated(more than one odd leg)":
             "test_embed.py::TestExtendSpider::test_rejects_two_odd_legs",
-        "_spider_frame: PreconditionViolated(legs other than leg one must have even length)":
+        "extend_spider: PreconditionViolated(legs other than leg one must have even length)":
             "test_embed.py::TestExtendSpider::test_rejects_an_odd_leg_beside_leg_one",
-        "_spider_frame: PreconditionViolated(leg-one view delta={} < leg length {})":
+        "_spider_legs: PreconditionViolated(leg-one view delta={} < leg length {})":
             "test_embed.py::TestStrictChecks::test_an_overbanning_lift_is_caught_by_the_counting_bounds",
         "extend_tree: PreconditionViolated(blocked vertex is not a cube neighbor of the root image)":
             "test_embed.py::TestExtendTree::test_rejects_a_blocker_that_is_not_a_cube_neighbor",

@@ -93,6 +93,12 @@ FRAME = (embed.PartialEmbedding, "lift")
     pytest.param(STEP, mutate_step("step5", lambda pe, t, x, w: (frozenset(), w)), 146,
                  PreconditionViolated, r"witness edge 5 lies outside the forbidden sets",
                  id="step5-empty-x_coor"),
+    # leg one's step 0 dodging nothing: extend_path, which leg one goes
+    # through with its input checks, finds the leg's first edges repeating a
+    # coordinate
+    pytest.param(STEP, mutate_step("spider0", lambda pe, t, x, w: (frozenset(), ())), 2153,
+                 PreconditionViolated, r"extend_path input: mapped edges are not doubly distinct",
+                 id="spider0-dodges-nothing"),
     # lift's liveness check on the frame's pre-mapped edges
     pytest.param(FRAME, lift_bans_own_colors, 14, PreconditionViolated,
                  r"pre-mapped edge 2 was banned from the restricted host", id="lift-bans-own-colors"),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 import rainbowcube.embed as embed
-from rainbowcube import ColoredCubeGraph, extend_tree, verify
+from rainbowcube import ColoredCubeGraph, build_tree, cayley_coloring, extend_tree, verify
 from rainbowcube.embed import choose_z_bad, embed_half
 from rainbowcube.errors import RainbowCubeError
 from rainbowcube.hypercube import GraphView, cube_edges
@@ -251,6 +251,31 @@ class TestSlice:
 
         monkeypatch.setattr(embed, "_extend", mutant)
         assert any(why is not None for _, why in slice_runs())
+
+
+# ROADMAP item 3's slice on the stages past Q_4's reach: on cayley_coloring(6),
+# from vertex 0, every branch of the three 6-edge trees that reach step3,
+# step5 and path, and of the first tree that brings in step1 and step7-mid
+# (no tree of at most 5 edges reaches both there)
+STAGE_TREES = ([0, 0, 2, 3, 4, 5], [0, 1, 2, 0, 4, 5], [0, 1, 2, 3, 4, 5], [0, 1, 0, 3, 3, 5])
+STAGE_LABELS = {"half", "step1", "step2", "step3", "step4", "step5", "step7-mid", "spider0", "path"}
+
+
+class TestStageSlice:
+    def test_every_branch_verifies_and_reaches_every_stage(self, monkeypatch):
+        labels, step = set(), embed.extend_one
+
+        def labelled(pe, req):
+            labels.add(req.label)
+            return step(pe, req)
+
+        monkeypatch.setattr(embed, "extend_one", labelled)
+        calls = exact_delta_calls(monkeypatch)
+        g = cayley_coloring(6)
+        runs = [(parents, why) for parents in STAGE_TREES for why in branches(g, build_tree(parents), 0)]
+        assert [(parents, why) for parents, why in runs if why is not None] == []
+        assert len(runs) == 4 * 720
+        assert labels == STAGE_LABELS and calls == []
 
 
 @pytest.mark.sweep

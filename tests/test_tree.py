@@ -161,6 +161,19 @@ class TestDeficiency:
                     checked += 1
         assert checked > 1000
 
+    def test_deficiency_one_with_a_middle_edge_is_a_spider_at_every_vertex(self):
+        # the reference for _tree_frame's step7-mid, which hands such a
+        # subtree to the spider stage with its one odd leg as leg one
+        trees = chain(enumerate_trees(8), (random_tree(s % 41, s) for s in range(3000)))
+        checked = 0
+        for t in trees:
+            for v in range(t.n):
+                if t.children[v] and deficiency(t, v) == 1 and half_ceil(t, v) != half_floor(t, v):
+                    shape = as_spider(t, v)
+                    assert shape is not None and shape.odd_legs == 1, (t, v)
+                    checked += 1
+        assert checked > 10000
+
     def test_spider_deficiency_counts_odd_legs(self):
         for legs in [[1], [2], [3, 3], [1, 2, 3], [5, 4, 4, 2, 2], [7, 1, 1]]:
             t = random_spider(legs)
