@@ -163,9 +163,9 @@ def cmd_oracle(args) -> int:
 
 
 def _fuzz_trial(params: tuple):
-    """One seeded trial; returns (trial, mismatches, host, tree, embedding),
-    with the last three None unless the trial is a counterexample, so that a
-    run holds (and a worker sends back) only what it bundles."""
+    """One seeded trial as a counterexample row (see `cmd_fuzz`), whose host,
+    tree and embedding are None unless the trial is a counterexample, so that
+    a run holds (and a worker sends back) only what it bundles."""
     n, master, trial = params
     seed = derive_seed(master, trial)
     rng = genmod.SplitMix64(seed)
@@ -174,9 +174,19 @@ def _fuzz_trial(params: tuple):
     t = genmod.random_tree(rng.randrange(d + 1), rng.next_u64())
     run_oracle = t.n_edges() <= 8 and g.n_vertices() <= 64
     summary = cross_check(g, t, run_oracle=run_oracle)
-    if not summary.mismatches:
-        return trial, (), None, None, None
-    return trial, summary.mismatches, g, t, summary.embedding
+    kept = (g, t, summary.embedding) if summary.mismatches else (None, None, None)
+    return (f"trial {trial}", f"trial{trial}", summary.mismatches, *kept)
+
+
+def _exhaustive_rows(n: int, run_oracle: bool):
+    """Every tree with at most min(n, 8) edges on each of 21 hosts, as lazy
+    counterexample rows, so that each prints as soon as it is checked."""
+    hosts = [genmod.cayley_coloring(n)] + [genmod.refined_cayley(n, s, 1 + s % 4) for s in range(20)]
+    trees = list(enumerate_trees(min(n, 8)))
+    cases = ((g, t) for g in hosts for t in trees)
+    for i, (g, t) in enumerate(cases, 1):
+        summary = cross_check(g, t, run_oracle=run_oracle)
+        yield f"host/tree {i}", f"case{i}", summary.mismatches, g, t, summary.embedding
 
 
 def cmd_fuzz(args) -> int:
@@ -188,72 +198,50 @@ def cmd_fuzz(args) -> int:
     if args.jobs < 1:
         raise FormatError(f"--jobs must be >= 1, got {args.jobs}")
     master = _seed(args)
-    failures = 0
 
+    # each row: (label, bundle directory name, mismatches, host, tree, embedding)
     if args.exhaustive:
-        hosts = [genmod.cayley_coloring(args.n)] + [
-            genmod.refined_cayley(args.n, s, 1 + s % 4) for s in range(20)
-        ]
-        trees = list(enumerate_trees(min(args.n, 8)))
-        checked = 0
-        for g in hosts:
-            for t in trees:
-                summary = cross_check(g, t, run_oracle=args.oracle)
-                checked += 1
-                for msg in summary.mismatches:
-                    failures += 1
-                    print(f"counterexample host/tree {checked}: {msg}")
-                    if args.bundle_dir:
-                        write_bundle(
-                            os.path.join(args.bundle_dir, f"case{checked}"),
-                            g,
-                            t,
-                            summary.embedding,
-                        )
-        print(f"exhaustive: {checked} instances, {failures} counterexamples")
-        return EXIT_MISMATCH if failures else EXIT_OK
-
-    params = [(args.n, master, i) for i in range(args.trials)]
-    # a pool starts all its workers at once, so none beyond the trials or the CPUs
-    workers = min(args.jobs, args.trials, os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_fuzz_trial(p) for p in params]
+        rows, summary = _exhaustive_rows(args.n, args.oracle), "exhaustive: {} instances"
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fuzz_trial, params))
-    for trial, mismatches, g, t, pe in results:
+        params = [(args.n, master, i) for i in range(args.trials)]
+        # a pool starts all its workers at once, so none beyond the trials or the CPUs
+        workers = min(args.jobs, args.trials, os.cpu_count() or 1)
+        if workers <= 1:
+            rows = [_fuzz_trial(p) for p in params]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_fuzz_trial, params))
+        summary = "fuzz: {} trials"
+    count = failures = 0
+    for label, name, mismatches, g, t, pe in rows:
+        count += 1
         for msg in mismatches:
             failures += 1
-            print(f"counterexample trial {trial}: {msg}")
+            print(f"counterexample {label}: {msg}")
             if args.bundle_dir:
-                write_bundle(os.path.join(args.bundle_dir, f"trial{trial}"), g, t, pe)
-    print(f"fuzz: {args.trials} trials, {failures} counterexamples")
+                write_bundle(os.path.join(args.bundle_dir, name), g, t, pe)
+    print(f"{summary.format(count)}, {failures} counterexamples")
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
+# the flag that sets each generator parameter of gen.KINDS
+_GEN_FLAGS = {"n": "--n", "splits": "--splits", "d": "--min-degree", "edges": "--edges", "legs": "--legs"}
+
+
 def cmd_gen(args) -> int:
+    names, _ = genmod.KINDS[args.kind]
     params: dict = {}
-    if args.kind in ("cayley", "refined_cayley", "greedy_proper", "subgraph_min_degree"):
-        if args.n is None:
-            raise FormatError("--n required")
-        params["n"] = args.n
-    if args.kind == "refined_cayley":
-        params["splits"] = args.splits
-    if args.kind == "subgraph_min_degree":
-        if args.min_degree is None:
-            raise FormatError("--min-degree required")
-        params["d"] = args.min_degree
-    if args.kind == "random_tree":
-        if args.edges is None:
-            raise FormatError("--edges required")
-        params["edges"] = args.edges
-    if args.kind == "random_spider" and not args.legs:
-        raise FormatError("--legs required")
+    for name in names:
+        flag = _GEN_FLAGS[name]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None or value == "":
+            raise FormatError(f"{flag} required")
+        params[name] = value
 
     seed = _seed(args)
     try:
-        if args.kind == "random_spider":
-            params["legs"] = tuple(int(x) for x in args.legs.split(","))
+        if "legs" in params:
+            params["legs"] = tuple(int(x) for x in params["legs"].split(","))
         artifact = genmod.generate(args.kind, seed, params)
     except (ValueError, LimitExceeded) as exc:
         raise FormatError(str(exc)) from exc
@@ -311,32 +299,27 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rainbowcube")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("embed", help="embed a rainbow copy of a tree into a host")
-    p.add_argument("graph")
-    p.add_argument("--strict-vertices", action="store_true",
-                   help="reject edges touching undeclared vertices")
-    p.add_argument("tree")
+    # the host and tree arguments of embed, verify and oracle
+    inputs = _Parser(add_help=False)
+    inputs.add_argument("graph")
+    inputs.add_argument("--strict-vertices", action="store_true",
+                        help="reject edges touching undeclared vertices")
+    inputs.add_argument("tree")
+
+    p = sub.add_parser("embed", parents=[inputs], help="embed a rainbow copy of a tree into a host")
     p.add_argument("--out")
     p.add_argument("--trace", action="store_true", help="append the step trace")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bundle-dir", default=None)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("verify", help="certify an embedding file")
-    p.add_argument("graph")
-    p.add_argument("--strict-vertices", action="store_true",
-                   help="reject edges touching undeclared vertices")
-    p.add_argument("tree")
+    p = sub.add_parser("verify", parents=[inputs], help="certify an embedding file")
     p.add_argument("embedding")
     p.add_argument("--require-path-distinct", action="store_true")
     p.add_argument("--z-bad", default=None, help="blocked vertex as a binary string")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="brute-force existence search")
-    p.add_argument("graph")
-    p.add_argument("--strict-vertices", action="store_true",
-                   help="reject edges touching undeclared vertices")
-    p.add_argument("tree")
+    p = sub.add_parser("oracle", parents=[inputs], help="brute-force existence search")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 

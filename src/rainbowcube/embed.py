@@ -261,7 +261,9 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     v, w = req.source, req.target
     if not 0 < w < t.n:
         raise PreconditionViolated(f"step {req.label}: vertex {w} is outside [1, {t.n})")
-    if w in pe.image or v not in pe.image:
+    # premap's rule: the source is the root or mapped through its edge, so
+    # mapped edges are closed under parents
+    if w in pe.image or v not in (pe.coord_of if v else pe.image):
         raise PreconditionViolated(f"step {req.label}: {v}->{w} not a frontier edge")
     if t.parent[w] != v:
         raise PreconditionViolated(f"step {req.label}: {w} is not a child of {v}")
@@ -497,10 +499,12 @@ def extend_spider(pe: PartialEmbedding) -> PartialEmbedding:
         pe.require_doubly_distinct(pe._edges, "extend_spider input")
         odd = [leg for leg in legs if (len(leg) - 1) % 2]
         if extra:
+            # x is a leg's first missing edge: premap and extend_one refuse an
+            # unmapped parent, so x hangs from a mapped vertex, which is the
+            # root (and then x's leg has an empty lower half) or the last
+            # lower-half vertex of x's leg
             (x,) = extra
-            leg1 = next((leg for leg in legs if leg[(len(leg) + 1) // 2] == x), None)
-            if leg1 is None:
-                raise PreconditionViolated(f"extra edge {x} is not a leg's first missing edge")
+            leg1 = next(leg for leg in legs if leg[(len(leg) + 1) // 2] == x)
             if any(leg is not leg1 for leg in odd):
                 raise PreconditionViolated("legs other than leg one must have even length")
         elif len(odd) > 1:

@@ -18,35 +18,7 @@ from .hypercube import ColoredCubeGraph, cayley_coloring, cube_edges
 from .prng import SplitMix64
 from .tree import RootedTree, build_tree
 
-KINDS = (
-    "cayley",
-    "refined_cayley",
-    "greedy_proper",
-    "random_tree",
-    "random_spider",
-    "subgraph_min_degree",
-)
-
 KEEP_PERCENT = 75  # greedy_proper's share of the edges of Q_n
-
-
-def generate(kind: str, seed: int = 0, params: dict | None = None):
-    """Build the graph or tree of generator `kind`: same (kind, seed, params)
-    in, bit-identical artifact out."""
-    p = params or {}
-    if kind == "cayley":
-        return cayley_coloring(p["n"])
-    if kind == "refined_cayley":
-        return refined_cayley(p["n"], seed, p.get("splits", 2))
-    if kind == "greedy_proper":
-        return greedy_proper(p["n"], seed)
-    if kind == "random_tree":
-        return random_tree(p["edges"], seed)
-    if kind == "random_spider":
-        return random_spider(p["legs"])
-    if kind == "subgraph_min_degree":
-        return subgraph_min_degree(p["n"], p["d"], seed)
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:
@@ -161,3 +133,26 @@ def random_spider(leg_lengths) -> RootedTree:
             prev = next_id
             next_id += 1
     return build_tree(parents)
+
+
+# each generator kind: the parameters its generator reads, in the order
+# `rainbowcube gen` asks for them, and the generator, which takes them and
+# then the seed
+KINDS = {
+    "cayley": (("n",), lambda n, seed: cayley_coloring(n)),
+    "refined_cayley": (("n", "splits"), lambda n, splits, seed: refined_cayley(n, seed, splits)),
+    "greedy_proper": (("n",), greedy_proper),
+    "random_tree": (("edges",), random_tree),
+    "random_spider": (("legs",), lambda legs, seed: random_spider(legs)),
+    "subgraph_min_degree": (("n", "d"), subgraph_min_degree),
+}
+
+
+def generate(kind: str, seed: int = 0, params: dict | None = None):
+    """Build the graph or tree of generator `kind`: same (kind, seed, params)
+    in, bit-identical artifact out.  `splits` defaults to 2."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    names, make = KINDS[kind]
+    p = {"splits": 2, **(params or {})}
+    return make(*(p[name] for name in names), seed)

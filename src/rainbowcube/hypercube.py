@@ -535,7 +535,7 @@ def cube_edges(n: int) -> Iterator[tuple[int, int, int]]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_EXPLICIT_DIMENSION:
-        raise LimitExceeded(f"cayley_coloring materializes 2^{n} vertices; use VirtualCayleyCube")
+        raise LimitExceeded(f"an explicit host stores 2^{n} vertices; the limit is 2^{MAX_EXPLICIT_DIMENSION}")
     # for a fixed u, v = u + 2^q grows with q
     return ((u, u | (1 << q), q) for u in range(1 << n) for q in range(n) if not u >> q & 1)
 

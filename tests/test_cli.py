@@ -414,8 +414,7 @@ class TestGenCommand:
     @pytest.mark.parametrize("argv, message", [
         (["random_tree", "--edges", "-1"], "edge count must be >= 0, got -1"),
         (["cayley", "--n", "0"], "n must be >= 1, got 0"),
-        (["cayley", "--n", "20"],
-         "cayley_coloring materializes 2^20 vertices; use VirtualCayleyCube"),
+        (["cayley", "--n", "20"], "an explicit host stores 2^20 vertices; the limit is 2^16"),
         (["subgraph_min_degree", "--n", "4", "-d", "9"], "need 1 <= d <= n, got d=9, n=4"),
         (["random_spider", "--legs", "2,x"], "invalid literal for int() with base 10: 'x'"),
         (["refined_cayley", "--n", "3", "--splits", "0"], "splits must be >= 1, got 0"),
@@ -423,6 +422,7 @@ class TestGenCommand:
         (["subgraph_min_degree", "--n", "4"], "--min-degree required"),
         (["random_tree"], "--edges required"),
         (["random_spider"], "--legs required"),
+        (["greedy_proper", "--n", "17"], "an explicit host stores 2^17 vertices; the limit is 2^16"),
     ])
     def test_bad_values_exit_3(self, argv, message, capsys):
         assert main(["gen", *argv, "--emit-spec"]) == 3

@@ -168,6 +168,17 @@ class TestExtendOne:
                 ExtensionRequest(0, 2, frozenset({5}), frozenset({0}), witnesses=(1,)),
             )
 
+    def test_refuses_a_source_with_no_edge_record(self):
+        # vertex 3's image is set by hand, so it has no edge record: a step
+        # below it is refused, as premap refuses, and mapped edges stay
+        # closed under parents
+        g = cayley_coloring(4)
+        pe = premapped(g, path_tree(4), {0: 0, 1: 1, 2: 3})
+        pe.image[3] = 7
+        with pytest.raises(PreconditionViolated, match="^step extend: 3->4 not a frontier edge$"):
+            extend_one(pe, ExtensionRequest(3, 4, frozenset(), frozenset()))
+        assert sorted(pe.coord_of) == [1, 2]
+
     @pytest.mark.parametrize("target", [-1, -3, 0, 4, 7])
     def test_refuses_a_target_outside_the_tree(self, target):
         # -1 used to index the parent tuple from its end and map a vertex
@@ -375,17 +386,6 @@ class TestExtendSpider:
         pe = premapped(cayley_coloring(4), random_spider([2, 2]), {0: 0})
         with pytest.raises(PreconditionViolated,
                            match="^spider domain must be the lower half plus at most one edge$"):
-            extend_spider(pe)
-
-    def test_rejects_an_extra_edge_past_a_first_missing_one(self):
-        # vertex 3's image is set by hand, which premap refuses to map below
-        # but a step takes: edge 4 is mapped below an edge that is not
-        g = cayley_coloring(4)
-        pe = premapped(g, path_tree(4), {0: 0, 1: 1, 2: 3})
-        pe.image[3] = 7
-        extend_one(pe, ExtensionRequest(3, 4, frozenset(), frozenset()))
-        assert sorted(pe.coord_of) == [1, 2, 4]
-        with pytest.raises(PreconditionViolated, match="^extra edge 4 is not a leg's first missing edge$"):
             extend_spider(pe)
 
     def test_rejects_an_odd_leg_beside_leg_one(self):

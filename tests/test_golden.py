@@ -160,3 +160,26 @@ def test_stage_corpus(monkeypatch):
     assert corpus_digest(stage_corpus(), labels=labels) == (STAGES, STAGES_CASES)
     assert labels == STAGE_LABELS
     assert calls == []
+
+
+# The shield corpus: the spider with legs of 4 and 2 edges below a root
+# child, on hosts of minimum degree 7 and 8.  Step 1 finishes leg one in a
+# view that bans the coordinates of the other leg's lower half; without that
+# ban 9 of these 24 embeddings change, though every one still verifies.
+SHIELD_GOLDEN = "da3690fcf56efe0415f0a719e18cc7267dece937b77011382b8723ee222e6d0c"
+SHIELD_CASES = 24
+
+
+def shield_corpus():
+    """(name, host, tree, seed) for the (4, 2)-legged spider below vertex 1."""
+    t = build_tree([0, 1, 2, 3, 4, 1, 6])
+    for s in range(3):
+        hosts = [(f"refined8 s={s} splits={k}", refined_cayley(8, s, k)) for k in (2, 4)]
+        hosts += [(f"subgraph8 d={d} s={s}", subgraph_min_degree(8, d, s)) for d in (8, 7)]
+        for name, g in hosts:
+            for seed in (None, 1):
+                yield f"shield {name} seed={seed}", g, t, seed
+
+
+def test_shield_digest():
+    assert corpus_digest(shield_corpus()) == (SHIELD_GOLDEN, SHIELD_CASES)

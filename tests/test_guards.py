@@ -114,8 +114,6 @@ WITNESSES = {
             "test_embed.py::TestStrictChecks::test_an_overbanning_lift_is_caught_by_the_counting_bounds",
         "extend_spider: PreconditionViolated(spider domain must be the lower half plus at most one edge)":
             "test_embed.py::TestExtendSpider::test_rejects_a_domain_short_of_the_lower_half",
-        "extend_spider: PreconditionViolated(extra edge {} is not a leg's first missing edge)":
-            "test_embed.py::TestExtendSpider::test_rejects_an_extra_edge_past_a_first_missing_one",
         "extend_spider: PreconditionViolated(more than one odd leg)":
             "test_embed.py::TestExtendSpider::test_rejects_two_odd_legs",
         "extend_spider: PreconditionViolated(legs other than leg one must have even length)":
@@ -216,7 +214,7 @@ WITNESSES = {
             "test_hypercube.py::TestLazyCandidates::test_every_operation_agrees_with_the_filter",
         "cube_edges: ValueError(n must be >= 1, got {})":
             "test_cli.py::TestGenCommand::test_bad_values_exit_3",
-        "cube_edges: LimitExceeded(cayley_coloring materializes 2^{} vertices; use VirtualCayleyCube)":
+        "cube_edges: LimitExceeded(an explicit host stores 2^{} vertices; the limit is 2^{})":
             "test_hypercube.py::TestCayleyColoring::test_materialization_guard",
         "parse_graph.cube: FormatError(dimension must be >= 1)":
             "test_hypercube.py::TestGraphFormat::test_rejects_malformed",

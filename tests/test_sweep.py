@@ -13,7 +13,11 @@ both quantifiers can be enumerated outright:
   one embedding through `embed_half(..., rng=)`, `choose_z_bad` and
   `extend_tree`, with no API of its own.
 
-The Tier-1 slice runs by default, in about a second.  The full sweeps are
+At n = 6 the quantifier over choices can still be enumerated on every tree
+shape, with every stage of the engine included, and the one over colorings
+sampled.
+
+The Tier-1 slices run by default, in about a second.  The full sweeps are
 marked ``sweep`` and deselected by default; run them with
 
     PYTHONPATH=src python -m pytest -m sweep tests/test_sweep.py
@@ -27,6 +31,7 @@ import rainbowcube.embed as embed
 from rainbowcube import ColoredCubeGraph, build_tree, cayley_coloring, extend_tree, verify
 from rainbowcube.embed import choose_z_bad, embed_half
 from rainbowcube.errors import RainbowCubeError
+from rainbowcube.gen import refined_cayley, subgraph_min_degree
 from rainbowcube.hypercube import GraphView, cube_edges
 from rainbowcube.tree import enumerate_trees
 
@@ -276,6 +281,46 @@ class TestStageSlice:
         assert [(parents, why) for parents, why in runs if why is not None] == []
         assert len(runs) == 4 * 720
         assert labels == STAGE_LABELS and calls == []
+
+
+def step_slack(monkeypatch) -> dict[str, int]:
+    """Record, per stage label, the least slack of the paper's count over
+    every step from now on: the view's degree bound δ(base) − |banned
+    colors| − |banned coords|, less |x_col| + |x_coor| − r, less 1."""
+    slack, step = {}, embed.extend_one
+
+    def spied(pe, req):
+        view = pe.graph
+        bound = view.base.delta() - len(view.banned_colors) - len(view.banned_coords)
+        least = bound - (len(req.x_col) + len(req.x_coor) - len(req.witnesses)) - 1
+        slack[req.label] = min(least, slack.get(req.label, least))
+        return step(pe, req)
+
+    monkeypatch.setattr(embed, "extend_one", spied)
+    return slack
+
+
+# ROADMAP item 3's sweep: every admissible branch from vertex 0 of every
+# rooted 6-edge tree, on three hosts of minimum degree 6, the last with
+# δ < n.  On each, every stage but the half embedding takes a step with no
+# slack left; the half embedding's least slack is 1.
+SWEEP_SLACK = dict.fromkeys(STAGE_LABELS, 0) | {"half": 1}
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("make, count", [
+    pytest.param(lambda: cayley_coloring(6), 34560, id="cayley6"),
+    pytest.param(lambda: refined_cayley(6, 1, 2), 173769, id="refined6"),
+    pytest.param(lambda: subgraph_min_degree(7, 6, 0), 186742, id="subgraph7"),
+])
+def test_every_branch_of_every_six_edge_tree(make, count, monkeypatch):
+    g = make()
+    slack = step_slack(monkeypatch)
+    calls = exact_delta_calls(monkeypatch)
+    runs = [why for t in rooted_trees(6) for why in branches(g, t, 0)]
+    assert [why for why in runs if why is not None] == []
+    # the paper's bound alone decides every degree check
+    assert (len(runs), slack, calls) == (count, SWEEP_SLACK, [])
 
 
 @pytest.mark.sweep
