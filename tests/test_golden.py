@@ -183,3 +183,60 @@ def shield_corpus():
 
 def test_shield_digest():
     assert corpus_digest(shield_corpus()) == (SHIELD_GOLDEN, SHIELD_CASES)
+
+
+def broom(edges):
+    """A handle of ceil(edges/2) edges from the root, then leaves at its far end."""
+    handle = (edges + 1) // 2
+    return build_tree(list(range(handle)) + [handle] * (edges - handle))
+
+
+# The wide corpus: 500-edge trees in Q_500, unseeded and seeded, whose frames
+# hold many mapped edges and whose stages see many children at once.
+WIDE = "a0adfa4bdd960a5568fa8582626a5737031895ae827d24600b050dc6d0de1d8b"
+WIDE_CASES = 10
+
+
+def wide_corpus():
+    """(name, host, tree, seed) for the 500-edge trees, in a fixed order."""
+    g = VirtualCayleyCube(500)
+    shapes = {
+        "comb": comb(500),
+        "broom": broom(500),
+        "two-leg spiders": random_spider([2] * 250),
+        "random1": random_tree(500, 1),
+        "random2": random_tree(500, 2),
+    }
+    for name, t in shapes.items():
+        for seed in (None, 7):
+            yield f"wide {name} seed={seed}", g, t, seed
+
+
+def test_wide_digest(monkeypatch):
+    calls = exact_delta_calls(monkeypatch)
+    assert corpus_digest(wide_corpus()) == (WIDE, WIDE_CASES)
+    assert calls == []
+
+
+# The skew corpus: 12-edge trees on hosts whose colors are not coordinates,
+# so that a frame's banned colors and coordinates differ in every view.
+SKEW = "3fc2f5d7e79c4ed60c46da8c5d0dda374a7eaec0d7ca84b418f80c1012965891"
+SKEW_CASES = 36
+
+
+def skew_corpus():
+    """(name, host, tree, seed) for the 12-edge trees on refined and thinned hosts."""
+    for s in range(3):
+        hosts = [(f"refined12 s={s}", refined_cayley(12, s, 2)),
+                 (f"subgraph12 s={s}", subgraph_min_degree(12, 11, s))]
+        for name, g in hosts:
+            edges = g.delta()
+            for i, t in enumerate((comb(edges), broom(edges), random_tree(edges, 40 + s))):
+                for seed in (None, 3):
+                    yield f"skew {name} tree={i} seed={seed}", g, t, seed
+
+
+def test_skew_digest(monkeypatch):
+    calls = exact_delta_calls(monkeypatch)
+    assert corpus_digest(skew_corpus()) == (SKEW, SKEW_CASES)
+    assert calls == []
