@@ -31,9 +31,10 @@ counting argument, not that the input was bad.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -52,8 +53,8 @@ from .tree import (
     as_spider,
     build_tree,  # noqa: F401 -- perfbench/test_smoke.py reads embed.build_tree
     classify_children,
-    half_ceil,
     half_floor,
+    lower_halves,
 )
 
 
@@ -67,18 +68,61 @@ class ExtensionRequest:
     inside x_coor; each one offsets a forbidden class in the degree count.
     The count reads x_col and x_coor alone, but the step takes no color
     already mapped either, inside x_col or not: the embedding is rainbow.
+    A caller passes frozensets and a tuple; the engine passes read-only
+    views (collections.abc.Set and Sequence) whose sizes never change.
     """
 
     source: int
     target: int
-    x_col: frozenset[int]
-    x_coor: frozenset[int]
-    witnesses: tuple[int, ...] = ()
+    x_col: Set
+    x_coor: Set
+    witnesses: Sequence[int] = ()
     label: str = "extend"
 
 
 # trace record: (label, tree edge, graph edge src->dst, |x_col|, |x_coor|, r)
 TraceEntry = tuple[str, int, int, int, int, int, int]
+
+# A tree of at most this many edges, and a frame opened on anything but a
+# span of its opener, lists its frames' edges, colors, coordinates and bans
+# as sets: for so few, sets cost less than the ledger lookups of reading
+# them in place, which pay on larger trees only
+LISTED = 32
+EDGE, COLOR, COORD = range(3)
+
+
+class _Ledger:
+    """Every mapped edge of one embedding, in mapping order (an edge's stamp
+    is its index there), indexed for the frames: the edges of each
+    coordinate and, when the frames read their sets in place (`full`, with
+    the module `frames`), each edge's color and coordinate by stamp, the
+    edge of each color (a 1-tuple: the map is rainbow), the edges' preorder
+    positions in increasing order, and the `skew` edges, whose coordinate
+    is not their color."""
+
+    __slots__ = ("pos", "full", "frames", "colors", "coords", "stamp", "at_color", "at_coord", "positions",
+                 "skew", "sorted_colors")
+
+    def __init__(self, t, sorted_colors):
+        self.pos, self.full, self.sorted_colors = t.preorder().pos, t.n - 1 > LISTED, sorted_colors
+        self.colors, self.coords, self.positions, self.skew = [], [], [], []
+        self.stamp, self.at_color, self.at_coord = {}, {}, {}
+        self.frames = None
+        if self.full:  # the in-place machinery, loaded with the first tree that reads in place
+            from . import frames
+
+            self.frames = frames
+
+    def add(self, e, color, coord):
+        self.stamp[e] = len(self.stamp)
+        self.at_coord.setdefault(coord, []).append(e)
+        if self.full:
+            self.colors.append(color)
+            self.coords.append(coord)
+            self.at_color[color] = (e,)
+            insort(self.positions, self.pos[e])
+            if coord != color:
+                self.skew.append(e)
 
 
 @dataclass
@@ -89,16 +133,16 @@ class PartialEmbedding:
     Tree edges are named by child endpoint; `color_of`/`coord_of` cover the
     mapped edges, and only `record` (an engine step) and `premap` (a
     caller) write them, so every mapped edge carries its host's own color
-    and coordinate.  The maps, the trace and the RNG belong to the whole
-    tree and every frame that `lift` opens shares them.  Per frame: `graph`
-    is its view of the host, `vertices` its vertices, subroot first (all of
-    them in id order for the whole tree), `used_colors` the colors of its
-    mapped edges, and `_edges`/`_coords` those edges and their coordinates.
+    and coordinate.  The maps, the trace, the RNG and the ledger of mapped
+    edges belong to the whole tree, and every frame that `lift` opens
+    shares them.  Per frame: `graph` is its view of the host, `vertices` its
+    vertices, subroot first (all of them in id order for the whole tree),
+    and `used_colors`, `_edges` and `used_coords()` the colors, edges and
+    coordinates it has mapped, listed or read from the ledger by its region.
     `sorted_colors` lists the colors of every mapped edge in increasing
     order and never gains a duplicate, so the mapped part stays rainbow at
-    all times; every frame shares it.  A caller starts from an empty map,
-    sets the root's image in `image` and adds vertices with `premap`.
-    Confined to a single embedding run.
+    all times.  A caller starts from an empty map, sets the root's image in
+    `image` and adds vertices with `premap`.  Confined to one embedding run.
     """
 
     tree: RootedTree
@@ -109,27 +153,57 @@ class PartialEmbedding:
     image: dict[int, int] = field(init=False, default_factory=dict)
     color_of: dict[int, int] = field(init=False, default_factory=dict)
     coord_of: dict[int, int] = field(init=False, default_factory=dict)
-    used_colors: set[int] = field(init=False, default_factory=set)
     trace: list[TraceEntry] = field(init=False, default_factory=list)
-    vertices: Sequence[int] = field(init=False)
-    sorted_colors: list[int] = field(init=False)
+    vertices: Sequence[int] = field(init=False, default=())
+    sorted_colors: list[int] = field(init=False, default_factory=list)
     is_frame: bool = field(init=False, default=False)
-    _edges: set[int] = field(init=False, repr=False)
-    _coords: set[int] = field(init=False, repr=False)
-    # the last witness list this frame checked (see _check_witnesses)
-    _checked: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        self.vertices = range(self.tree.n)
-        self.sorted_colors = []
-        self._edges, self._coords = set(), set()
+        # the fields, then these, in this order, which `lift` keeps: the
+        # ledger; the frame's region, a frames.Span, when it reads its sets in
+        # place; its mapped edges, pre-mapped, mapped by its steps and
+        # premap, and adopted from the frames it closed, with their edges,
+        # colors and coordinates when listed (else None); the view `lift`
+        # made for it, read in place; and the last witness list it checked
+        # (see _check_witnesses)
+        n = self.tree.n
+        self.vertices = range(n)
+        self._ledger = L = _Ledger(self.tree, self.sorted_colors)
+        self._region = L.frames.Span(self.tree, 0, 1, n) if L.full else None
+        self._mapped = self._premapped = 0
+        self._listed = None if L.full else (set(), set(), set())
+        self._view = self._checked = None
 
     @property
     def root(self) -> int:
         return self.vertices[0]
 
+    def _classes(self, kind: int, size: int | None = None, extra: frozenset[int] = frozenset()) -> Set:
+        """The colors or coordinates of this frame's mapped edges as they
+        stand, and `extra`: listed, or read in place from the ledger by the
+        frame's region, which holds them (and, while the frame waits on a
+        frame it opened, that frame's).  Read so, it counts `size`, by
+        default one per mapped edge and `extra`: exact for colors, and for
+        coordinates whenever the edges, and `extra`, repeat none."""
+        if self._listed is not None:
+            listed = frozenset(self._listed[kind])
+            return listed.union(extra) if extra else listed
+        L = self._ledger
+        size = self._mapped + len(extra) if size is None else size
+        return L.frames.Classes(L, kind == COORD, self._region, len(L.stamp), size, extra)
+
+    @property
+    def used_colors(self) -> Set:
+        return self._classes(COLOR)
+
+    @property
+    def _edges(self) -> frozenset[int]:
+        if self._listed is not None:
+            return frozenset(self._listed[EDGE])
+        return frozenset(self._region.mapped(self._ledger))
+
     def used_coords(self) -> frozenset[int]:
-        return frozenset(self._coords)
+        return frozenset(self._classes(COORD))
 
     def coords_of(self, edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.coord_of[e] for e in edges)
@@ -163,10 +237,14 @@ class PartialEmbedding:
         self.image[child] = y
         self.color_of[child] = color
         self.coord_of[child] = coord
-        self.used_colors.add(color)
         colors.insert(i, color)
-        self._edges.add(child)
-        self._coords.add(coord)
+        self._ledger.add(child, color, coord)
+        self._mapped += 1
+        if self._listed is not None:
+            edges, colors, coords = self._listed
+            edges.add(child)
+            colors.add(color)
+            coords.add(coord)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):
         # the colors need no check: `record` is the only writer of color_of
@@ -182,11 +260,10 @@ class PartialEmbedding:
         by `banned_coords`.
 
         `vertices` lists the frame's subroot first and is parent-closed
-        below it.  The frame writes into this embedding's maps and trace;
-        its own edge, color and coordinate sets start from the edges already
-        mapped inside it.  Those pre-mapped edges must survive in the view;
-        that is checked here because a banned pre-mapped edge means a
-        bookkeeping error upstream.
+        below it.  The frame writes into this embedding's maps, trace and
+        ledger.  Its pre-mapped edges, those of `vertices` mapped already,
+        must survive in the view; that is checked here because a banned
+        pre-mapped edge means a bookkeeping error upstream.
 
         A mapped edge w is live in a view of the embedding's host H exactly
         when color_of[w] is not a banned color and coord_of[w] not a banned
@@ -199,39 +276,74 @@ class PartialEmbedding:
         (GraphView.has_edge), and H is its own view with no bans.  Every frame
         is over H, since `lift` restricts its opener's view, and no mapped
         edge is rewritten, since `record`'s callers refuse a mapped child.
-        So the two set tests here and in _check_witnesses equal
-        `view.has_edge`.
+        So the set tests here and in _check_witnesses equal `view.has_edge`.
+
+        The engine opens every frame on a span of its opener's (`_span`),
+        runs it to the end and opens the next: frames run depth first.
+        Then, while this frame reads its sets in place and its view is H
+        itself or the view `lift` made for it, so does the new frame, whose
+        view is made without a pass over it (`frames.span_view`).  Otherwise
+        the new frame lists its sets, and the banned colors are listed and
+        every pre-mapped edge checked (`_listed_view`).
         """
+        g = self.graph
+        L = self._ledger
+        if self._listed is None and type(vertices) is L.frames.Span and (g is g.base or g is self._view):
+            inside = vertices.count(L)
+            view, region, listed = L.frames.span_view(self, vertices, inside, banned_coords), vertices, None
+        else:
+            premapped = list(filter(self.coord_of.__contains__, islice(vertices, 1, None)))
+            own = {self.color_of[w] for w in premapped}
+            view, region, inside = self._listed_view(premapped, own, banned_coords), None, len(premapped)
+            listed = set(premapped), own, {self.coord_of[w] for w in premapped}
+        # a frame shares its opener's tree, RNG, maps, trace, sorted colors
+        # and ledger; the rest is its own.  Its attributes are set one by one,
+        # in the order the initializer sets them, so that every frame keeps
+        # the instance layout attribute lookups expect
+        sub = object.__new__(PartialEmbedding)
+        sub.tree, sub.graph, sub.rng, sub.z_bad = self.tree, view, self.rng, None
+        sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, self.color_of, self.coord_of, self.trace
+        sub.vertices, sub.sorted_colors, sub.is_frame = vertices, self.sorted_colors, True
+        sub._ledger, sub._region, sub._mapped, sub._premapped = self._ledger, region, inside, inside
+        sub._listed, sub._view, sub._checked = listed, None if listed else view, None
+        return sub
+
+    def _listed_view(self, premapped: list[int], own: set[int], banned_coords: Iterable[int]):
+        """lift's view of a frame on any vertex list, from any view: the
+        colors this frame has used outside it, its `own` being those of its
+        `premapped` edges, banned as a listed set."""
         color_of, coord_of = self.color_of, self.coord_of
-        premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
-        own = {color_of[w] for w in premapped}
+        used = self.used_colors if self._listed is None else self._listed[COLOR]
         # nothing new to ban leaves this frame's view itself
-        view = self.graph.restrict(self.used_colors - own, banned_coords)
+        view = self.graph.restrict(used - own, banned_coords)
         banned_colors, banned = view.banned_colors, view.banned_coords
         for w in premapped:
             if color_of[w] in banned_colors or coord_of[w] in banned:
                 raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
-        sub = PartialEmbedding(self.tree, view, self.rng)
-        sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, color_of, coord_of, self.trace
-        sub.used_colors = own
-        sub.vertices, sub.is_frame = vertices, True
-        sub.sorted_colors = self.sorted_colors
-        sub._edges, sub._coords = set(premapped), {coord_of[w] for w in premapped}
-        return sub
+        return view
 
     def adopt(self, sub: "PartialEmbedding"):
-        """Close a frame opened by `lift`: its edges, colors and coordinates
-        join this frame's.
+        """Close a frame opened by `lift`: the edges it mapped count as this
+        frame's, and join its listed sets; read in place, the ledger holds
+        them.  Nothing is compared: the frame cannot have remapped a vertex,
+        since extend_one and premap, the only callers of `record`, refuse a
+        mapped child, and `record` refused any color used in any frame."""
+        self._mapped += sub._mapped - sub._premapped
+        if self._listed is not None:
+            for mine, theirs in zip(self._listed, sub._listed):
+                mine |= theirs
 
-        The frame wrote into the shared maps, so there is nothing to copy
-        and nothing to compare.  It cannot have remapped a vertex, since
-        extend_one and premap, the only callers of `record`, refuse a child
-        that is already mapped; and `record` refused any color used in any
-        frame.
-        """
-        self.used_colors |= sub.used_colors
-        self._edges |= sub._edges
-        self._coords |= sub._coords
+
+def _span(pe: PartialEmbedding, root: int, lo: int, hi: int, cut: tuple[int, int] | None = None) -> Sequence[int]:
+    """The vertices of a frame below `pe`'s: `root`, then the preorder
+    positions lo .. hi - 1 less `cut`; read in place on a tree that reads
+    its sets so, else listed."""
+    L = pe._ledger
+    if L.full:
+        return L.frames.Span(pe.tree, root, lo, hi, cut)
+    order = pe.tree.preorder().order
+    a, b = cut or (hi, hi)
+    return (root, *order[lo:a], *order[b:hi])
 
 
 Frame = Iterator["Frame"]  # a frame's steps; it yields each frame it opens
@@ -270,11 +382,10 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
 
     if req.witnesses:
         _check_witnesses(pe, req)
-    r = len(req.witnesses)
-    if not pe.graph.delta_at_least(len(req.x_col) + len(req.x_coor) - r + 1):
+    ncol, ncoor, r = len(req.x_col), len(req.x_coor), len(req.witnesses)
+    if not pe.graph.delta_at_least(ncol + ncoor - r + 1):
         raise PreconditionViolated(
-            f"step {req.label}: |x_col|={len(req.x_col)} + |x_coor|={len(req.x_coor)}"
-            f" - r={r} >= delta={pe.graph.delta()}"
+            f"step {req.label}: |x_col|={ncol} + |x_coor|={ncoor} - r={r} >= delta={pe.graph.delta()}"
         )
 
     # the step bans every mapped color, which changes no step of the engine:
@@ -286,11 +397,13 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     # step adds its color to `used_colors`, and `adopt` hands a closed
     # frame's colors to its opener before the opener's next step
     cands = candidate_edges(pe.graph, pe.image[v], req.x_col, req.x_coor, pe.sorted_colors)
-    if not cands:
+    # unseeded, the first candidate; seeded, a uniform one, which needs the count
+    n = len(cands) if pe.rng is not None else 1 if cands else 0
+    if not n:
         raise NoCandidate(f"step {req.label}: counting bound held but no edge was admissible")
-    coord, y, color = cands[0] if pe.rng is None else cands[pe.rng.randrange(len(cands))]
+    coord, y, color = cands[0] if pe.rng is None else cands[pe.rng.randrange(n)]
     pe.record(w, y, color, coord)
-    pe.trace.append((req.label, w, pe.image[v], y, len(req.x_col), len(req.x_coor), r))
+    pe.trace.append((req.label, w, pe.image[v], y, ncol, ncoor, r))
     return pe
 
 
@@ -304,16 +417,18 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
     edge per leaf, checks each witness once.  A request takes over that
     result only if it has the same source and view, the old list is a prefix
     of its own, and the old x_col and x_coor are subsets of its own; then
-    only the new witnesses are checked.  That decides exactly as checking
-    every witness, since each check on an old witness still passes: a mapped
-    edge is never unmapped or remapped (`record`'s callers refuse a mapped
-    child), so it stays mapped with the same color and coordinate; the
-    source and the tree are the same, so it is still incident; its color and
-    coordinate lie in the old sets, hence in the new; the list up to it is
-    the same, so it repeats nothing before it; and the view is the same
-    object, whose bans are fixed.  The loop then reaches the new witnesses
-    with the same colors and coordinates seen.  A failing check clears the
-    kept result.
+    only the new witnesses are checked.  For the engine's requests these are
+    O(1) tests: step 4's lists are prefixes of one growing list
+    (frames.Prefix), and its sets one frame's classes up to a later stamp.
+    That decides exactly as checking every witness, since each check on an
+    old witness still passes: a mapped edge is never unmapped or remapped
+    (`record`'s callers refuse a mapped child), so it stays mapped with the
+    same color and coordinate; the source and the tree are the same, so it
+    is still incident; its color and coordinate lie in the old sets, hence
+    in the new; the list up to it is the same, so it repeats nothing before
+    it; and the view is the same object, whose bans are fixed.  The loop
+    then reaches the new witnesses with the same colors and coordinates
+    seen.  A failing check clears the kept result.
     """
     v, view, witnesses = req.source, pe.graph, req.witnesses
     checked, pe._checked = pe._checked, None
@@ -329,7 +444,7 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
     parent, color_of, coord_of = pe.tree.parent, pe.color_of, pe.coord_of
     x_col, x_coor = req.x_col, req.x_coor
     banned_colors, banned_coords = view.banned_colors, view.banned_coords
-    for wit in islice(witnesses, k, None):
+    for wit in witnesses[k:]:
         if wit not in coord_of:
             raise PreconditionViolated(f"witness edge {wit} is unmapped")
         if wit != v and parent[wit] != v:
@@ -346,13 +461,12 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
     pe._checked = (req, view, seen_colors, seen_coords)
 
 
-def _extend(pe: PartialEmbedding, target: int, x_coor: frozenset[int], label: str,
-            witnesses: tuple[int, ...] = ()) -> PartialEmbedding:
+def _extend(pe: PartialEmbedding, target: int, x_coor: Set, label: str,
+            witnesses: Sequence[int] = ()) -> PartialEmbedding:
     """extend_one from `target`'s parent, dodging `x_coor` and, as every step
     of every stage does, each color the frame has used."""
-    request = ExtensionRequest(pe.tree.parent[target], target, frozenset(pe.used_colors), x_coor,
-                               witnesses, label)
-    return extend_one(pe, request)
+    return extend_one(pe, ExtensionRequest(pe.tree.parent[target], target, pe._classes(COLOR), x_coor,
+                                           witnesses, label))
 
 
 def embed_half(
@@ -373,8 +487,9 @@ def embed_half(
         raise VertexNotInGraph(f"start vertex {start} not in host")
     pe = PartialEmbedding(t, g, rng=rng)
     pe.image[0] = start
+    # each step dodges every coordinate mapped before it, so one per edge
     for child in sorted(half_floor(t), key=lambda v: (t.level[v], v)):
-        _extend(pe, child, pe.used_coords(), "half")
+        _extend(pe, child, pe._classes(COORD), "half")
     return pe
 
 
@@ -424,24 +539,34 @@ def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
     always exists, and the window overlap keeps every closing walk open.
     """
     t = pe.tree
-    path = pe.vertices
+    path = tuple(pe.vertices)
     n = len(path) - 1
-    for i in range(1, n + 1):
-        if t.parent[path[i]] != path[i - 1]:
-            raise PreconditionViolated("extend_path needs a path tree with ids in order")
+    if tuple(map(t.parent.__getitem__, path[1:])) != path[:-1]:
+        raise PreconditionViolated("extend_path needs a path tree with ids in order")
     if n == 0:
         return pe
     nprime = min(n // 2 + 1, n)
-    expected = set(path[1 : nprime + 1])
-    if pe._edges != expected:
+    expected = path[1 : nprime + 1]
+    # the frame's mapped edges are these edges exactly when they number nprime and these are mapped
+    if pe._mapped != nprime or not all(map(pe.coord_of.__contains__, expected)):
         raise PreconditionViolated(
             f"path domain must be the first {nprime} edges, got {sorted(pe._edges)}"
         )
     pe.require_doubly_distinct(expected, "extend_path input")
 
+    # the window of edge i is edges lo .. i - 1, a run of preorder positions.
+    # Its coordinates are distinct, so it holds i - lo of them: of two of
+    # its edges a < b, either both are among the first nprime, doubly
+    # distinct, or b dodged a, whose index is at least lo > 2b - n - 1
+    L, pos = pe._ledger, t.preorder().pos
     for i in range(nprime + 1, n + 1):
         lo = max(2 * i - n - 1, 1)
-        _extend(pe, path[i], pe.coords_of(path[lo:i]), "path", (path[i - 1],))
+        if pe._listed is None:
+            window = L.frames.Classes(L, True, _span(pe, path[0], pos[path[lo]], pos[path[i]]), len(L.stamp),
+                                      i - lo)
+        else:
+            window = pe.coords_of(path[lo:i])
+        _extend(pe, path[i], window, "path", (path[i - 1],))
 
     # the certificate implies injectivity, which is not checked again: each
     # image is its parent's with the edge's coordinate flipped (`record` and
@@ -519,35 +644,60 @@ def extend_spider(pe: PartialEmbedding) -> PartialEmbedding:
 def _spider_legs(pe: PartialEmbedding, leg1: tuple[int, ...], rest: Sequence[tuple[int, ...]]) -> None:
     """Steps 0 to 2 of extend_spider, one leg at a time, on a frame whose input
     passes its checks.  Step 2's frame holds the remaining legs, all even and
-    mapped on their lower halves alone, so its leg one is the first of them."""
+    mapped on their lower halves alone, so its leg one is the first of them.
+    `rest` is in preorder, so the remaining legs are the spider's positions
+    from the next leg's on, less leg one when it lies among them."""
+    t, L = pe.tree, pe._ledger
+    _, pos, end, _ = t.preorder()
     legs = (leg1, *rest)
+    root, hi = leg1[0], end[leg1[0]]
+    one = (pos[leg1[1]], pos[leg1[1]] + len(leg1) - 1)
+    # the edges, and the lower-half edges, of the legs not finished yet
+    e_total = hi - pos[root] - 1
+    halves = sum([(len(leg) - 1) // 2 for leg in rest])
     frames = [pe]
-    for i, leg1 in enumerate(legs):
-        pe, rest = frames[-1], legs[i + 1 :]
-        e_total = sum(len(leg) - 1 for leg in legs[i:])
+    for i, leg in enumerate(legs):
+        pe = frames[-1]
+        if i:
+            halves -= (len(leg) - 1) // 2
         if not pe.graph.delta_at_least(e_total):
             raise PreconditionViolated(f"delta={pe.graph.delta()} < e(S)={e_total}")
 
         # step 0: ensure leg one's first missing edge is mapped, backed by an
-        # edge at its source: leg one's last mapped edge, or another leg's first
-        half1 = (len(leg1) - 1) // 2
-        if leg1[half1 + 1] not in pe.coord_of:
-            witnesses = (leg1[half1],) if half1 else (rest[0][1],) if rest else ()
-            _extend(pe, leg1[half1 + 1], pe.used_coords(), "spider0", witnesses)
+        # edge at its source: leg one's last mapped edge, or another leg's
+        # first.  The frame's mapped edges are the legs' lower halves and
+        # perhaps edges of leg one, doubly distinct by extend_spider's checks
+        half1 = (len(leg) - 1) // 2
+        if leg[half1 + 1] not in pe.coord_of:
+            witnesses = (leg[half1],) if half1 else (legs[i + 1][1],) if i + 1 < len(legs) else ()
+            _extend(pe, leg[half1 + 1], pe._classes(COORD), "spider0", witnesses)
 
-        # step 1: finish leg one as a path, shielded from the other legs' halves,
-        # whose colors are the ones this frame has used outside leg one
-        rest_half_edges = [e for leg in rest for e in leg[1 : (len(leg) + 1) // 2]]
-        sub = pe.lift(leg1, pe.coords_of(rest_half_edges))
-        if not sub.graph.delta_at_least(len(leg1) - 1):
-            raise PreconditionViolated(f"leg-one view delta={sub.graph.delta()} < leg length {len(leg1) - 1}")
+        # step 1: finish leg one as a path, shielded from the other legs'
+        # halves, whose colors are the ones this frame has used outside leg
+        # one.  Those halves are what is mapped on the remaining legs; their
+        # coordinates are distinct, and pre-mapped in this frame, so live in
+        # its view (lift), none of them among the coordinates it bans
+        others: Sequence[int] = ()
+        shield: Set = frozenset()
+        if i + 1 < len(legs):
+            lo = pos[legs[i + 1][1]]
+            others = _span(pe, root, lo, hi, one if one[0] > lo else None)
+            if pe._listed is None:
+                shield = L.frames.Classes(L, True, others, len(L.stamp), halves)
+            else:
+                shield = pe.coords_of(e for later in legs[i + 1 :] for e in later[1 : (len(later) + 1) // 2])
+        start = pos[leg[1]]
+        sub = pe.lift(_span(pe, root, start, start + len(leg) - 1), shield)
+        if not sub.graph.delta_at_least(len(leg) - 1):
+            raise PreconditionViolated(f"leg-one view delta={sub.graph.delta()} < leg length {len(leg) - 1}")
         extend_path(sub)
         pe.adopt(sub)
+        e_total -= len(leg) - 1
 
         # step 2: the remaining legs, shielded from the colors this frame has
         # used outside them, leg one's; each frame is adopted once its legs are done
-        if rest:
-            frames.append(pe.lift(leg1[:1] + tuple(v for leg in rest for v in leg[1:])))
+        if others:
+            frames.append(pe.lift(others))
     for k in range(len(frames) - 1, 0, -1):
         frames[k - 1].adopt(frames[k])
 
@@ -593,7 +743,7 @@ def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
         if pe._edges != half_floor(t, root):
             raise PreconditionViolated("extend_tree domain must be exactly the lower half")
         pe.require_doubly_distinct(pe._edges, "extend_tree input")
-        if q in pe._coords:
+        if q in pe.used_coords():
             raise PreconditionViolated("blocked coordinate already used by the lower half")
         _run(_tree_frame(pe, z_bad))
     # checked once too: the blocked vertex of every inner frame is the image
@@ -603,76 +753,146 @@ def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
     return pe
 
 
+class _Later:
+    """The later anchors of a tree frame: the anchor sets of the children of
+    its subroot from a rank on (spiders, then the rest, as classified),
+    mapped by step 1 (before stamp `anchored`) and apart in coordinates, so
+    they hold the sum of their `sizes`.  A listed frame reads them off those
+    children's subtrees; otherwise they are read in place by child rank."""
+
+    __slots__ = ("pe", "cls", "sizes", "anchored", "ranked")
+
+    def __init__(self, pe: PartialEmbedding, cls, sizes: list[int], anchored: int):
+        self.pe, self.cls, self.sizes, self.anchored, self.ranked = pe, cls, sizes, anchored, None
+
+    def coords(self, first: int, extra: frozenset[int] = frozenset()) -> Set:
+        pe, anchored = self.pe, self.anchored
+        t, L = pe.tree, pe._ledger
+        order, pos, end, _ = t.preorder()
+        if self.ranked is None:
+            # the children by rank, then per child its position and rank, and
+            # the sizes summed from each rank on
+            by_rank = [sc.vertex for sc in self.cls.spiders] + list(self.cls.rest)
+            children = t.children[pe.root]
+            rank = {c: i for i, c in enumerate(by_rank)}
+            self.ranked = (by_rank, [pos[c] for c in children], [rank.get(c, -1) for c in children],
+                           list(accumulate(reversed(self.sizes), initial=0))[::-1])
+        by_rank, starts, ranks, later_sizes = self.ranked
+        if pe._listed is not None:
+            return extra.union(pe.coord_of[e] for c in by_rank[first:] for e in order[pos[c] : end[c]]
+                               if L.stamp.get(e, anchored) < anchored)
+        region = L.frames.Later(pe._region, pos, starts, ranks, first)
+        return L.frames.Classes(L, True, region, anchored, later_sizes[first] + len(extra), extra)
+
+
+def _leg_witness(sc) -> int:
+    """The leg edge above a spider child's mid-leg edge, or the child's root edge."""
+    return sc.leg[sc.half_len - 1] if sc.half_len >= 2 else sc.vertex
+
+
 def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     """extend_tree on the subtree at a frame's subroot, which has a child
     (steps 7 and 8 open none on a leaf).  Every frame it opens is rooted at
-    a child, so frames nest no deeper than the tree."""
-    t, g = pe.tree, pe.graph
+    a child, so frames nest no deeper than the tree.
+
+    The frame's lower half is what is mapped in it when it opens (extend_tree
+    checks that of the whole tree, and the branch check below proves it of
+    each frame that steps 7 and 8 open).  Its anchor sets are sized from the
+    tree's halves, and its later anchors are read from the ledger by child
+    rank, so a frame costs its children and the edges it maps, not its size.
+    """
+    t, g, L = pe.tree, pe.graph, pe._ledger
     root = pe.root
-    order, pos, end, _ = t.preorder()
+    order, pos, end, half_level = t.preorder()
+    floor_size, bucket = lower_halves(t)
     root_img = pe.image[root]
     e_total = end[root] - pos[root] - 1
     if not g.delta_at_least(e_total):
         raise PreconditionViolated(f"delta={g.delta()} < e(T)={e_total}")
     q = edge_coordinate(root_img, z_bad)
-    floor = frozenset(pe._edges)
+    opened, floor = len(L.stamp), pe._mapped
 
     cls = classify_children(t, root)
     k, ell, m = len(cls.spiders), len(cls.leaves), len(cls.rest)
+    children = t.children[root]
+    level = t.level[root] + 1  # the children's
 
-    a_sets = {
-        sc.vertex: (frozenset({sc.vertex}) | half_floor(t, sc.vertex))
-        - {sc.mid_edge}
-        for sc in cls.spiders
-    }
-    b_sets = {v: frozenset({v}) | half_floor(t, v) for v in cls.rest}
-    ab = set().union(*a_sets.values(), *b_sets.values())
+    # the anchor sets, by rank (spiders, then the rest): for s_i the root edge
+    # and the spider's lower half less its mid-leg edge, for t_j the root edge
+    # and the subtree's lower half.  The lower half of the subtree at a child
+    # v holds w exactly when half_level(w) <= level(v), which is how a
+    # mid-leg edge is tested
+    sizes = [1 + floor_size[sc.vertex] - (half_level[pos[sc.mid_edge]] <= level) for sc in cls.spiders]
+    sizes += [1 + floor_size[v] for v in cls.rest]
+    # step 1's targets.  Of a non-leaf child's subtree, the anchor set holds
+    # what the frame's lower half holds (half_level <= level - 1, the root
+    # edge among them) and the positions at half level `level` past the
+    # child, less a mid-leg edge; no leaf child's edge is in either.  So the
+    # anchor sets are the lower half and these targets, apart
+    row = bucket.get(level, ())
+    mids = {sc.mid_edge for sc in cls.spiders}
+    targets = [w for w in map(order.__getitem__, row[bisect_left(row, pos[root] + 1) : bisect_left(row, end[root])])
+               if t.parent[w] != root and w not in mids]
 
     # the anchor-set checks: raised, not asserted, so that `python -O` keeps them
-    for sc in cls.spiders:
-        if 2 * len(a_sets[sc.vertex]) != end[sc.vertex] - pos[sc.vertex] - 1:
+    for sc, size in zip(cls.spiders, sizes):
+        if 2 * size != end[sc.vertex] - pos[sc.vertex] - 1:
             raise PreconditionViolated(f"anchor set of spider child {sc.vertex} is not half its subtree")
-    for v in cls.rest:
-        if 2 * len(b_sets[v]) > end[v] - pos[v]:
+    for v, size in zip(cls.rest, sizes[k:]):
+        if 2 * size > end[v] - pos[v]:
             raise PreconditionViolated(f"anchor set of child {v} exceeds half its subtree")
-    if 2 * len(ab) > e_total - k - ell:
+    if 2 * sum(sizes) > e_total - k - ell:
         raise PreconditionViolated("anchor sets exceed half of the edges outside leaves and mid-legs")
-    if not floor <= ab:
+    if floor + len(targets) != sum(sizes):
         raise PreconditionViolated("anchor sets miss part of the lower half")
 
     # step 1: finish the anchor sets, doubly distinct, dodging q; ties in
     # level go by id in the whole tree and by preorder position in a frame
-    # below it, the order the golden digests pin
-    rank = pos if pe.is_frame else range(t.n)
-    for child in sorted(ab - floor, key=lambda v: (t.level[v], rank[v])):
-        _extend(pe, child, pe.used_coords() | {q}, "step1")
-
-    def leg_witness(sc) -> int:
-        # the leg edge above the mid-leg edge, or the root edge of the child
-        return sc.leg[sc.half_len - 1] if sc.half_len >= 2 else sc.vertex
+    # below it, the order the golden digests pin.  The frame's coordinates
+    # are distinct (the lower half's by extend_tree's check or the branch
+    # check, each step's by its own x_coor) and q is not among them (by the
+    # same checks: q is extend_tree's blocked coordinate or coord_of[root])
+    if len(targets) > 1:
+        if not pe.is_frame:
+            targets.sort()
+        targets.sort(key=t.level.__getitem__)
+    with_q = frozenset({q})
+    for child in targets:
+        _extend(pe, child, pe._classes(COORD, extra=with_q), "step1")
+    anchored = len(L.stamp)
 
     # step 2: the first spider's mid-leg edge
     if k >= 1:
         sc = cls.spiders[0]
-        _extend(pe, sc.mid_edge, pe.used_coords() | {q}, "step2", (leg_witness(sc),))
-    anchor_coords = pe.used_coords()  # coordinates of anchors + e_1
+        _extend(pe, sc.mid_edge, pe._classes(COORD, extra=with_q), "step2", (_leg_witness(sc),))
+    anchored_coords = pe._mapped  # coordinates of anchors + e_1, one per edge
 
     # step 3: the other spiders' mid-leg edges
-    for sc in cls.spiders[1:]:
-        _extend(pe, sc.mid_edge, anchor_coords, "step3", (leg_witness(sc),))
+    if k > 1:
+        anchor_coords = pe._classes(COORD)
+        for sc in cls.spiders[1:]:
+            _extend(pe, sc.mid_edge, anchor_coords, "step3", (_leg_witness(sc),))
 
-    # step 4: the root-leaf edges, witness-backed by earlier root edges
-    witnesses = tuple(sc.vertex for sc in cls.spiders)
-    for u in cls.leaves:
-        _extend(pe, u, pe.used_coords(), "step4", witnesses)
-        witnesses += (u,)
+    # step 4: the root-leaf edges, witness-backed by earlier root edges.  Step
+    # 3's edges dodge anchor_coords but not each other, and each step-4 edge
+    # dodges every coordinate before it
+    if ell:
+        coords = anchored_coords + len({pe.coord_of[sc.mid_edge] for sc in cls.spiders[1:]})
+        witnesses = [sc.vertex for sc in cls.spiders]
+        for i, u in enumerate(cls.leaves):
+            backing = tuple(witnesses) if pe._listed is not None else L.frames.Prefix(witnesses, len(witnesses))
+            _extend(pe, u, pe._classes(COORD, coords + i), "step4", backing)
+            witnesses.append(u)
 
-    # step 5: the edges after the mid-leg edges, spiders 2..k
+    # the later anchors of steps 5 and 7, read beside a second spider or a
+    # second subtree only
+    later = _Later(pe, cls, sizes, anchored)
+
+    # step 5: the edges after the mid-leg edges, spiders 2..k; the mid-leg
+    # edge dodged every anchor's coordinate in step 3
     for idx, sc in enumerate(cls.spiders[1:], start=1):
-        later_anchor = {sc.mid_edge}.union(
-            *(a_sets[sc2.vertex] for sc2 in cls.spiders[idx:]), *b_sets.values()
-        )
-        _extend(pe, sc.after_mid_edge, pe.coords_of(later_anchor), "step5", (sc.mid_edge,))
+        _extend(pe, sc.after_mid_edge, later.coords(idx, frozenset({pe.coord_of[sc.mid_edge]})), "step5",
+                (sc.mid_edge,))
 
     # each branch anchor set is {v} | the lower half of v's subtree, mapped by step 3.
     # So the tree frame that steps 7 and 8 open on v gets what extend_tree
@@ -681,9 +901,19 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     # subtree), rainbow (`record`) and, by this check, of coordinates distinct
     # from each other and from coord_of[v]; its blocked vertex root_img is v's
     # image flipped in coord_of[v], across v's edge, whose color `lift` bans.
-    for branch in chain((a_sets[sc.vertex] | {sc.mid_edge} for sc in cls.spiders), b_sets.values()):
-        if len({pe.coord_of[e] for e in branch}) != len(branch):
-            raise PreconditionViolated("branch anchor set repeats a coordinate")
+    # The branch's edges mapped before this frame opened are part of its
+    # lower half, distinct by the same check one frame up (or extend_tree's),
+    # so only the edges this frame mapped into it are compared, with each
+    # other and with those: no other edge of the coordinate in the branch
+    # is one of either
+    fresh = set(targets) | mids
+    starts = [pos[c] for c in children] if fresh else []
+    for w in fresh:
+        c = children[bisect_right(starts, pos[w]) - 1]
+        lo, hi = pos[c], end[c]
+        for e in L.at_coord[pe.coord_of[w]]:
+            if e != w and lo <= pos[e] < hi and (L.stamp[e] < opened or e in fresh):
+                raise PreconditionViolated("branch anchor set repeats a coordinate")
 
     # steps 6 to 8 open a frame on a child's subtree, whose view `lift` makes
     # ban every color used outside it.  Its degree is not checked here:
@@ -697,26 +927,29 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     # distinct coordinates by the branch check and step 5's x_coor.  So leg
     # one is sc.leg, which is legs[0]: both follow first children
     for sc in cls.spiders:
-        sub = pe.lift(order[pos[sc.vertex] : end[sc.vertex]])
+        sub = pe.lift(_span(pe, sc.vertex, pos[sc.vertex] + 1, end[sc.vertex]))
         leg1, *rest = as_spider(t, sc.vertex).legs
         _spider_legs(sub, leg1, rest)
         pe.adopt(sub)
 
-    # steps 7 and 8: the remaining subtrees, in deficiency order
+    # steps 7 and 8: the remaining subtrees, in deficiency order.  A subtree's
+    # upper-closed half exceeds its lower half by the positions at half
+    # level level(v) + 1 past v; step 8 takes it as the lower half.  The
+    # later anchors that step 7 bans are anchors, of coordinates apart from
+    # the frame's pre-mapped ones and live in this frame's view (lift)
     for j, v in enumerate(cls.rest, start=1):
-        sub_floor = b_sets[v] - {v}
-        sub_ceil = half_ceil(t, v) if j < m else sub_floor
-        later_coords = ()
-        lone_odd_leg = sub_ceil != sub_floor and end[v] - pos[v] - 1 - 2 * len(sub_floor) == 1
+        row = bucket.get(t.level[v] + 1, ())
+        middle = row[bisect_left(row, pos[v] + 1) : bisect_left(row, end[v])] if j < m else ()
+        later_coords: Set = frozenset()
+        lone_odd_leg = bool(middle) and end[v] - pos[v] - 1 - 2 * floor_size[v] == 1
         if lone_odd_leg:
             # map its middle edge first, then spider-extend
-            (mid,) = sub_ceil - sub_floor
-            later_b = set().union(*(b_sets[v2] for v2 in cls.rest[j - 1 :]))
-            _extend(pe, mid, pe.coords_of(later_b), "step7-mid", (t.parent[mid],))
-        elif sub_ceil != sub_floor:
+            (mid,) = map(order.__getitem__, middle)
+            _extend(pe, mid, later.coords(k + j - 1), "step7-mid", (t.parent[mid],))
+        elif middle:
             # deficiency >= 2: also shield the later anchors' coordinates
-            later_coords = pe.coords_of(chain([v], *(b_sets[v2] for v2 in cls.rest[j:])))
-        sub = pe.lift(order[pos[v] : end[v]], later_coords)
+            later_coords = later.coords(k + j, frozenset({pe.coord_of[v]}))
+        sub = pe.lift(_span(pe, v, pos[v] + 1, end[v]), later_coords)
         if lone_odd_leg:
             # extend_spider's checks pass: deficiency 1 with a middle edge makes
             # a spider with one odd leg (classify_children), mapped on its lower

@@ -150,9 +150,13 @@ KINDS = {
 
 def generate(kind: str, seed: int = 0, params: dict | None = None):
     """Build the graph or tree of generator `kind`: same (kind, seed, params)
-    in, bit-identical artifact out.  `splits` defaults to 2."""
+    in, bit-identical artifact out.  `splits` defaults to 2; any other
+    parameter the kind reads must be given, else ValueError names it."""
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     names, make = KINDS[kind]
     p = {"splits": 2, **(params or {})}
+    missing = [name for name in names if name not in p]
+    if missing:
+        raise ValueError(f"generator {kind!r} needs parameter {missing[0]!r}")
     return make(*(p[name] for name in names), seed)

@@ -23,7 +23,8 @@ bans as collections read by membership plus the sorted list of mapped
 colors; ``candidate_edges`` passes it the request's and the view's bans
 unchanged.  It returns a sequence of incident records: a list on an
 explicit host, and on the implicit cube a lazy one that builds only the
-records it is asked for.
+records it is asked for.  Where a query must list what the bans hold
+beyond the mapped colors, it asks each set for that part (``unlisted``).
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ Bans = tuple[Collection[int], ...]
 
 # the widest cube built explicitly (2^16 vertices); VirtualCayleyCube goes beyond
 MAX_EXPLICIT_DIMENSION = 16
+
+
+def unlisted(bans: Collection[int], listed: Sequence[int]) -> Iterable[int]:
+    """A part of `bans` holding each element that the sorted list `listed`
+    lacks: what the set's `outside(listed)` gives when it has one (a set
+    that knows which of its elements `listed` holds), else all of it."""
+    outside = getattr(bans, "outside", None)
+    return bans if outside is None else outside(listed)
 
 
 def edge_coordinate(u: int, v: int) -> int:
@@ -314,12 +323,13 @@ class VirtualCayleyCube(_Host):
     explicit host; beyond, listing raises LimitExceeded.
     """
 
-    __slots__ = ("dimension",)
+    __slots__ = ("dimension", "_top")
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
+        self._top = 1 << dimension  # the vertex count, made once
 
     def _listable(self) -> int:
         n = self.dimension
@@ -336,10 +346,10 @@ class VirtualCayleyCube(_Host):
         return cube_edges(self._listable())
 
     def n_vertices(self) -> int:
-        return 1 << self.dimension
+        return self._top
 
     def has_vertex(self, v: int) -> bool:
-        return 0 <= v < (1 << self.dimension)
+        return 0 <= v < self._top
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (self.has_vertex(u) and self.has_vertex(v)):
@@ -379,6 +389,11 @@ class VirtualCayleyCube(_Host):
         return 0
 
 
+def _holds(sorted_list: Sequence[int], q: int) -> bool:
+    i = bisect_left(sorted_list, q)
+    return i < len(sorted_list) and sorted_list[i] == q
+
+
 class FreeCoordinates(Sequence):
     """The records (q, x ^ 2^q, q) for the coordinates q < m outside the
     bans, in coordinate order: the admissible edges at x of the implicit
@@ -386,14 +401,15 @@ class FreeCoordinates(Sequence):
 
     The bans come in two parts.  `banned` is a sorted sequence, read in
     place and never copied, so it must not change while the sequence is in
-    use.  `more` holds further sets of bans, read by membership alone.
+    use.  `more` holds further sets of bans, read by membership, and by
+    ``unlisted`` for the part that `banned` lacks.
 
     Truth and the first record make no pass over any ban: they cost
     O(log |banned|) for the record and for each coordinate below it that
     only `more` bans.  `len` and any other ``[i]`` first list those
-    coordinates, in one pass over `more` and `banned`; then `len` costs
-    O(1) and ``[i]`` O(log |banned|) times one plus the listed coordinates
-    below the record.
+    coordinates, in one pass over the unlisted parts of `more`; then `len`
+    costs O(1) and ``[i]`` O(log |banned|) times one plus the listed
+    coordinates below the record.
     None of these costs O(m).  Iteration gives the records in order.
     """
 
@@ -427,7 +443,10 @@ class FreeCoordinates(Sequence):
         """The first free coordinate (m or more when there is none)."""
         if self._q0 is None:
             j, m, more = 0, self._m, self._more
-            q = self._outside_banned(0)
+            s, lo, hi = self._banned, self._lo, self._hi
+            # the greedy engine's bans below m are mostly 0 .. k - 1, whose
+            # first outside coordinate is k
+            q = hi - lo if lo == hi or s[hi - 1] - s[lo] == hi - lo - 1 == s[hi - 1] else self._outside_banned(0)
             while q < m:
                 for bans in more:
                     if q in bans:
@@ -442,9 +461,14 @@ class FreeCoordinates(Sequence):
     def _only_more(self) -> list[int]:
         """The coordinates in [0, m) that `more` bans and `banned` does not, in order."""
         if self._extra is None:
-            m = self._m
-            extra = set().union(*self._more).difference(self._banned)
-            self._extra = sorted(q for q in extra if 0 <= q < m)
+            # a coordinate outside `banned` is in a set exactly when it is in
+            # the set's unlisted part; `banned` is tested by bisection, so
+            # this costs the unlisted parts, not the bans
+            m, banned = self._m, self._banned
+            extra: set[int] = set()
+            for bans in self._more:
+                extra.update(unlisted(bans, banned))
+            self._extra = sorted(q for q in extra if 0 <= q < m and not _holds(banned, q)) if extra else []
         return self._extra
 
     def __len__(self) -> int:
@@ -552,12 +576,13 @@ def cayley_coloring(n: int) -> ColoredCubeGraph:
 def candidate_edges(
     g,
     x: int,
-    forbidden_colors: Iterable[int] = (),
-    forbidden_coords: Iterable[int] = (),
+    forbidden_colors: Collection[int] = (),
+    forbidden_coords: Collection[int] = (),
     mapped: Sequence[int] = (),
 ) -> Sequence[Incidence]:
     """Incident edges at x avoiding the forbidden colors and coordinates,
-    the view's bans and the colors in `mapped`.
+    collections read by membership, the view's bans and the colors in
+    `mapped`.
 
     Deterministic order: by coordinate (at a fixed vertex the coordinate
     determines the neighbor, so this is also lexicographic-by-neighbor
@@ -571,8 +596,7 @@ def candidate_edges(
     request's and the view's bans as they are, each read by membership,
     and `mapped` as it is.
     """
-    colors, coords = frozenset(forbidden_colors), frozenset(forbidden_coords)
-    return g.base.admissible(x, (colors, g.banned_colors), (coords, g.banned_coords), mapped)
+    return g.base.admissible(x, (forbidden_colors, g.banned_colors), (forbidden_coords, g.banned_coords), mapped)
 
 
 # --- text format ----------------------------------------------------------

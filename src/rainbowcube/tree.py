@@ -55,9 +55,9 @@ class Preorder(NamedTuple):
 
 
 class RootedTree:
-    """Immutable rooted tree with cached level, level_max and preorder."""
+    """Immutable rooted tree with cached level, level_max, preorder and halves."""
 
-    __slots__ = ("n", "parent", "children", "level", "level_max", "_preorder")
+    __slots__ = ("n", "parent", "children", "level", "level_max", "_preorder", "_halves")
 
     def __init__(self, parent: tuple, children: tuple, level: tuple, level_max: tuple):
         self.n = len(parent)
@@ -66,6 +66,7 @@ class RootedTree:
         self.level = level
         self.level_max = level_max
         self._preorder = None
+        self._halves = None
 
     def preorder(self) -> Preorder:
         """The preorder and subtree intervals, computed on first use."""
@@ -89,6 +90,40 @@ class RootedTree:
                 tuple(2 * self.level[w] - self.level_max[w] for w in order),
             )
         return self._preorder
+
+    def halves(self) -> tuple[tuple[int, ...], dict[int, list[int]]]:
+        """Every subtree's lower half, counted and bucketed, computed on first
+        use: (floor_size, bucket).  floor_size[v] is |half_floor(t, v)|.
+        bucket[h] lists in increasing order the preorder positions i with
+        half_level[i] == h; by Preorder's rule, the positions of v's subtree
+        past v that bucket[level(v) + 1] lists are half_ceil(t, v) less
+        half_floor(t, v).
+
+        By Preorder's rule, w lies in the lower half of the subtree at a
+        proper ancestor a exactly when level(a) >= half_level(w): the
+        ancestors at levels max(half_level(w), 0) .. level(w) - 1, one
+        segment of w's root path.  So w adds +1 at its parent and -1 at the
+        ancestor just above the segment (none when it reaches the root),
+        and floor_size[v] is the sum of these marks over v's subtree.
+        """
+        if self._halves is None:
+            order, _, _, half_level = self.preorder()
+            level, parent = self.level, self.parent
+            mark = [0] * self.n
+            path = [0] * (max(level) + 1)  # path[l]: the ancestor at level l of the vertex in hand
+            bucket: dict[int, list[int]] = {}
+            for i, w in enumerate(order):
+                lw, h = level[w], half_level[i]
+                path[lw] = w
+                bucket.setdefault(h, []).append(i)
+                if w and h < lw:  # max(h, 0) < lw, as lw >= 1
+                    mark[parent[w]] += 1
+                    if h > 0:
+                        mark[path[h - 1]] -= 1
+            for w in reversed(order[1:]):
+                mark[parent[w]] += mark[w]
+            self._halves = tuple(mark), bucket
+        return self._halves
 
     @property
     def root(self) -> int:
@@ -192,6 +227,11 @@ def deficiency(t: RootedTree, v: int = 0) -> int:
     return len(vertices) - 2 * sum(in_floor)
 
 
+def lower_halves(t: RootedTree) -> tuple[tuple[int, ...], dict[int, list[int]]]:
+    """The tree's cached lower-half sizes and half-level buckets."""
+    return t.halves()
+
+
 # --- spiders -----------------------------------------------------------------
 
 
@@ -256,9 +296,12 @@ class ChildClassification:
 
 def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
     """Partition the children of `root` (by default t's root) into leaves,
-    even-spider subtrees, rest."""
+    even-spider subtrees, rest.  Each deficiency is read from the tree's
+    halves, so this costs the children and the spider legs it lists."""
     if not t.children[root]:
         raise EmptyTree("no edges to classify")
+    _, pos, end, _ = t.preorder()
+    floor_size = t.halves()[0]
     leaves = []
     spiders = []
     rest = []
@@ -266,7 +309,7 @@ def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
         if not t.children[v]:
             leaves.append(v)
             continue
-        d = deficiency(t, v)
+        d = end[v] - pos[v] - 1 - 2 * floor_size[v]
         # d = 0 forces an even spider below v, and so does d = 1 with a middle
         # edge, one odd leg aside (_tree_frame's step7-mid): iota_injection maps
         # the lower half injectively past the upper-closed half, so d counts the

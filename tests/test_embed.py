@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import rainbowcube
 import rainbowcube.embed as embed
+import rainbowcube.frames as frames
 from rainbowcube import (
     ColoredCubeGraph,
     ExtensionRequest,
@@ -42,9 +43,9 @@ from rainbowcube.errors import (
 from rainbowcube.gen import greedy_proper, random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.hypercube import GraphView, _Host, candidate_edges, cube_edges
 from rainbowcube.prng import SplitMix64
-from rainbowcube.tree import as_spider, classify_children, enumerate_trees, half_floor
+from rainbowcube.tree import as_spider, classify_children, enumerate_trees, half_floor, lower_halves
 
-from test_golden import comb, deep_corpus, stage_corpus
+from test_golden import comb, corpus, deep_corpus, skew_corpus, stage_corpus
 from test_hypercube import host_id, random_views
 from test_sweep import exact_delta_calls, slice_runs
 from test_tree import CLASSIFY_49
@@ -719,8 +720,11 @@ import sys
 import rainbowcube.embed as embed
 from rainbowcube import VirtualCayleyCube, build_tree
 from rainbowcube.errors import PreconditionViolated
-from rainbowcube.tree import half_floor
-embed.half_floor = lambda t, v=0: frozenset(t.subtree_preorder(v)[1:]) if v else half_floor(t)
+from rainbowcube.tree import lower_halves
+def whole_subtrees(t):
+    floor_size, bucket = lower_halves(t)
+    return tuple(len(t.subtree_preorder(v)) - 1 if v else size for v, size in enumerate(floor_size)), bucket
+embed.lower_halves = whole_subtrees
 try:
     embed.embed_rainbow_tree(VirtualCayleyCube(5), build_tree([0, 1, 1]))
 except PreconditionViolated as exc:
@@ -749,6 +753,15 @@ def lift_banning_phantom_colors(self, vertices, banned_coords=()):
 def classify_with(change):
     """classify_children with `change` applied to its answer."""
     return lambda t, root=0: change(classify_children(t, root))
+
+
+def halves_with(size):
+    """lower_halves with the lower-half size f of each vertex v replaced by size(t, v, f)."""
+    def faulty(t):
+        floor_size, bucket = lower_halves(t)
+        return tuple(size(t, v, f) for v, f in enumerate(floor_size)), bucket
+
+    return faulty
 
 
 class TestStrictChecks:
@@ -790,12 +803,12 @@ class TestStrictChecks:
         pytest.param("classify_children", classify_with(lambda cls: replace(
             cls, spiders=tuple(replace(sc, mid_edge=sc.after_mid_edge) for sc in cls.spiders))),
             [0, 1, 2], "anchor set of spider child 1 is not half its subtree", id="mid-leg-edge-too-deep"),
-        pytest.param("half_floor", lambda t, v=0: frozenset(t.subtree_preorder(v)[1:]) if v else half_floor(t),
+        pytest.param("lower_halves", halves_with(lambda t, v, f: len(t.subtree_preorder(v)) - 1 if v else f),
                      [0, 1, 1], "anchor set of child 1 exceeds half its subtree", id="whole-subtrees"),
         pytest.param("classify_children", classify_with(lambda cls: replace(cls, leaves=cls.leaves + cls.rest)),
                      [0, 1], "anchor sets exceed half of the edges outside leaves and mid-legs",
                      id="a-child-also-counted-as-a-leaf"),
-        pytest.param("half_floor", lambda t, v=0: frozenset() if v else half_floor(t),
+        pytest.param("lower_halves", halves_with(lambda t, v, f: 0 if v else f),
                      [0, 1, 2, 3], "anchor sets miss part of the lower half", id="no-lower-halves-below-the-root"),
     ])
     def test_broken_anchor_bookkeeping_is_caught(self, where, fault, parents, message, monkeypatch):
@@ -1364,3 +1377,92 @@ class TestColorIndex:
                       random_tree(n, 9)):
                 pe = embed_rainbow_tree(g, t, seed=3)
                 assert pe.sorted_colors == sorted(pe.used_colors) == sorted(pe.color_of.values())
+
+
+def lift_outcome(pe, vertices, banned):
+    """What `lift` gives: the new view's bans as sets, with whether it is the
+    opener's view itself, or the message it refuses with."""
+    try:
+        view = pe.lift(vertices, banned).graph
+    except PreconditionViolated as exc:
+        return str(exc)
+    colors, coords = frozenset(view.banned_colors), frozenset(view.banned_coords)
+    # the sizes the degree bound reads are the sets' own
+    assert (len(view.banned_colors), len(view.banned_coords)) == (len(colors), len(coords))
+    return view is pe.graph, colors, coords
+
+
+class TestViews:
+    """Frames and steps read the ledger through views; each decides and
+    counts as the listed sets they stand for."""
+
+    @pytest.mark.parametrize("t", [random_tree(48, 61), comb(48), random_spider([2] * 24)],
+                             ids=["random", "comb", "spider"])
+    def test_the_span_route_decides_as_the_listed_route(self, t):
+        # a frame on a subtree of a tree too large to be listed, opened from
+        # the whole tree and from a frame on a subtree above it, as a span
+        # (read in place) and as the same vertices listed
+        g = VirtualCayleyCube(48)
+        assert t.n - 1 > embed.LISTED
+        verdicts = set()
+        for seed in (None, 3):
+            order, pos, end, _ = t.preorder()
+            pe = embed_rainbow_tree(g, t, seed=seed)
+            for v in (v for v in range(t.n) if t.children[v]):
+                span = frames.Span(t, v, pos[v] + 1, end[v])
+                below = [pe.coord_of[w] for w in span[1:]]
+                for banned in ((), below[-1:], below[:1] + [g.dimension + 1], [below[0] + 1]):
+                    openers = [pe]
+                    if v:
+                        u = t.parent[v]
+                        openers.append(pe.lift(frames.Span(t, u, pos[u] + 1, end[u])))
+                    for opener in openers:
+                        outcome = lift_outcome(opener, span, banned)
+                        assert outcome == lift_outcome(opener, tuple(span), banned)
+                        verdicts.add(isinstance(outcome, str))
+        assert verdicts == {True, False}
+
+    def test_engine_requests_are_sized_as_their_elements(self, monkeypatch):
+        # every set a step reads has the size the trace records and the
+        # counting bound reads, and keeps its elements after the step
+        engine = embed.extend_one
+        sets = []
+
+        def checked(pe, req):
+            views = (req.x_col, req.x_coor, pe.graph.banned_colors, pe.graph.banned_coords)
+            before = [frozenset(s) for s in views]
+            assert [len(s) for s in views] == [len(s) for s in before]
+            assert frozenset(req.x_col) == {pe.color_of[e] for e in pe._edges}
+            engine(pe, req)
+            assert [frozenset(s) for s in views] == before
+            sets.append(len(before[1]))
+            return pe
+
+        monkeypatch.setattr(embed, "extend_one", checked)
+        # listed on the small trees, read in place on the deep ones
+        deep = [case for case in deep_corpus() if case[3] is None]
+        for instances in (corpus(), skew_corpus(), deep):
+            for _, g, t, seed in instances:
+                embed_rainbow_tree(g, t, seed=seed)
+        assert len(sets) > 1000
+
+    def test_sequences_read_in_place(self):
+        items = [5, 6, 7]
+        first = frames.Prefix(items, 2)
+        items.append(8)
+        assert list(first) == [5, 6] and first[-1] == 6 and first[1:] == [6]
+        assert first[:1] == (5,) and first == frames.Prefix(items, 2) != frames.Prefix(items, 3)
+        with pytest.raises(IndexError):
+            first[2]
+        # a spider's legs after its first, less a leg cut out of them
+        t = random_spider([2, 3, 1, 2])
+        order, pos, end, _ = t.preorder()
+        legs = as_spider(t).legs
+        cut = (pos[legs[2][1]], end[legs[2][1]])
+        span = frames.Span(t, 0, pos[legs[1][1]], end[0], cut)
+        listed = (0, *legs[1][1:], *legs[3][1:])
+        assert tuple(span) == listed and len(span) == len(listed)
+        assert [span[i] for i in range(-len(span), len(span))] == list(listed) * 2
+        assert span[1:3] == listed[1:3]
+        with pytest.raises(IndexError):
+            span[len(span)]

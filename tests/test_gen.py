@@ -135,6 +135,16 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             generate("mystery", 0, {})
 
+    @pytest.mark.parametrize("kind, params, name", [
+        ("cayley", {}, "n"),
+        ("refined_cayley", {"splits": 3}, "n"),
+        ("subgraph_min_degree", {"n": 4}, "d"),
+        ("random_spider", {}, "legs"),
+    ])
+    def test_a_missing_parameter_is_named(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"^generator '{kind}' needs parameter '{name}'$"):
+            generate(kind, 0, params)
+
 
 class TestGeneratorDigest:
     # sha256 over format_graph of the three randomized host generators; any

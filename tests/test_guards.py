@@ -1,6 +1,6 @@
 """Every guard of the engine has a witness: each `raise` in `embed.py`,
-`tree.py`, `hypercube.py` and `prng.py` is either reached by a named test or
-backed by a named proof.
+`frames.py`, `tree.py`, `hypercube.py` and `prng.py` is either reached by a
+named test or backed by a named proof.
 
 A raise is named by its function and its exception, with the message's
 fixed text and `{}` for each value formatted into it; `#2` marks a second
@@ -74,7 +74,7 @@ WITNESSES = {
             "test_embed.py::TestFrames::test_color_reused_across_frames",
         "PartialEmbedding.require_doubly_distinct: PreconditionViolated({}: mapped edges are not doubly distinct)":
             "test_embed.py::TestExtendTree::test_rejects_input_that_is_not_doubly_distinct",
-        "PartialEmbedding.lift: PreconditionViolated(pre-mapped edge {} was banned from the restricted host)":
+        "PartialEmbedding._listed_view: PreconditionViolated(pre-mapped edge {} was banned from the restricted host)":
             "test_mutants.py::test_the_stage_corpus_catches_the_mutant",
         "extend_one: PreconditionViolated(step {}: vertex {} is outside [1, {}))":
             "test_embed.py::TestExtendOne::test_refuses_a_target_outside_the_tree",
@@ -146,6 +146,10 @@ WITNESSES = {
             "test_embed.py::TestTraceAndFormat::test_replay_refuses_a_trace_that_does_not_chain",
         "parse_embedding.map_line: FormatError(duplicate map for vertex {})":
             "test_parse_errors.py::test_embedding_errors",
+    },
+    "frames": {
+        "span_view: PreconditionViolated(pre-mapped edge {} was banned from the restricted host)":
+            "test_embed.py::TestViews::test_the_span_route_decides_as_the_listed_route",
     },
     "tree": {
         "build_tree: IndexOutOfRange(parent of vertex {} is {}, outside [0, {}))":

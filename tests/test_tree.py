@@ -83,6 +83,19 @@ class TestBuildTree:
 
 
 class TestHalves:
+    def test_the_tables_count_and_bucket_every_half(self):
+        # each subtree's lower-half size, and its upper-closed half less its
+        # lower half read from the half-level buckets, against the sets
+        trees = list(enumerate_trees(7)) + [random_tree(300, s) for s in range(6)]
+        for t in trees:
+            floor_size, bucket = t.halves()
+            order, pos, end, _ = t.preorder()
+            for v in range(t.n):
+                row = bucket.get(t.level[v] + 1, [])
+                middle = {order[i] for i in row if pos[v] < i < end[v]}
+                assert floor_size[v] == len(half_floor(t, v))
+                assert middle == half_ceil(t, v) - half_floor(t, v)
+
     def test_two_edge_path(self):
         t = build_tree([0, 1])
         assert half_floor(t) == {1}
