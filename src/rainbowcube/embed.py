@@ -241,9 +241,9 @@ class PartialEmbedding:
         self._ledger.add(child, color, coord)
         self._mapped += 1
         if self._listed is not None:
-            edges, colors, coords = self._listed
+            edges, used, coords = self._listed
             edges.add(child)
-            colors.add(color)
+            used.add(color)
             coords.add(coord)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):

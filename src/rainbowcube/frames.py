@@ -53,7 +53,11 @@ class Span(Sequence):
         return runs
 
     def count(self, ledger):
-        return len(self._runs(ledger.positions))
+        ps = ledger.positions
+        n = bisect_left(ps, self._cut_lo) - bisect_left(ps, self._lo)
+        if self._cut_lo < self._cut_hi:
+            n += bisect_left(ps, self._hi) - bisect_left(ps, self._cut_hi)
+        return n
 
     def mapped(self, ledger):
         """The frame's mapped edges, in vertex order."""
