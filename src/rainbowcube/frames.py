@@ -141,7 +141,9 @@ class Classes(Set):
 
 
 class Union(Set):
-    """A read-only union of pairwise disjoint sets."""
+    """A read-only union whose size is the sum of its parts': exact for
+    disjoint parts, as the engine's are, and otherwise more than the union
+    holds, which the degree bound, a lower bound, can only weaken."""
 
     __slots__ = ("_parts", "_size")
 
@@ -205,9 +207,9 @@ def span_view(pe, span: Span, inside: int, banned_coords):
     span they are the colors mapped outside the span, one per edge, so none
     is a pre-mapped edge's color.  So among the bans only `banned_coords` is
     new to the pre-mapped edges, and only it is checked.  Those colors are
-    one class set, counted as the mapped edges less `inside`; the coordinate
-    sets are disjoint (the proofs at steps 1 and 7 of _tree_frame and at
-    step 1 of _spider_legs), so their sizes add.
+    one class set, counted as the mapped edges less `inside`; the engine's
+    coordinate sets are disjoint (the proofs at steps 1 and 7 of _tree_frame
+    and at step 1 of _spider_legs), so their sizes add (see Union).
     """
     g, L = pe.graph, pe._ledger
     coords = banned_coords if type(banned_coords) is Classes else frozenset(banned_coords)
