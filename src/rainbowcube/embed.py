@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegreeTooSmall,
@@ -58,8 +58,7 @@ from .tree import (
 )
 
 
-@dataclass(frozen=True)
-class ExtensionRequest:
+class ExtensionRequest(NamedTuple):
     """One greedy growth step: map `target` (an unmapped child of `source`)
     across an edge avoiding `x_col` colors and `x_coor` coordinates.
 
@@ -70,6 +69,7 @@ class ExtensionRequest:
     already mapped either, inside x_col or not: the embedding is rainbow.
     A caller passes frozensets and a tuple; the engine passes read-only
     views (collections.abc.Set and Sequence) whose sizes never change.
+    Immutable; a named tuple, since every step makes one.
     """
 
     source: int
