@@ -85,9 +85,13 @@ TraceEntry = tuple[str, int, int, int, int, int, int]
 
 # A tree of at most this many edges, and a frame opened on anything but a
 # span of its opener, lists its frames' edges, colors, coordinates and bans
-# as sets: for so few, sets cost less than the ledger lookups of reading
-# them in place, which pay on larger trees only
-LISTED = 32
+# as sets.  A listed step copies its frame's sets, which is cheap in C on a
+# small frame, while a read in place pays Python calls on every lookup; the
+# summed time of a path, star, comb, 2-leg spider and random tree in
+# VirtualCayleyCube(e) is the same both ways at about e = 100 (the comb
+# crosses near 50, the path, star and spider past 150, the random tree past
+# 250)
+LISTED = 96
 EDGE, COLOR, COORD = range(3)
 
 

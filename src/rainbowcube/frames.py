@@ -114,10 +114,14 @@ class Classes(Set):
         return x in self._extra
 
     def __iter__(self):
-        L = self._ledger
-        edges = self._region.mapped(L) if self._inside else islice(self._stamp, self._until)
+        L, stamp, until = self._ledger, self._stamp, self._until
         values = L.coords if self._coords else L.colors
-        return chain(self._extra, (values[self._stamp[e]] for e in edges if self._held(e)))
+        if self._inside:
+            held = [values[s] for s in map(stamp.__getitem__, self._region.mapped(L)) if s < until]
+        else:
+            holds = self._holds
+            held = [values[s] for e, s in islice(stamp.items(), until) if not holds(e)]
+        return chain(self._extra, held)
 
     def outside(self, listed):
         """A part of this set that holds each element the sorted list `listed`
@@ -130,6 +134,15 @@ class Classes(Set):
         if not self._coords or not L.skew:
             return self._extra
         return self._extra.union(L.coords[self._stamp[e]] for e in L.skew if self._held(e))
+
+    def below(self, m):
+        """This set when it is a color set with no extra elements and every
+        mapped color lies in [0, m) (the sorted colors' ends do): then it
+        holds one color per edge it reads, so its size is exact.  Else None."""
+        colors = self._ledger.sorted_colors
+        if self._coords or self._extra or (colors and not 0 <= colors[0] <= colors[-1] < m):
+            return None
+        return self
 
     def __le__(self, other):
         # the same classes of the same region read up to a later stamp: a superset

@@ -381,9 +381,15 @@ class VirtualCayleyCube(_Host):
 
     def delta_after_bans(self, banned_colors: frozenset[int], banned_coords: frozenset[int]) -> int:
         # colors coincide with coordinates; each vertex loses exactly one
-        # edge per banned class that names a real coordinate
-        lost = {c for c in banned_colors | banned_coords if 0 <= c < self.dimension}
-        return self.dimension - len(lost)
+        # edge per banned class that names a real coordinate.  A color set
+        # that knows all its elements are such (its `below`, read in place)
+        # counts them by its size, and only the coordinates are walked
+        m = self.dimension
+        below = getattr(banned_colors, "below", None)
+        colors = below(m) if below is not None else None
+        if colors is None:
+            return m - len({c for c in banned_colors | banned_coords if 0 <= c < m})
+        return m - len(colors) - len({q for q in banned_coords if 0 <= q < m and q not in colors})
 
     def default_start(self) -> int:
         return 0

@@ -1396,13 +1396,13 @@ class TestViews:
     """Frames and steps read the ledger through views; each decides and
     counts as the listed sets they stand for."""
 
-    @pytest.mark.parametrize("t", [random_tree(48, 61), comb(48), random_spider([2] * 24)],
+    @pytest.mark.parametrize("t", [random_tree(100, 61), comb(100), random_spider([2] * 50)],
                              ids=["random", "comb", "spider"])
     def test_the_span_route_decides_as_the_listed_route(self, t):
         # a frame on a subtree of a tree too large to be listed, opened from
         # the whole tree and from a frame on a subtree above it, as a span
         # (read in place) and as the same vertices listed
-        g = VirtualCayleyCube(48)
+        g = VirtualCayleyCube(100)
         assert t.n - 1 > embed.LISTED
         verdicts = set()
         for seed in (None, 3):
@@ -1445,6 +1445,28 @@ class TestViews:
             for _, g, t, seed in instances:
                 embed_rainbow_tree(g, t, seed=seed)
         assert len(sets) > 1000
+
+    def test_exact_degrees_count_in_place_bans_as_listed(self, monkeypatch):
+        # the implicit cube counts a view's banned colors by their size when
+        # they are read in place and all lie below its dimension; every view
+        # a step reads has the exact degree its bans listed give, in its own
+        # cube and in a narrower one, where some banned colors lie past it
+        engine = embed.extend_one
+        kinds = set()
+
+        def checked(pe, req):
+            g = pe.graph
+            for cube in (g.base, VirtualCayleyCube(g.base.dimension - 20)):
+                listed = cube.delta_after_bans(frozenset(g.banned_colors), frozenset(g.banned_coords))
+                assert cube.delta_after_bans(g.banned_colors, g.banned_coords) == listed
+            kinds.add(type(g.banned_colors).__name__)
+            return engine(pe, req)
+
+        monkeypatch.setattr(embed, "extend_one", checked)
+        for t in (random_tree(100, 5), comb(100), random_spider([2] * 50), random_spider([3, 3, 4, 90])):
+            for seed in (None, 3):
+                embed_rainbow_tree(VirtualCayleyCube(100), t, seed=seed)
+        assert "Classes" in kinds
 
     def test_sequences_read_in_place(self):
         items = [5, 6, 7]
