@@ -89,8 +89,8 @@ TraceEntry = tuple[str, int, int, int, int, int, int]
 # small frame, while a read in place pays Python calls on every lookup; the
 # summed time of a path, star, comb, 2-leg spider and random tree in
 # VirtualCayleyCube(e) is the same both ways at about e = 100 (the comb
-# crosses near 50, the path, star and spider past 150, the random tree past
-# 250)
+# crosses near 50; the path, star and spider between 150 and 400; random
+# trees, whose frames are small, not below 800)
 LISTED = 96
 EDGE, COLOR, COORD = range(3)
 
