@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,7 @@ from rainbowcube.hypercube import (
     parse_vertex,
     vertex_str,
 )
+from rainbowcube import hypercube, records
 from rainbowcube.prng import SplitMix64
 
 
@@ -845,3 +847,135 @@ def test_parse_peak_stays_near_the_host_it_keeps():
         tracemalloc.stop()
     assert len(list(g.edges())) == 12 << 11
     assert peak < 3 * kept, (peak, kept)
+
+
+# --- edge blocks read in bulk ----------------------------------------------
+#
+# After the header, a block of plain edge lines is checked as a whole; any
+# other block, or one that fails a check, is read line by line.  Each case
+# below must give what the line-by-line two-phase reference gives.
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 200])
+@pytest.mark.parametrize("strict", [False, True])
+def test_streamed_parse_matches_the_two_phase_reference_in_small_blocks(monkeypatch, block, strict):
+    # mutations then land in blocks that come after blocks read in bulk
+    monkeypatch.setattr(records, "_BLOCK", block)
+    for seed, text in MUTATED_HOST_TEXTS:
+        expected = parse_outcome(two_phase_parse, text, strict)
+        assert parse_outcome(parse_graph, text, strict) == expected, (block, seed, text)
+
+
+def test_a_mutation_at_each_block_end_reads_as_the_two_phase_reference():
+    text = format_graph(refined_cayley(10, 3, 2))
+    assert len(text) > 2 * records._BLOCK
+    lines = text.splitlines()
+    # the first and last line of each block, numbered from 0 as in `lines`
+    ends, first = [], 0
+    for b in records._blocks(text):
+        count = len(b.splitlines())
+        ends += [first, first + count - 1]
+        first += count
+    # skip the first block, the header line
+    for k in ends[2:]:
+        _, u, v, c = lines[k].split()
+        # the color of another edge at u, and an edge line in another block
+        d = next(d for _, x, w, d in map(str.split, lines[1:]) if u in (x, w) and v not in (x, w))
+        other = 1 if k > len(lines) // 2 else len(lines) - 1
+        for line in [
+            lines[k] + "  # a comment",
+            f"edge 0b{u[2:]} {v} {c}",
+            f"edge {u} {v} -{c}",
+            f"edge {u} {v[:-2]}{int(v[-2]) ^ 1}{v[-1]} {c}",  # not one bit
+            f"edge {u} {v} {d}",  # a clash at u
+            lines[other],  # a duplicate, this line's edge gone
+        ]:
+            mutated = "\n".join(lines[:k] + [line] + lines[k + 1 :]) + "\n"
+            expected = parse_outcome(two_phase_parse, mutated, False)
+            assert parse_outcome(parse_graph, mutated, False) == expected, (k, line)
+
+
+def near_miss_texts():
+    """(name, text, strict): a Q_4 host read in blocks of about ten lines,
+    each text changed in one way that a bulk read must refuse, or read as
+    the line-by-line reader does."""
+    lines = format_graph(refined_cayley(4, 1, 2)).splitlines()
+    _, u, v, c = lines[10].split()
+    # the color of an edge at u in an earlier block
+    d = next(d for _, x, w, d in map(str.split, lines[1:4]) if u in (x, w) and v not in (x, w))
+
+    def text(changes=(), end="\n"):
+        changed = dict(enumerate(lines)) | dict(changes)
+        return end.join(changed.values()) + end
+
+    yield "tabs", text().replace(" ", "\t"), False
+    yield "crlf", text(end="\r\n"), False
+    # line breaks other than "\n" (blank lines to splitlines, space to
+    # split), and a bad line in a later block, whose number counts them
+    for brk in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        yield f"break {brk!r}", text({12: lines[12] + 2 * brk, 28: "bogus"}), False
+    yield "trailing comment", text({10: lines[10] + " # note"}), False
+    for color in (f"+{c}", "1_0", "\u0663", "0x3"):
+        yield f"color {color!r}", text({10: f"edge {u} {v} {color}"}), False
+    yield "0b vertex", text({10: f"edge 0b{u[2:]} {v} {c}"}), False
+    yield "wrong width", text({10: f"edge {u}0 {v} {c}"}), False
+    # 3 + 5 fields: the field count aligns, and in the second case the
+    # first column holds "edge" at every fourth field too
+    yield "3 then 5 fields", text({13: lines[13][:-2], 14: lines[14] + " 7"}), False
+    yield "3 then 5 fields, edge aligned", text({13: lines[13][:-2], 14: f"{c} {lines[14]}"}), False
+    yield "another record name", text({13: "edges" + lines[13][4:]}), False
+    # a block that opens with a blank line (line 10's padding moves it past
+    # the block before), then two records on one line: its fields and line
+    # starts count as in a clean block
+    yield "blank, then 8 fields", text({10: lines[10] + " " * 10, 11: "", 12: f"{lines[11]} {lines[12]}"}), False
+    yield "duplicate across blocks", text({25: lines[2]}), False
+    yield "clash across blocks", text({10: f"edge {u} {v} {d}"}), False
+    # vertex 1111 is touched only by the last edge lines
+    declared = [f"vertex {vertex_str(x, 4)}" for x in range(15)]
+    strict = text({0: "\n".join(lines[:1] + declared)})
+    assert strict.index("1111") > strict.index(lines[20])
+    yield "undeclared vertex late", strict, True
+    yield "every vertex declared", strict.replace("\n", "\nvertex 1111\n", 1), True
+
+
+@pytest.mark.parametrize("name, text, strict", list(near_miss_texts()))
+def test_near_misses_read_as_the_two_phase_reference(monkeypatch, name, text, strict):
+    monkeypatch.setattr(records, "_BLOCK", 180)
+    blocks = list(records._blocks(text))
+    assert len(blocks) >= 4
+    if name.startswith("blank"):
+        assert blocks[2].startswith("\nedge")
+    assert parse_outcome(parse_graph, text, strict) == parse_outcome(two_phase_parse, text, strict)
+
+
+def test_a_clean_block_is_read_in_bulk(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    def iter_records(text, header, handlers, skip=(), bulk=None):
+        handlers = {k: (count, counted(k, fn)) for k, (count, fn) in handlers.items()}
+        return records.iter_records(text, header, handlers, skip, (bulk[0], counted("bulk", bulk[1])))
+
+    monkeypatch.setattr(hypercube, "iter_records", iter_records)
+    text = format_graph(refined_cayley(10, 3, 2))
+    blocks = list(records._blocks(text))
+    assert blocks[0] == "cube 10\n" and len(blocks) >= 3
+    parse_graph(text)
+    # the header is read alone, then every edge line in bulk, a call a block
+    assert calls == {"cube": 1, "bulk": len(blocks) - 1}
+    # so is a last line with no line end
+    calls.clear()
+    parse_graph(text[:-1])
+    assert calls == {"cube": 1, "bulk": len(blocks) - 1}
+    # a comment on the last line sends its block line by line
+    calls.clear()
+    text = text[:-1] + "  # the last line\n"
+    last = list(records._blocks(text))[-1]
+    parse_graph(text)
+    assert calls == {"cube": 1, "bulk": len(blocks) - 2, "edge": len(last.splitlines())}

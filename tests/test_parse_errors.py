@@ -177,7 +177,7 @@ def test_block_reading_numbers_lines_as_splitlines(monkeypatch, block):
     for seed in range(2 * len(LINE_ENDS)):
         for read, header, good in READERS:
             text, lineno = mixed_text(header, good, seed)
-            assert list(records._lines(text)) == text.splitlines()
+            assert [line for b in records._blocks(text) for line in b.splitlines()] == text.splitlines()
             with pytest.raises(FormatError) as info:
                 read(text)
             assert str(info.value) == f"line {lineno}: unknown record 'bogus'", (seed, text)
