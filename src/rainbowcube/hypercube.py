@@ -136,50 +136,6 @@ def _clash(x: int, row: Sequence[int], dimension: int) -> str | None:
         seen[c] = q
 
 
-class _CheckedEdges(tuple):
-    """(us, vs, colors): a block of edges by columns, one edge per index,
-    that ``parse_graph`` has checked as its edge lines are checked: every
-    endpoint an N-bit vertex, every edge one bit, every color >= 0."""
-
-
-def _store(colors: list[int], n: int, edges: Iterable) -> Edge | None:
-    """Write each edge of `edges` at both ends of the flat store `colors`
-    of Q_n, checking it as it is read; return the first repeated edge, or
-    None.  A block of checked edges has passed every check but the repeat
-    test.  The constructor's own pass follows once this returns, so the
-    last block is not kept through it."""
-    top = 1 << n
-    repeat = None
-    for e in edges:
-        if type(e) is _CheckedEdges:
-            for u, v, c in zip(*e):
-                q = (u ^ v).bit_length() - 1
-                i = u * n + q
-                if colors[i] < 0:
-                    colors[i] = colors[v * n + q] = c
-                elif repeat is None:
-                    repeat = canonical_edge(u, v)
-            continue
-        u, v, c = e
-        if not (0 <= u < top and 0 <= v < top):
-            raise ValueError(f"edge {canonical_edge(u, v)}: endpoint out of range")
-        x = u ^ v
-        if x == 0 or x & (x - 1):
-            raise ValueError(f"edge {canonical_edge(u, v)}: endpoints differ in != 1 bit")
-        q = x.bit_length() - 1
-        i = u * n + q
-        # an edge already stored is well formed, so a repeat is a
-        # duplicate whatever its color; it is reported once the edges end
-        if colors[i] >= 0:
-            if repeat is None:
-                repeat = canonical_edge(u, v)
-            continue
-        if c < 0:
-            raise ValueError(f"edge {canonical_edge(u, v)}: negative color")
-        colors[i] = colors[v * n + q] = c
-    return repeat
-
-
 class ColoredCubeGraph(_Host):
     """Explicit edge-colored subgraph of Q_N.  Immutable after construction.
 
@@ -225,7 +181,24 @@ class ColoredCubeGraph(_Host):
         self.dimension = n = dimension
         top = 1 << n
         colors = [-1] * (top * n)
-        repeat = _store(colors, n, edges)
+        repeat = None
+        for u, v, c in edges:
+            if not (0 <= u < top and 0 <= v < top):
+                raise ValueError(f"edge {canonical_edge(u, v)}: endpoint out of range")
+            x = u ^ v
+            if x == 0 or x & (x - 1):
+                raise ValueError(f"edge {canonical_edge(u, v)}: endpoints differ in != 1 bit")
+            q = x.bit_length() - 1
+            i = u * n + q
+            # an edge already stored is well formed, so a repeat is a
+            # duplicate whatever its color; it is reported once the edges end
+            if colors[i] >= 0:
+                if repeat is None:
+                    repeat = canonical_edge(u, v)
+                continue
+            if c < 0:
+                raise ValueError(f"edge {canonical_edge(u, v)}: negative color")
+            colors[i] = colors[v * n + q] = c
         if repeat is not None:
             raise ValueError(f"duplicate edge {repeat}")
         verts = set(vertices)
@@ -662,9 +635,9 @@ def parse_graph(text: str, *, strict_vertices: bool = False) -> ColoredCubeGraph
     reads them, a block of about 64 K characters at a time, so only one
     block's lines, or its fields and edges, are ever held in a list.  A
     block of plain edge lines is checked as a whole, each distinct vertex
-    text once, and reaches the constructor as columns; a block with
-    anything else in it, or that fails a check, is read line by line.
-    Every error is reported as if the whole text were read first.
+    text once; a block with anything else in it, or on whose lines the
+    edge handler would raise, is read line by line.  Every error is
+    reported as if the whole text were read first.
     """
     declared: set[int] = set()
     # each vertex text seen in this parse, checked once: a vertex of Q_N
@@ -702,27 +675,23 @@ def parse_graph(text: str, *, strict_vertices: bool = False) -> ColoredCubeGraph
             raise FormatError("edge uses undeclared vertex under strict-vertices")
         return u, v, c
 
-    def edges(dimension: int, fields: list[str]) -> tuple[_CheckedEdges] | None:
-        # a block of edge lines, given as all its fields, with every check
-        # that `edge` makes of each line, or None when a line fails one;
-        # vertex texts hold only 0 and 1 and colors parse as ints, so no
-        # such field starts with "edge" or holds a "#"
+    def edges(dimension: int, fields: list[str]) -> Iterator[tuple[int, int, int]] | None:
+        # a block of edge lines, given as all its fields, as `edge` reads
+        # each line, or None when `edge` would raise on a line of it
         us, vs = fields[1::4], fields[2::4]
         texts = set(us).union(vs)
-        for t in texts.difference(seen):
-            if len(t) != dimension or t.strip("01"):
-                return None
-            seen[t] = int(t, 2)
         try:
+            for t in texts.difference(seen):
+                seen[t] = parse_vertex(t, dimension)
             cs = list(map(int, fields[3::4]))
-        except ValueError:
+        except (FormatError, ValueError):
             return None
         us, vs = list(map(seen.__getitem__, us)), list(map(seen.__getitem__, vs))
         if min(cs) < 0 or not {1 << q for q in range(dimension)}.issuperset(map(xor, us, vs)):
             return None
         if strict_vertices and not declared.issuperset(map(seen.__getitem__, texts)):
             return None
-        return (_CheckedEdges((us, vs, cs)),)
+        return zip(us, vs, cs)
 
     stream = iter_records(
         text, "cube", {"cube": (1, cube), "vertex": (1, vertex), "edge": (3, edge)}, bulk=("edge", edges)

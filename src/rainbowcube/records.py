@@ -50,23 +50,21 @@ def _blocks(text: str) -> Iterator[str]:
 
 
 def _record_fields(block: str, name: str, width: int) -> list[str] | None:
-    """The fields of `block`, if each of its lines may be one `name` record
-    of `width` fields, else None.
+    """The fields of `block`, if each of its lines is one `name` record of
+    `width` fields with no comment, else None.
 
-    The block must be ASCII with no line break but "\n", so ``str.split``
-    splits it as the lines' own splits, joined.  It has k lines and
-    width * k fields, each line starts with `name`, and every field
-    width * i is `name`.  That makes each line one record of `width` fields
-    once the caller has also checked that no other field starts with `name`
-    (and since none of them holds a `#` either, no line has a comment):
-    each line's first field starts with `name`, so it sits at some field
-    width * i; the k lines start at k distinct such fields, and there are
-    only k, so line i + 1 starts at field width * i and has `width` fields.
+    The block is ASCII with no line break but "\n", so ``str.split`` splits
+    it as its lines' own splits, joined, and it holds no `#`, so no line has
+    a comment.  It has k lines, each starting with `name`, and `name` occurs
+    k times in it (not overlapping), so no field but a line's first is
+    `name`.  It has width * k fields, and the k fields width * i are `name`:
+    they are the lines' first fields, so line i + 1 starts at field
+    width * i and has `width` fields.
     """
-    if not block.isascii() or any(c in block for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+    if not block.isascii() or any(c in block for c in "#\r\x0b\x0c\x1c\x1d\x1e"):
         return None
     k = block.count("\n") + (block[-1] != "\n")
-    if not block.startswith(name) or block.count("\n" + name) != k - 1:
+    if not block.startswith(name) or block.count("\n" + name) != k - 1 or block.count(name) != k:
         return None
     fields = block.split()
     if len(fields) != width * k or fields[::width].count(name) != k:
@@ -96,9 +94,8 @@ def iter_records(
     After the header, a block whose lines may each be one such record (see
     :func:`_record_fields`) goes to ``read(head, fields)`` with all of its
     fields.  `read` returns what the stream hands on for the whole block,
-    or None to refuse it: it must refuse any block where a field other than
-    a record's first starts with `name` or holds a `#`, and any where a
-    line's handler would raise.  A refused block is read line by line.
+    or None to refuse it, as it must where a line's handler would raise.  A
+    refused block is read line by line.
     """
     head, lineno = None, 0
     if bulk:

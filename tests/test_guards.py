@@ -182,11 +182,11 @@ WITNESSES = {
             "test_hypercube.py::TestFlatStoreModel::test_dimension_zero_is_refused",
         "ColoredCubeGraph.__init__: LimitExceeded(an explicit host stores 2^{} vertices; the limit is 2^{})":
             "test_hypercube.py::TestFlatStoreModel::test_dimension_guard",
-        "_store: ValueError(edge {}: endpoint out of range)":
+        "ColoredCubeGraph.__init__: ValueError(edge {}: endpoint out of range)":
             "test_hypercube.py::TestFlatStoreModel::test_negative_and_out_of_range_endpoints",
-        "_store: ValueError(edge {}: endpoints differ in != 1 bit)":
+        "ColoredCubeGraph.__init__: ValueError(edge {}: endpoints differ in != 1 bit)":
             "test_hypercube.py::TestValidate::test_checked_constructor_rejects_bad_edge",
-        "_store: ValueError(edge {}: negative color)":
+        "ColoredCubeGraph.__init__: ValueError(edge {}: negative color)":
             "test_hypercube.py::TestFlatStoreModel::test_duplicate_and_negative_messages",
         "ColoredCubeGraph.__init__: ValueError(duplicate edge {})":
             "test_hypercube.py::TestFlatStoreModel::test_duplicate_and_negative_messages",

@@ -979,3 +979,26 @@ def test_a_clean_block_is_read_in_bulk(monkeypatch):
     last = list(records._blocks(text))[-1]
     parse_graph(text)
     assert calls == {"cube": 1, "bulk": len(blocks) - 2, "edge": len(last.splitlines())}
+
+
+CLEAN_FIELDS = ["edge", "0", "1", "2", "edge", "1", "0", "3"]
+
+
+@pytest.mark.parametrize(
+    "block, fields",
+    [
+        ("edge 0 1 2\nedge 1 0 3\n", CLEAN_FIELDS),
+        ("edge 0 1 2\nedge 1 0 3", CLEAN_FIELDS),
+        ("edge\t0 1  2\nedge 1 0 3 \n", CLEAN_FIELDS),
+        # 3 then 5 fields, with "edge" at fields 0 and 4 all the same
+        ("edge 0 1\nedge edge 0 1 2\n", None),
+        ("edge 0 1 2#\nedge 1 0 3\n", None),
+        ("edge 0 1 2\n\nedge 1 0 3\n", None),
+        ("edge 0 1 2\n edge 1 0 3\n", None),
+        ("edge 0 1 2\r\nedge 1 0 3\r\n", None),
+        ("edgex 0 1 2\nedge 1 0 3\n", None),
+        ("edge 0 1 2 edge\n1 0 3\n", None),
+    ],
+)
+def test_record_fields_takes_only_lines_of_one_whole_record(block, fields):
+    assert records._record_fields(block, "edge", 4) == fields

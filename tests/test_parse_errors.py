@@ -185,12 +185,15 @@ def test_block_reading_numbers_lines_as_splitlines(monkeypatch, block):
 
 @pytest.mark.parametrize("end", LINE_ENDS)
 def test_line_end_at_the_default_block_end(end):
-    # the padding line ends `offset` characters past the first block's end,
-    # so its line end lies before, on or after that end, and a "\r\n" is
-    # split across it once
+    # the padding line's end starts `offset` characters past the end of the
+    # block that the padding line is in, so it lies before, on or after
+    # that end, and a "\r\n" is split across it once; the first block ends
+    # at the text's first "\n", so with a "\n" in `end` the padding line
+    # starts the second block, and otherwise follows the header in the first
     for offset in range(-2, 3):
         for read, header, good in READERS:
-            pad = "#" * (records._BLOCK - len(header) - len(end) + offset)
+            before = 0 if "\n" in end else len(header) + len(end)
+            pad = "#" * (records._BLOCK - before + offset)
             text = f"{header}{end}{pad}{end}{good}{end}bogus{end}"
             lineno = text.splitlines().index("bogus") + 1
             with pytest.raises(FormatError, match=f"^line {lineno}: unknown record 'bogus'$"):
