@@ -41,8 +41,15 @@ class SplitMix64:
         return self.next_u64() % n
 
     def shuffle(self, seq: MutableSequence) -> None:
+        """Fisher-Yates from the back: item i swaps with randrange(i + 1).
+        The draw is next_u64 written out in the loop, so the state and the
+        swaps are those of calling randrange, without two calls per item."""
+        s = self._state
         for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            self._state = s = (s + _GAMMA) & _MASK
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            j = (z ^ (z >> 31)) % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
 

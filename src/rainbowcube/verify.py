@@ -2,8 +2,9 @@
 
 Nothing here trusts engine state: `verify` consumes only the host, the
 tree, and a vertex map, recomputing coordinates from the endpoint bits,
-and the oracle is a plain backtracking search.  These are the ground truth
-the embedding engine is tested against.
+and the oracle is a plain backtracking search over one int of bits, for
+the host vertices and colors in use.  These are the ground truth the
+embedding engine is tested against.
 """
 
 from __future__ import annotations
@@ -143,18 +144,23 @@ class OracleResult:
     exhausted: bool
 
 
-class _IncidentMemo(dict):
-    """The host's incident records at each vertex, asked of the host once,
-    the first time the vertex is looked up.  A search revisits its few
-    vertices many times, while an explicit host builds records per call."""
+class _Rows(dict):
+    """Each vertex x's row (x's bit, its colors' mask, [(neighbor, its bit |
+    its color's bit), ...]), asked of the host once; vertices and colors share
+    bits numbered as rows meet them, so ints grow with what a search touches."""
 
     def __init__(self, g):
-        super().__init__()
-        self.g = g
+        self.g, self.vbit, self.cbit = g, {}, {}
 
     def __missing__(self, x: int):
-        records = self[x] = self.g.incident(x)
-        return records
+        vbit, cbit, mask, records = self.vbit, self.cbit, 0, []
+        own = vbit.setdefault(x, 1 << (len(vbit) + len(cbit)))
+        for _, y, c in self.g.incident(x):
+            cb = cbit.setdefault(c, 1 << (len(vbit) + len(cbit)))
+            mask |= cb
+            records.append((y, cb | vbit.setdefault(y, 1 << (len(vbit) + len(cbit)))))
+        row = self[x] = (own, mask, records)
+        return row
 
 
 def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
@@ -162,30 +168,30 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
 
     Tree vertices are placed in (level, id) order; a branch dies when it
     repeats a vertex or a color.  Every host vertex is tried as the root's
-    image: plain exhaustion is the ground truth.  `budget` caps the non-root
-    placements; a search it stops returns exhausted=False, counting the
-    placement it refused.
+    image: plain exhaustion is the ground truth.  The state is the image and
+    `used`, the bits of the placed vertices and colors; a record's bits are
+    its neighbor's and its color's, so `used & bits` tests both.  No call is
+    made for a next row with no unused color: that is the next loop's own
+    verdict, each record there failing its color test, so the nodes are the
+    plain search's.  `budget` caps the non-root placements; a search it
+    stops returns exhausted=False, counting the placement it refused.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    # order[0] is the root 0, the only level-0 vertex, since the key is (level, id)
-    order = sorted(range(t.n), key=lambda v: (t.level[v], v))
+    # order[0] is the root 0, the only level-0 vertex; the sort is stable, so by (level, id)
+    order = sorted(range(t.n), key=t.level.__getitem__)
+    parent, last, image = t.parent, t.n - 1, {}
     nodes = 0
-    incident = _IncidentMemo(g)
+    rows = _Rows(g)
 
-    image: dict[int, int] = {}
-    used_vertices: set[int] = set()
-    used_colors: set[int] = set()
-
-    def place(i: int) -> bool | None:
-        # True: all placed; False: branch exhausted; None: budget ran out
+    def place(i: int, records, used: int, place) -> bool | None:
+        # True: all placed; False: branch exhausted; None: budget ran out.  As
+        # `place` is passed in, no cycle keeps the closure for the collector
         nonlocal nodes, budget
-        if i == len(order):
-            return True
         v = order[i]
-        src = image[t.parent[v]]
-        for _, y, c in incident[src]:
-            if y in used_vertices or c in used_colors:
+        src = parent[order[i + 1]] if i < last else None
+        for y, bits in records:
+            if used & bits:
                 continue
             nodes += 1
             if budget is not None:
@@ -193,22 +199,23 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
                     return None
                 budget -= 1
             image[v] = y
-            used_vertices.add(y)
-            used_colors.add(c)
-            placed = place(i + 1)
-            if placed is not False:
-                return placed
-            del image[v]
-            used_vertices.discard(y)
-            used_colors.discard(c)
+            if i == last:
+                return True
+            _, mask, nxt = rows[image[src]]
+            now = used | bits
+            if mask & ~now:
+                placed = place(i + 1, nxt, now, place)
+                if placed is not False:
+                    return placed
         return False
 
     for r in sorted(g.vertices):
         nodes += 1
-        image = {0: r}
-        used_vertices = {r}
-        used_colors = set()
-        placed = place(1)
+        image[0] = r
+        placed = True
+        if last:
+            own, mask, records = rows[r]
+            placed = mask and place(1, records, own, place)  # mask 0: a dead row
         if placed is None:
             return OracleResult(False, None, nodes, False)
         if placed:
@@ -228,30 +235,23 @@ def oracle_no_rainbow_cycle(g, max_len: int) -> bool:
     if max_len % 2:
         raise LimitExceeded(f"max_len must be even for a bipartite host, got {max_len}")
 
-    verts = sorted(g.vertices)
-    incident = _IncidentMemo(g)
+    rows = _Rows(g)
 
-    def walk(start: int, here: int, depth: int, on_path: set[int], colors: set[int]) -> bool:
-        # canonical traversal: intermediate vertices stay above `start`
-        for _, y, c in incident[here]:
-            if c in colors:
+    def walk(start: int, here: int, depth: int, used: int) -> bool:
+        # canonical traversal: intermediate vertices stay above `start`, so
+        # `used` (the path's colors and vertices) needs no bit for `start`
+        for y, bits in rows[here][2]:
+            if used & bits:
                 continue
             if y == start and depth >= 3:
                 return True  # rainbow cycle closed
-            if y <= start or y in on_path or depth + 1 >= max_len:
+            if y <= start or depth + 1 >= max_len:
                 continue
-            on_path.add(y)
-            colors.add(c)
-            if walk(start, y, depth + 1, on_path, colors):
+            if walk(start, y, depth + 1, used | bits):
                 return True
-            on_path.discard(y)
-            colors.discard(c)
         return False
 
-    for s in verts:
-        if walk(s, s, 0, {s}, set()):
-            return False
-    return True
+    return not any(walk(s, s, 0, 0) for s in sorted(g.vertices))
 
 
 @dataclass

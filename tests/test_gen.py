@@ -47,6 +47,33 @@ class TestSplitMix64:
         SplitMix64(3).shuffle(b)
         assert a == b and a != list(range(10))
 
+    def test_shuffle_is_the_per_draw_loop(self):
+        # shuffle writes next_u64 out in its loop; the reference is the loop
+        # it replaced, one randrange call per item
+        def reference(rng, seq):
+            for i in range(len(seq) - 1, 0, -1):
+                j = rng.randrange(i + 1)
+                seq[i], seq[j] = seq[j], seq[i]
+
+        master = SplitMix64(2024)
+        for length in range(101):
+            for _ in range(5):  # 505 seeds in all
+                seed = master.next_u64()
+                fast, slow = SplitMix64(seed), SplitMix64(seed)
+                a, b = list(range(length)), list(range(length))
+                fast.shuffle(a)
+                reference(slow, b)
+                assert a == b
+                assert fast.next_u64() == slow.next_u64()
+
+    def test_shuffle_state_when_a_swap_fails(self):
+        # the state advances before each swap, as one randrange call did
+        fast, slow = SplitMix64(5), SplitMix64(5)
+        with pytest.raises(TypeError):
+            fast.shuffle((1, 2, 3))
+        slow.randrange(3)
+        assert fast.next_u64() == slow.next_u64()
+
     def test_derive_seed_is_stream_offset(self):
         rng = SplitMix64(42)
         stream = [rng.next_u64() for _ in range(5)]

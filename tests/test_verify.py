@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +25,12 @@ from rainbowcube import (
 )
 from rainbowcube.cli import main
 from rainbowcube.errors import LimitExceeded
-from rainbowcube.gen import random_tree, refined_cayley, subgraph_min_degree
+from rainbowcube.gen import greedy_proper, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.hypercube import edge_coordinate
 from rainbowcube.prng import SplitMix64
 from rainbowcube.report import Check
 from rainbowcube.tree import enumerate_trees, half_ceil
-from rainbowcube.verify import _path_repeat_witness
+from rainbowcube.verify import OracleResult, _path_repeat_witness
 
 
 class TestVerify:
@@ -191,6 +192,186 @@ class TestNoRainbowCycle:
             oracle_no_rainbow_cycle(cayley_coloring(6), 4)
         with pytest.raises(LimitExceeded):
             oracle_no_rainbow_cycle(cayley_coloring(3), 5)
+
+
+# --- the plain backtrackers ------------------------------------------------
+#
+# The oracles as they were before their state became bits: sets of used
+# vertices and colors, a call for every placement.  They are the reference
+# the oracles in the package must match node for node.
+
+
+class _IncidentMemo(dict):
+    """The host's incident records at each vertex, asked of the host once,
+    the first time the vertex is looked up.  A search revisits its few
+    vertices many times, while an explicit host builds records per call."""
+
+    def __init__(self, g):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, x: int):
+        records = self[x] = self.g.incident(x)
+        return records
+
+
+def plain_oracle_find(g, t, budget=None) -> OracleResult:
+    """The reference for `oracle_find`: the same search order, budget and
+    node count, with the state held in sets."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    # order[0] is the root 0, the only level-0 vertex, since the key is (level, id)
+    order = sorted(range(t.n), key=lambda v: (t.level[v], v))
+    nodes = 0
+    incident = _IncidentMemo(g)
+
+    image: dict[int, int] = {}
+    used_vertices: set[int] = set()
+    used_colors: set[int] = set()
+
+    def place(i: int) -> bool | None:
+        # True: all placed; False: branch exhausted; None: budget ran out
+        nonlocal nodes, budget
+        if i == len(order):
+            return True
+        v = order[i]
+        src = image[t.parent[v]]
+        for _, y, c in incident[src]:
+            if y in used_vertices or c in used_colors:
+                continue
+            nodes += 1
+            if budget is not None:
+                if budget == 0:
+                    return None
+                budget -= 1
+            image[v] = y
+            used_vertices.add(y)
+            used_colors.add(c)
+            placed = place(i + 1)
+            if placed is not False:
+                return placed
+            del image[v]
+            used_vertices.discard(y)
+            used_colors.discard(c)
+        return False
+
+    for r in sorted(g.vertices):
+        nodes += 1
+        image = {0: r}
+        used_vertices = {r}
+        used_colors = set()
+        placed = place(1)
+        if placed is None:
+            return OracleResult(False, None, nodes, False)
+        if placed:
+            return OracleResult(True, dict(image), nodes, True)
+    return OracleResult(False, None, nodes, True)
+
+
+def plain_no_rainbow_cycle(g, max_len: int) -> bool:
+    """The reference for `oracle_no_rainbow_cycle`, guards left out."""
+    verts = sorted(g.vertices)
+    incident = _IncidentMemo(g)
+
+    def walk(start: int, here: int, depth: int, on_path: set[int], colors: set[int]) -> bool:
+        # canonical traversal: intermediate vertices stay above `start`
+        for _, y, c in incident[here]:
+            if c in colors:
+                continue
+            if y == start and depth >= 3:
+                return True  # rainbow cycle closed
+            if y <= start or y in on_path or depth + 1 >= max_len:
+                continue
+            on_path.add(y)
+            colors.add(c)
+            if walk(start, y, depth + 1, on_path, colors):
+                return True
+            on_path.discard(y)
+            colors.discard(c)
+        return False
+
+    for s in verts:
+        if walk(s, s, 0, {s}, set()):
+            return False
+    return True
+
+
+def outcome(result: OracleResult) -> tuple:
+    return result.found, result.image, result.nodes_explored, result.exhausted
+
+
+BUDGETS = (None, 0, 1, 3, 17, 200)
+
+
+def grid_hosts(n: int) -> list:
+    return [
+        cayley_coloring(n),
+        refined_cayley(n, 11 * n, 2),
+        subgraph_min_degree(n, max(1, n - 2), 13 * n),
+        greedy_proper(n, 17 * n),
+    ]
+
+
+class TestOracleAgainstPlain:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_same_search_node_for_node(self, n):
+        searched = set()
+        for h, g in enumerate(grid_hosts(n)):
+            for e in range(n + 2):
+                t = random_tree(e, 100 * n + 10 * h + e)
+                for budget in BUDGETS:
+                    want = outcome(plain_oracle_find(g, t, budget))
+                    assert outcome(oracle_find(g, t, budget)) == want, (n, h, e, budget)
+                    searched.add((want[0], want[3]))
+        # the grid holds finds, exhaustions and searches the budget stopped
+        assert searched == {(True, True), (False, True), (False, False)}
+
+    def test_the_sharpness_control_visits_every_root(self):
+        # Q_5 colored by coordinate has 5 colors: a 6-edge tree exhausts all
+        # 32 roots, and every one of the deepest rows is dead
+        g, t = cayley_coloring(5), random_tree(6, 3)
+        result = oracle_find(g, t)
+        assert not result.found and result.exhausted
+        assert outcome(result) == outcome(plain_oracle_find(g, t))
+        assert result.nodes_explored > 32
+
+    def test_colors_far_from_small(self):
+        # a color value of 10**12 numbers like any other: the same search
+        base = refined_cayley(4, 5, 2)
+        g = ColoredCubeGraph(4, [(u, v, 10**12 + c) for u, v, c in base.edges()])
+        for e in range(6):
+            t = random_tree(e, e)
+            for budget in BUDGETS:
+                want = outcome(plain_oracle_find(base, t, budget))
+                assert outcome(oracle_find(g, t, budget)) == want
+                assert outcome(plain_oracle_find(g, t, budget)) == want
+
+    def test_a_wide_host_search_stays_small(self):
+        # bits are numbered as the search meets vertices and colors, so a
+        # budgeted search in Q_14 holds ints of a few thousand bits at most,
+        # never one bit per host vertex
+        g = refined_cayley(14, 3, 2)
+        t = path_tree(29)  # 28 colors: never rainbow, so the budget runs out
+        tracemalloc.start()
+        try:
+            result = oracle_find(g, t, budget=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome(result) == (False, None, 1002, False)
+        assert peak < 1 << 19, peak
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_no_rainbow_cycle_matches_plain(self, n):
+        hosts = grid_hosts(n) + [refined_cayley(n, s, 3) for s in range(3)]
+        answers = set()
+        for g in hosts:
+            for max_len in (4, 6, 8):
+                want = plain_no_rainbow_cycle(g, max_len)
+                assert oracle_no_rainbow_cycle(g, max_len) == want
+                answers.add(want)
+        if n >= 3:
+            assert answers == {True, False}
 
 
 class TestCrossCheck:
