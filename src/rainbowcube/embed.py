@@ -18,9 +18,12 @@ Each level of that recursion is a *frame*: a subtree, the legs of a spider
 or a single leg, under the tree's own vertex ids, together with a view of
 the host that bans what the rest of the tree already uses.  Every frame
 writes into the one PartialEmbedding of the whole tree and keeps only its
-own sets of mapped edges, colors and coordinates, which its counting
-bounds are about.  Tree frames are generators that one loop, `_run`, drives
-depth first on an explicit stack, so a deep tree needs no interpreter recursion.
+own sets of mapped colors and coordinates, which its counting bounds are
+about, in one bookkeeping object that every stage asks for them: listed
+(`_Listed`) on a tree of at most LISTED edges, read in place from a ledger
+of mapped edges (frames.InPlace, loaded with the first larger tree)
+otherwise.  Tree frames are generators that one loop, `_run`, drives depth
+first on an explicit stack, so a deep tree needs no interpreter recursion.
 
 Every choice is deterministic (first admissible edge in coordinate order)
 unless a seed asks for randomized tie-breaking.  The per-step counting
@@ -31,10 +34,11 @@ counting argument, not that the input was bad.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from functools import partial
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -83,50 +87,102 @@ class ExtensionRequest(NamedTuple):
 # trace record: (label, tree edge, graph edge src->dst, |x_col|, |x_coor|, r)
 TraceEntry = tuple[str, int, int, int, int, int, int]
 
-# A tree of at most this many edges, and a frame opened on anything but a
-# span of its opener, lists its frames' edges, colors, coordinates and bans
-# as sets.  A listed step copies its frame's sets, which is cheap in C on a
-# small frame, while a read in place pays Python calls on every lookup; the
+# A tree of more than this many edges reads its frames' sets in place from
+# the ledger (frames.InPlace); a smaller one lists them (_Listed).  The
+# choice is made once per tree, where its PartialEmbedding is made, and each
+# frame that `lift` opens keeps its opener's (but see frames.InPlace.lift).
+# A listed step copies its frame's sets, which is cheap in C on a small
+# frame, while a read in place pays Python calls on every lookup.  The
 # summed time of a path, star, comb, 2-leg spider and random tree in
 # VirtualCayleyCube(e) is the same both ways at about e = 100 (the comb
 # crosses near 50; the path, star and spider between 150 and 400; random
 # trees, whose frames are small, not below 800)
 LISTED = 96
-EDGE, COLOR, COORD = range(3)
+COLOR, COORD = False, True  # which classes a frame's bookkeeping gives
 
 
 class _Ledger:
     """Every mapped edge of one embedding, in mapping order (an edge's stamp
-    is its index there), indexed for the frames: the edges of each
-    coordinate and, when the frames read their sets in place (`full`, with
-    the module `frames`), each edge's color and coordinate by stamp, the
-    edge of each color (a 1-tuple: the map is rainbow), the edges' preorder
-    positions in increasing order, and the `skew` edges, whose coordinate
-    is not their color."""
+    is its index there), with the edges of each coordinate.  A tree whose
+    frames read their sets in place keeps more indexes (frames.Ledger)."""
 
-    __slots__ = ("pos", "full", "frames", "colors", "coords", "stamp", "at_color", "at_coord", "positions",
-                 "skew", "sorted_colors")
+    __slots__ = ("stamp", "at_coord")
 
-    def __init__(self, t, sorted_colors):
-        self.pos, self.full, self.sorted_colors = t.preorder().pos, t.n - 1 > LISTED, sorted_colors
-        self.colors, self.coords, self.positions, self.skew = [], [], [], []
-        self.stamp, self.at_color, self.at_coord = {}, {}, {}
-        self.frames = None
-        if self.full:  # the in-place machinery, loaded with the first tree that reads in place
-            from . import frames
-
-            self.frames = frames
+    def __init__(self):
+        self.stamp, self.at_coord = {}, {}
 
     def add(self, e, color, coord):
         self.stamp[e] = len(self.stamp)
         self.at_coord.setdefault(coord, []).append(e)
-        if self.full:
-            self.colors.append(color)
-            self.coords.append(coord)
-            self.at_color[color] = (e,)
-            insort(self.positions, self.pos[e])
-            if coord != color:
-                self.skew.append(e)
+
+
+class _Listed(NamedTuple):
+    """A frame's bookkeeping on a tree of at most LISTED edges: the colors
+    and the coordinates of the edges it has mapped, as sets that grow with
+    the frame and that each step copies.  frames.InPlace answers the same
+    questions from the ledger; every stage asks a frame's bookkeeping, never
+    how it holds its sets.
+
+    `span` gives the vertices of a frame below: its root, then the preorder
+    positions lo .. hi - 1 less `cut`; `prefix` freezes a witness list."""
+
+    colors: Set
+    coords: set[int]
+
+    prefix = tuple
+
+    @staticmethod
+    def span(t: RootedTree, root: int, lo: int, hi: int, cut: tuple[int, int] | None = None) -> Sequence[int]:
+        order = t.preorder().order
+        a, b = cut or (hi, hi)
+        return (root, *order[lo:a], *order[b:hi])
+
+    def classes(self, pe, coords: bool, size: int | None = None, extra: frozenset = frozenset()) -> Set:
+        """The colors or coordinates the frame has mapped, as they stand, and
+        `extra`; `size` is the count a read in place would give them."""
+        listed = frozenset(self.coords if coords else self.colors)
+        return listed.union(extra) if extra else listed
+
+    def coords_in(self, pe, region: Sequence[int], size: int) -> Set:
+        """The coordinates of the mapped edges among a span's, `size` of them."""
+        return frozenset(map(pe.coord_of.__getitem__, filter(pe.coord_of.__contains__, islice(region, 1, None))))
+
+    def later(self, pe, cls, sizes: list[int], anchored: int, first: int, extra: frozenset = frozenset()) -> Set:
+        """A tree frame's later anchors and `extra`: the anchor sets of the
+        children of its subroot from rank `first` on (spiders, then the rest,
+        as classified), mapped by step 1 (before stamp `anchored`), read off
+        those children's subtrees (`sizes`, theirs by rank, is what a read in
+        place counts)."""
+        order, pos, end, _ = pe.tree.preorder()
+        stamp, coord_of = pe._ledger.stamp, pe.coord_of
+        later = ([sc.vertex for sc in cls.spiders] + list(cls.rest))[first:]
+        return extra.union(coord_of[e] for c in later for e in order[pos[c] : end[c]]
+                           if stamp.get(e, anchored) < anchored)
+
+    def add(self, e: int, color: int, coord: int):
+        self.colors.add(color)
+        self.coords.add(coord)
+
+    def adopt(self, sub: "_Listed"):
+        self.colors.update(sub.colors)
+        self.coords.update(sub.coords)
+
+    def lift(self, pe, vertices: Sequence[int], banned_coords: Iterable[int]):
+        """lift's view of a frame on any vertex list, from any view of the
+        frame `pe` that opens it, and the frame's bookkeeping, which lists
+        its sets: the view bans the colors `pe` has used less the frame's
+        own, those of its pre-mapped edges, as a listed set, and every
+        pre-mapped edge is checked."""
+        color_of, coord_of = pe.color_of, pe.coord_of
+        premapped = list(filter(coord_of.__contains__, islice(vertices, 1, None)))
+        own = {color_of[w] for w in premapped}
+        # nothing new to ban leaves the opener's view itself
+        view = pe.graph.restrict(self.colors - own, banned_coords)
+        banned_colors, banned = view.banned_colors, view.banned_coords
+        for w in premapped:
+            if color_of[w] in banned_colors or coord_of[w] in banned:
+                raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
+        return view, _Listed(own, {coord_of[w] for w in premapped}), len(premapped)
 
 
 @dataclass
@@ -142,7 +198,9 @@ class PartialEmbedding:
     shares them.  Per frame: `graph` is its view of the host, `vertices` its
     vertices, subroot first (all of them in id order for the whole tree),
     and `used_colors`, `_edges` and `used_coords()` the colors, edges and
-    coordinates it has mapped, listed or read from the ledger by its region.
+    coordinates it has mapped, as its bookkeeping holds them: listed
+    (`_Listed`) on a tree of at most LISTED edges, else read in place from
+    the ledger (frames.InPlace).
     `sorted_colors` lists the colors of every mapped edge in increasing
     order and never gains a duplicate, so the mapped part stays rainbow at
     all times.  A caller starts from an empty map, sets the root's image in
@@ -164,53 +222,38 @@ class PartialEmbedding:
 
     def __post_init__(self):
         # the fields, then these, in this order, which `lift` keeps: the
-        # ledger; the frame's region, a frames.Span, when it reads its sets in
-        # place; its mapped edges, pre-mapped, mapped by its steps and
-        # premap, and adopted from the frames it closed, with their edges,
-        # colors and coordinates when listed (else None); the view `lift`
-        # made for it, read in place; and the last witness list it checked
-        # (see _check_witnesses)
-        n = self.tree.n
+        # ledger; the frame's bookkeeping, chosen here for the whole tree by
+        # its size and by `lift` for each frame; its count of mapped edges:
+        # pre-mapped, mapped by its steps and premap, and adopted from the
+        # frames it closed; how many were pre-mapped; and the last witness
+        # list it checked (see _check_witnesses)
+        t, n = self.tree, self.tree.n
         self.vertices = range(n)
-        self._ledger = L = _Ledger(self.tree, self.sorted_colors)
-        self._region = L.frames.Span(self.tree, 0, 1, n) if L.full else None
-        self._mapped = self._premapped = 0
-        self._listed = None if L.full else (set(), set(), set())
-        self._view = self._checked = None
+        if n - 1 > LISTED:
+            from . import frames  # the in-place machinery, loaded with the first tree that reads in place
+
+            self._ledger = L = frames.Ledger(t, self.sorted_colors)
+            self._book = frames.InPlace(L, frames.Span(t, 0, 1, n), None)
+        else:
+            self._ledger, self._book = _Ledger(), _Listed(set(), set())
+        self._mapped, self._premapped, self._checked = 0, 0, None
 
     @property
     def root(self) -> int:
         return self.vertices[0]
 
-    def _classes(self, kind: int, size: int | None = None, extra: frozenset[int] = frozenset()) -> Set:
-        """The colors or coordinates of this frame's mapped edges as they
-        stand, and `extra`: listed, or read in place from the ledger by the
-        frame's region, which holds them (and, while the frame waits on a
-        frame it opened, that frame's).  Read so, it counts `size`, by
-        default one per mapped edge and `extra`: exact for colors, and for
-        coordinates whenever the edges, and `extra`, repeat none."""
-        if self._listed is not None:
-            listed = frozenset(self._listed[kind])
-            return listed.union(extra) if extra else listed
-        L = self._ledger
-        size = self._mapped + len(extra) if size is None else size
-        return L.frames.Classes(L, kind == COORD, self._region, len(L.stamp), size, extra)
-
     @property
     def used_colors(self) -> Set:
-        return self._classes(COLOR)
+        return self._book.classes(self, COLOR)
 
     @property
     def _edges(self) -> frozenset[int]:
-        if self._listed is not None:
-            return frozenset(self._listed[EDGE])
-        return frozenset(self._region.mapped(self._ledger))
+        # a frame maps no edge outside it: premap refuses one, and the steps
+        # map their targets, which every stage takes inside its frame
+        return frozenset(filter(self.coord_of.__contains__, islice(self.vertices, 1, None)))
 
     def used_coords(self) -> frozenset[int]:
-        return frozenset(self._classes(COORD))
-
-    def coords_of(self, edges: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.coord_of[e] for e in edges)
+        return frozenset(self._book.classes(self, COORD))
 
     def premap(self, child: int, y: int):
         """Map `child` to `y` by hand, below the root or a vertex mapped
@@ -219,6 +262,8 @@ class PartialEmbedding:
         The root's image is set directly in `image`."""
         if not 0 < child < self.tree.n:
             raise PreconditionViolated(f"premap: vertex {child} is outside [1, {self.tree.n})")
+        if child == self.root or child not in self.vertices:
+            raise PreconditionViolated(f"premap: vertex {child} is outside the frame")
         if child in self.image:
             raise PreconditionViolated(f"premap: vertex {child} is already mapped")
         p = self.tree.parent[child]
@@ -244,11 +289,7 @@ class PartialEmbedding:
         colors.insert(i, color)
         self._ledger.add(child, color, coord)
         self._mapped += 1
-        if self._listed is not None:
-            edges, used, coords = self._listed
-            edges.add(child)
-            used.add(color)
-            coords.add(coord)
+        self._book.add(child, color, coord)
 
     def require_doubly_distinct(self, edges: Iterable[int], context: str):
         # the colors need no check: `record` is the only writer of color_of
@@ -282,24 +323,15 @@ class PartialEmbedding:
         edge is rewritten, since `record`'s callers refuse a mapped child.
         So the set tests here and in _check_witnesses equal `view.has_edge`.
 
-        The engine opens every frame on a span of its opener's (`_span`),
-        runs it to the end and opens the next: frames run depth first.
-        Then, while this frame reads its sets in place and its view is H
-        itself or the view `lift` made for it, so does the new frame, whose
-        view is made without a pass over it (`frames.span_view`).  Otherwise
-        the new frame lists its sets, and the banned colors are listed and
-        every pre-mapped edge checked (`_listed_view`).
+        The engine opens every frame on a span of its opener's (its
+        bookkeeping's `span`), runs it to the end and opens the next: frames
+        run depth first.  This frame's bookkeeping makes the view and the new
+        frame's: a listed frame lists the new one's sets (`_Listed.lift`); one
+        read in place reads the new one's in place too when `vertices` is a
+        span and its view is H itself or the view `lift` made for it, and
+        lists them otherwise (frames.InPlace.lift).
         """
-        g = self.graph
-        L = self._ledger
-        if self._listed is None and type(vertices) is L.frames.Span and (g is g.base or g is self._view):
-            inside = vertices.count(L)
-            view, region, listed = L.frames.span_view(self, vertices, inside, banned_coords), vertices, None
-        else:
-            premapped = list(filter(self.coord_of.__contains__, islice(vertices, 1, None)))
-            own = {self.color_of[w] for w in premapped}
-            view, region, inside = self._listed_view(premapped, own, banned_coords), None, len(premapped)
-            listed = set(premapped), own, {self.coord_of[w] for w in premapped}
+        view, book, inside = self._book.lift(self, vertices, banned_coords)
         # a frame shares its opener's tree, RNG, maps, trace, sorted colors
         # and ledger; the rest is its own.  Its attributes are set one by one,
         # in the order the initializer sets them, so that every frame keeps
@@ -308,23 +340,8 @@ class PartialEmbedding:
         sub.tree, sub.graph, sub.rng, sub.z_bad = self.tree, view, self.rng, None
         sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, self.color_of, self.coord_of, self.trace
         sub.vertices, sub.sorted_colors, sub.is_frame = vertices, self.sorted_colors, True
-        sub._ledger, sub._region, sub._mapped, sub._premapped = self._ledger, region, inside, inside
-        sub._listed, sub._view, sub._checked = listed, None if listed else view, None
+        sub._ledger, sub._book, sub._mapped, sub._premapped, sub._checked = self._ledger, book, inside, inside, None
         return sub
-
-    def _listed_view(self, premapped: list[int], own: set[int], banned_coords: Iterable[int]):
-        """lift's view of a frame on any vertex list, from any view: the
-        colors this frame has used outside it, its `own` being those of its
-        `premapped` edges, banned as a listed set."""
-        color_of, coord_of = self.color_of, self.coord_of
-        used = self.used_colors if self._listed is None else self._listed[COLOR]
-        # nothing new to ban leaves this frame's view itself
-        view = self.graph.restrict(used - own, banned_coords)
-        banned_colors, banned = view.banned_colors, view.banned_coords
-        for w in premapped:
-            if color_of[w] in banned_colors or coord_of[w] in banned:
-                raise PreconditionViolated(f"pre-mapped edge {w} was banned from the restricted host")
-        return view
 
     def adopt(self, sub: "PartialEmbedding"):
         """Close a frame opened by `lift`: the edges it mapped count as this
@@ -333,21 +350,7 @@ class PartialEmbedding:
         since extend_one and premap, the only callers of `record`, refuse a
         mapped child, and `record` refused any color used in any frame."""
         self._mapped += sub._mapped - sub._premapped
-        if self._listed is not None:
-            for mine, theirs in zip(self._listed, sub._listed):
-                mine |= theirs
-
-
-def _span(pe: PartialEmbedding, root: int, lo: int, hi: int, cut: tuple[int, int] | None = None) -> Sequence[int]:
-    """The vertices of a frame below `pe`'s: `root`, then the preorder
-    positions lo .. hi - 1 less `cut`; read in place on a tree that reads
-    its sets so, else listed."""
-    L = pe._ledger
-    if L.full:
-        return L.frames.Span(pe.tree, root, lo, hi, cut)
-    order = pe.tree.preorder().order
-    a, b = cut or (hi, hi)
-    return (root, *order[lo:a], *order[b:hi])
+        self._book.adopt(sub._book)
 
 
 Frame = Iterator["Frame"]  # a frame's steps; it yields each frame it opens
@@ -469,7 +472,7 @@ def _extend(pe: PartialEmbedding, target: int, x_coor: Set, label: str,
             witnesses: Sequence[int] = ()) -> PartialEmbedding:
     """extend_one from `target`'s parent, dodging `x_coor` and, as every step
     of every stage does, each color the frame has used."""
-    return extend_one(pe, ExtensionRequest(pe.tree.parent[target], target, pe._classes(COLOR), x_coor,
+    return extend_one(pe, ExtensionRequest(pe.tree.parent[target], target, pe._book.classes(pe, COLOR), x_coor,
                                            witnesses, label))
 
 
@@ -493,7 +496,7 @@ def embed_half(
     pe.image[0] = start
     # each step dodges every coordinate mapped before it, so one per edge
     for child in sorted(half_floor(t), key=lambda v: (t.level[v], v)):
-        _extend(pe, child, pe._classes(COORD), "half")
+        _extend(pe, child, pe._book.classes(pe, COORD), "half")
     return pe
 
 
@@ -562,14 +565,10 @@ def extend_path(pe: PartialEmbedding) -> PartialEmbedding:
     # Its coordinates are distinct, so it holds i - lo of them: of two of
     # its edges a < b, either both are among the first nprime, doubly
     # distinct, or b dodged a, whose index is at least lo > 2b - n - 1
-    L, pos = pe._ledger, t.preorder().pos
+    book, pos = pe._book, t.preorder().pos
     for i in range(nprime + 1, n + 1):
         lo = max(2 * i - n - 1, 1)
-        if pe._listed is None:
-            window = L.frames.Classes(L, True, _span(pe, path[0], pos[path[lo]], pos[path[i]]), len(L.stamp),
-                                      i - lo)
-        else:
-            window = pe.coords_of(path[lo:i])
+        window = book.coords_in(pe, book.span(t, path[0], pos[path[lo]], pos[path[i]]), i - lo)
         _extend(pe, path[i], window, "path", (path[i - 1],))
 
     # the certificate implies injectivity, which is not checked again: each
@@ -651,7 +650,7 @@ def _spider_legs(pe: PartialEmbedding, leg1: tuple[int, ...], rest: Sequence[tup
     mapped on their lower halves alone, so its leg one is the first of them.
     `rest` is in preorder, so the remaining legs are the spider's positions
     from the next leg's on, less leg one when it lies among them."""
-    t, L = pe.tree, pe._ledger
+    t = pe.tree
     _, pos, end, _ = t.preorder()
     legs = (leg1, *rest)
     root, hi = leg1[0], end[leg1[0]]
@@ -674,7 +673,7 @@ def _spider_legs(pe: PartialEmbedding, leg1: tuple[int, ...], rest: Sequence[tup
         half1 = (len(leg) - 1) // 2
         if leg[half1 + 1] not in pe.coord_of:
             witnesses = (leg[half1],) if half1 else (legs[i + 1][1],) if i + 1 < len(legs) else ()
-            _extend(pe, leg[half1 + 1], pe._classes(COORD), "spider0", witnesses)
+            _extend(pe, leg[half1 + 1], pe._book.classes(pe, COORD), "spider0", witnesses)
 
         # step 1: finish leg one as a path, shielded from the other legs'
         # halves, whose colors are the ones this frame has used outside leg
@@ -685,13 +684,10 @@ def _spider_legs(pe: PartialEmbedding, leg1: tuple[int, ...], rest: Sequence[tup
         shield: Set = frozenset()
         if i + 1 < len(legs):
             lo = pos[legs[i + 1][1]]
-            others = _span(pe, root, lo, hi, one if one[0] > lo else None)
-            if pe._listed is None:
-                shield = L.frames.Classes(L, True, others, len(L.stamp), halves)
-            else:
-                shield = pe.coords_of(e for later in legs[i + 1 :] for e in later[1 : (len(later) + 1) // 2])
+            others = pe._book.span(t, root, lo, hi, one if one[0] > lo else None)
+            shield = pe._book.coords_in(pe, others, halves)
         start = pos[leg[1]]
-        sub = pe.lift(_span(pe, root, start, start + len(leg) - 1), shield)
+        sub = pe.lift(pe._book.span(t, root, start, start + len(leg) - 1), shield)
         if not sub.graph.delta_at_least(len(leg) - 1):
             raise PreconditionViolated(f"leg-one view delta={sub.graph.delta()} < leg length {len(leg) - 1}")
         extend_path(sub)
@@ -757,38 +753,6 @@ def extend_tree(pe: PartialEmbedding, z_bad: int) -> PartialEmbedding:
     return pe
 
 
-class _Later:
-    """The later anchors of a tree frame: the anchor sets of the children of
-    its subroot from a rank on (spiders, then the rest, as classified),
-    mapped by step 1 (before stamp `anchored`) and apart in coordinates, so
-    they hold the sum of their `sizes`.  A listed frame reads them off those
-    children's subtrees; otherwise they are read in place by child rank."""
-
-    __slots__ = ("pe", "cls", "sizes", "anchored", "ranked")
-
-    def __init__(self, pe: PartialEmbedding, cls, sizes: list[int], anchored: int):
-        self.pe, self.cls, self.sizes, self.anchored, self.ranked = pe, cls, sizes, anchored, None
-
-    def coords(self, first: int, extra: frozenset[int] = frozenset()) -> Set:
-        pe, anchored = self.pe, self.anchored
-        t, L = pe.tree, pe._ledger
-        order, pos, end, _ = t.preorder()
-        if self.ranked is None:
-            # the children by rank, then per child its position and rank, and
-            # the sizes summed from each rank on
-            by_rank = [sc.vertex for sc in self.cls.spiders] + list(self.cls.rest)
-            children = t.children[pe.root]
-            rank = {c: i for i, c in enumerate(by_rank)}
-            self.ranked = (by_rank, [pos[c] for c in children], [rank.get(c, -1) for c in children],
-                           list(accumulate(reversed(self.sizes), initial=0))[::-1])
-        by_rank, starts, ranks, later_sizes = self.ranked
-        if pe._listed is not None:
-            return extra.union(pe.coord_of[e] for c in by_rank[first:] for e in order[pos[c] : end[c]]
-                               if L.stamp.get(e, anchored) < anchored)
-        region = L.frames.Later(pe._region, pos, starts, ranks, first)
-        return L.frames.Classes(L, True, region, anchored, later_sizes[first] + len(extra), extra)
-
-
 def _leg_witness(sc) -> int:
     """The leg edge above a spider child's mid-leg edge, or the child's root edge."""
     return sc.leg[sc.half_len - 1] if sc.half_len >= 2 else sc.vertex
@@ -802,10 +766,11 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     The frame's lower half is what is mapped in it when it opens (extend_tree
     checks that of the whole tree, and the branch check below proves it of
     each frame that steps 7 and 8 open).  Its anchor sets are sized from the
-    tree's halves, and its later anchors are read from the ledger by child
-    rank, so a frame costs its children and the edges it maps, not its size.
+    tree's halves, and it asks its bookkeeping for its sets, its later
+    anchors and its children's spans; read in place, these cost the frame
+    its children and the edges it maps, not its size.
     """
-    t, g, L = pe.tree, pe.graph, pe._ledger
+    t, g, L, book = pe.tree, pe.graph, pe._ledger, pe._book
     root = pe.root
     order, pos, end, half_level = t.preorder()
     floor_size, bucket = lower_halves(t)
@@ -862,18 +827,18 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         targets.sort(key=t.level.__getitem__)
     with_q = frozenset({q})
     for child in targets:
-        _extend(pe, child, pe._classes(COORD, extra=with_q), "step1")
+        _extend(pe, child, book.classes(pe, COORD, extra=with_q), "step1")
     anchored = len(L.stamp)
 
     # step 2: the first spider's mid-leg edge
     if k >= 1:
         sc = cls.spiders[0]
-        _extend(pe, sc.mid_edge, pe._classes(COORD, extra=with_q), "step2", (_leg_witness(sc),))
+        _extend(pe, sc.mid_edge, book.classes(pe, COORD, extra=with_q), "step2", (_leg_witness(sc),))
     anchored_coords = pe._mapped  # coordinates of anchors + e_1, one per edge
 
     # step 3: the other spiders' mid-leg edges
     if k > 1:
-        anchor_coords = pe._classes(COORD)
+        anchor_coords = book.classes(pe, COORD)
         for sc in cls.spiders[1:]:
             _extend(pe, sc.mid_edge, anchor_coords, "step3", (_leg_witness(sc),))
 
@@ -884,18 +849,17 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         coords = anchored_coords + len({pe.coord_of[sc.mid_edge] for sc in cls.spiders[1:]})
         witnesses = [sc.vertex for sc in cls.spiders]
         for i, u in enumerate(cls.leaves):
-            backing = tuple(witnesses) if pe._listed is not None else L.frames.Prefix(witnesses, len(witnesses))
-            _extend(pe, u, pe._classes(COORD, coords + i), "step4", backing)
+            _extend(pe, u, book.classes(pe, COORD, coords + i), "step4", book.prefix(witnesses))
             witnesses.append(u)
 
     # the later anchors of steps 5 and 7, read beside a second spider or a
     # second subtree only
-    later = _Later(pe, cls, sizes, anchored)
+    later = partial(book.later, pe, cls, sizes, anchored)
 
     # step 5: the edges after the mid-leg edges, spiders 2..k; the mid-leg
     # edge dodged every anchor's coordinate in step 3
     for idx, sc in enumerate(cls.spiders[1:], start=1):
-        _extend(pe, sc.after_mid_edge, later.coords(idx, frozenset({pe.coord_of[sc.mid_edge]})), "step5",
+        _extend(pe, sc.after_mid_edge, later(idx, frozenset({pe.coord_of[sc.mid_edge]})), "step5",
                 (sc.mid_edge,))
 
     # each branch anchor set is {v} | the lower half of v's subtree, mapped by step 3.
@@ -931,7 +895,7 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
     # distinct coordinates by the branch check and step 5's x_coor.  So leg
     # one is sc.leg, which is legs[0]: both follow first children
     for sc in cls.spiders:
-        sub = pe.lift(_span(pe, sc.vertex, pos[sc.vertex] + 1, end[sc.vertex]))
+        sub = pe.lift(book.span(t, sc.vertex, pos[sc.vertex] + 1, end[sc.vertex]))
         leg1, *rest = as_spider(t, sc.vertex).legs
         _spider_legs(sub, leg1, rest)
         pe.adopt(sub)
@@ -949,11 +913,11 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
         if lone_odd_leg:
             # map its middle edge first, then spider-extend
             (mid,) = map(order.__getitem__, middle)
-            _extend(pe, mid, later.coords(k + j - 1), "step7-mid", (t.parent[mid],))
+            _extend(pe, mid, later(k + j - 1), "step7-mid", (t.parent[mid],))
         elif middle:
             # deficiency >= 2: also shield the later anchors' coordinates
-            later_coords = later.coords(k + j, frozenset({pe.coord_of[v]}))
-        sub = pe.lift(_span(pe, v, pos[v] + 1, end[v]), later_coords)
+            later_coords = later(k + j, frozenset({pe.coord_of[v]}))
+        sub = pe.lift(book.span(t, v, pos[v] + 1, end[v]), later_coords)
         if lone_odd_leg:
             # extend_spider's checks pass: deficiency 1 with a middle edge makes
             # a spider with one odd leg (classify_children), mapped on its lower

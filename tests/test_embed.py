@@ -1172,6 +1172,26 @@ class TestPremap:
             pe.premap(*last)
         assert (pe.image, pe.color_of, pe._edges) == state
 
+    @pytest.mark.parametrize("edges", [10, 200], ids=["listed", "in place"])
+    def test_refuses_a_vertex_outside_the_frame(self, edges):
+        # a frame on the subtree at vertex 2 of a path, opened as the engine
+        # opens one: listed or read in place, by the tree's size
+        t, g = path_tree(edges), VirtualCayleyCube(edges)
+        _, pos, end, _ = t.preorder()
+        pe = PartialEmbedding(t, g)
+        pe.image[0] = 0
+        sub = pe.lift(pe._book.span(t, 2, pos[2] + 1, end[2]))
+        assert type(sub._book).__name__ == ("_Listed" if edges <= embed.LISTED else "InPlace")
+        # the edge above the frame, and then the edge of its subroot
+        for v, y in ((1, 0b1), (2, 0b11)):
+            with pytest.raises(PreconditionViolated, match=f"^premap: vertex {v} is outside the frame$"):
+                sub.premap(v, y)
+            assert len(sub.used_colors) == len(set(sub.used_colors)) == 0 and sub._edges == set()
+            pe.premap(v, y)
+        sub = pe.lift(pe._book.span(t, 2, pos[2] + 1, end[2]))
+        sub.premap(3, 0b111)
+        assert sub._edges == {3} and sub.used_colors == {2} and len(sub.used_colors) == 1
+
     def test_refuses_an_edge_the_view_bans(self):
         # the host is the embedding's graph, here a view without color 1
         pe = self.rooted(self.SHIFTED.restrict({1}, ()), [0])
@@ -1379,6 +1399,16 @@ class TestColorIndex:
                 assert pe.sorted_colors == sorted(pe.used_colors) == sorted(pe.color_of.values())
 
 
+LAZY_FRAMES = """
+import sys
+from rainbowcube import VirtualCayleyCube, embed_rainbow_tree, path_tree
+embed_rainbow_tree(VirtualCayleyCube(8), path_tree(8))
+print("rainbowcube.frames" in sys.modules)
+embed_rainbow_tree(VirtualCayleyCube(200), path_tree(200))
+print("rainbowcube.frames" in sys.modules)
+"""
+
+
 def lift_outcome(pe, vertices, banned):
     """What `lift` gives: the new view's bans as sets, with whether it is the
     opener's view itself, or the message it refuses with."""
@@ -1467,6 +1497,17 @@ class TestViews:
             for seed in (None, 3):
                 embed_rainbow_tree(VirtualCayleyCube(100), t, seed=seed)
         assert "Classes" in kinds
+
+    def test_the_in_place_code_loads_with_the_first_large_tree(self):
+        # importing frames.py costs every process its compile time and memory,
+        # so a process that embeds only small trees never loads it
+        src = Path(rainbowcube.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", LAZY_FRAMES], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]
 
     def test_sequences_read_in_place(self):
         items = [5, 6, 7]

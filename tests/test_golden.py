@@ -10,6 +10,9 @@ that means to alter the output replaces GOLDEN and says why.
 
 import hashlib
 
+import pytest
+
+import rainbowcube.embed as embed
 from rainbowcube import (
     VirtualCayleyCube,
     build_tree,
@@ -240,3 +243,21 @@ def test_skew_digest(monkeypatch):
     calls = exact_delta_calls(monkeypatch)
     assert corpus_digest(skew_corpus()) == (SKEW, SKEW_CASES)
     assert calls == []
+
+
+# Every corpus above again, each tree on the other side of the threshold
+# between listed frames and frames read in place: the small trees read
+# their sets in place, the large ones list them.  The two give the same
+# embeddings and traces.
+@pytest.mark.parametrize("instances, digest, listed", [
+    (corpus, GOLDEN, -1),
+    (skew_corpus, SKEW, -1),
+    (shield_corpus, SHIELD_GOLDEN, -1),
+    (deep_corpus, DEEP, 10**9),
+    (wide_corpus, WIDE, 10**9),
+], ids=["golden", "skew", "shield", "deep", "wide"])
+def test_the_digest_does_not_depend_on_how_frames_hold_their_sets(instances, digest, listed, monkeypatch):
+    cases = list(instances())
+    assert all((t.n - 1 > listed) != (t.n - 1 > embed.LISTED) for _, _, t, _ in cases)
+    monkeypatch.setattr(embed, "LISTED", listed)
+    assert corpus_digest(cases)[0] == digest

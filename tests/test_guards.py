@@ -64,6 +64,8 @@ WITNESSES = {
     "embed": {
         "PartialEmbedding.premap: PreconditionViolated(premap: vertex {} is outside [1, {}))":
             "test_embed.py::TestPremap::test_refuses",
+        "PartialEmbedding.premap: PreconditionViolated(premap: vertex {} is outside the frame)":
+            "test_embed.py::TestPremap::test_refuses_a_vertex_outside_the_frame",
         "PartialEmbedding.premap: PreconditionViolated(premap: vertex {} is already mapped)":
             "test_embed.py::TestPremap::test_refuses",
         "PartialEmbedding.premap: PreconditionViolated(premap: the parent of vertex {} is unmapped)":
@@ -74,7 +76,7 @@ WITNESSES = {
             "test_embed.py::TestFrames::test_color_reused_across_frames",
         "PartialEmbedding.require_doubly_distinct: PreconditionViolated({}: mapped edges are not doubly distinct)":
             "test_embed.py::TestExtendTree::test_rejects_input_that_is_not_doubly_distinct",
-        "PartialEmbedding._listed_view: PreconditionViolated(pre-mapped edge {} was banned from the restricted host)":
+        "_Listed.lift: PreconditionViolated(pre-mapped edge {} was banned from the restricted host)":
             "test_mutants.py::test_the_stage_corpus_catches_the_mutant",
         "extend_one: PreconditionViolated(step {}: vertex {} is outside [1, {}))":
             "test_embed.py::TestExtendOne::test_refuses_a_target_outside_the_tree",
@@ -148,7 +150,7 @@ WITNESSES = {
             "test_parse_errors.py::test_embedding_errors",
     },
     "frames": {
-        "span_view: PreconditionViolated(pre-mapped edge {} was banned from the restricted host)":
+        "InPlace.lift: PreconditionViolated(pre-mapped edge {} was banned from the restricted host)":
             "test_embed.py::TestViews::test_the_span_route_decides_as_the_listed_route",
     },
     "tree": {

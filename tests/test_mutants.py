@@ -53,7 +53,7 @@ def window_one_edge_short(pe, target, x_coor, witnesses):
     path = pe.vertices
     i = path.index(target)
     lo = max(2 * i - len(path), 1)
-    return pe.coords_of(path[lo + 1 : i]), witnesses
+    return frozenset(pe.coord_of[e] for e in path[lo + 1 : i]), witnesses
 
 
 def lift_bans_own_colors(self, vertices, banned_coords=()):
