@@ -84,6 +84,14 @@ class ExtensionRequest(NamedTuple):
     label: str = "extend"
 
 
+class _Staged(ExtensionRequest):
+    """A request a stage makes (through `_extend`): its target lies in the
+    frame, since every stage takes its targets among its frame's vertices,
+    so extend_one does not look it up there."""
+
+    __slots__ = ()
+
+
 # trace record: (label, tree edge, graph edge src->dst, |x_col|, |x_coor|, r)
 TraceEntry = tuple[str, int, int, int, int, int, int]
 
@@ -374,12 +382,17 @@ def extend_one(pe: PartialEmbedding, req: ExtensionRequest) -> PartialEmbedding:
     With r valid witnesses the host guarantees an admissible edge whenever
     |x_col| + |x_coor| - r < delta; both that bound and witness validity are
     enforced, and the first admissible edge in coordinate order is taken
-    (or a seeded random one when the embedding carries an RNG).
+    (or a seeded random one when the embedding carries an RNG).  The
+    target must lie in the frame, as premap's vertex must.
     """
     t = pe.tree
     v, w = req.source, req.target
     if not 0 < w < t.n:
         raise PreconditionViolated(f"step {req.label}: vertex {w} is outside [1, {t.n})")
+    # a stage's request needs no lookup (_Staged), which on a listed frame
+    # would walk its vertex tuple at every step; the whole tree holds [1, n)
+    if pe.is_frame and type(req) is not _Staged and w not in pe.vertices:
+        raise PreconditionViolated(f"step {req.label}: vertex {w} is outside the frame")
     # premap's rule: the source is the root or mapped through its edge, so
     # mapped edges are closed under parents
     if w in pe.image or v not in (pe.coord_of if v else pe.image):
@@ -472,8 +485,8 @@ def _extend(pe: PartialEmbedding, target: int, x_coor: Set, label: str,
             witnesses: Sequence[int] = ()) -> PartialEmbedding:
     """extend_one from `target`'s parent, dodging `x_coor` and, as every step
     of every stage does, each color the frame has used."""
-    return extend_one(pe, ExtensionRequest(pe.tree.parent[target], target, pe._book.classes(pe, COLOR), x_coor,
-                                           witnesses, label))
+    return extend_one(pe, _Staged(pe.tree.parent[target], target, pe._book.classes(pe, COLOR), x_coor,
+                                  witnesses, label))
 
 
 def embed_half(

@@ -4,18 +4,21 @@ Every generator is a pure function of its parameters and seed, drawing from
 SplitMix64 in a fixed order, so outputs are bit-identical across runs and
 platforms.  Each host generator builds, and so checks, one host: the one
 it returns.  It reads the edges of Q_n from ``cube_edges`` in the order
-``edges()`` gives, so every draw is made in that order.  ``cayley_coloring``
+``edges()`` gives, so every draw is made in that order.  Draws come from
+``SplitMix64.draws``, a block at a time, in the order the per-draw calls
+made them, so the hosts are those of one call per draw.  ``cayley_coloring``
 and ``refined_cayley`` stream those edges into the constructor, which reads
-them in that order, so ``refined_cayley`` draws each edge's subclass as the
-constructor reads the edge and no edge list is held.
+them in that order; ``refined_cayley`` draws the subclasses one block of
+edges at a time as the constructor reads them, so no edge list is held.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .hypercube import ColoredCubeGraph, cayley_coloring, cube_edges
-from .prng import SplitMix64
+from .prng import _CHUNK, SplitMix64
 from .tree import RootedTree, build_tree
 
 KEEP_PERCENT = 75  # greedy_proper's share of the edges of Q_n
@@ -33,14 +36,16 @@ def refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:
 
 def _refined_edges(n: int, seed: int, splits: int) -> Iterator[tuple[int, int, int]]:
     """An iterator over the edges of refined_cayley(n, seed, splits), in
-    sorted order; it draws each subclass as it yields that edge."""
+    sorted order; it draws the subclasses one block of edges at a time, as
+    it reaches the block, so it holds neither the edges nor their draws."""
     if splits < 1:
         raise ValueError(f"splits must be >= 1, got {splits}")
     edges = cube_edges(n)
     if splits == 1:
         return edges
-    draw = SplitMix64(seed).randrange
-    return ((u, v, q * splits + draw(splits)) for u, v, q in edges)
+    draws, total = SplitMix64(seed).draws, n << (n - 1)
+    zs = chain.from_iterable(map(draws, (min(_CHUNK, total - i) for i in range(0, total, _CHUNK))))
+    return ((u, v, q * splits + z % splits) for (u, v, q), z in zip(edges, zs))
 
 
 def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
@@ -51,7 +56,7 @@ def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
     absent at both endpoints, so at most 2n-1 colors appear.
     """
     rng = SplitMix64(seed)
-    kept = [(u, v) for u, v, _ in cube_edges(n) if rng.randrange(100) < KEEP_PERCENT]
+    kept = [(u, v) for (u, v, _), z in zip(cube_edges(n), rng.draws(n << (n - 1))) if z % 100 < KEEP_PERCENT]
     rng.shuffle(kept)
     palette_at: dict[int, set[int]] = {}
     edges = []
@@ -80,27 +85,30 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
     deleted = all_edges[:n_delete]
     kept = all_edges[n_delete:]
 
-    degree = {v: 0 for v in range(1 << n)}
-    for u, v, _ in kept:
-        degree[u] += 1
-        degree[v] += 1
+    # every vertex has degree n in Q_n, less its deleted edges
+    degree = [n] * (1 << n)
+    removed_at: list[list[tuple[int, int, int]]] = [[] for _ in range(1 << n)]
+    for e in sorted(deleted):
+        u, v, _ = e
+        degree[u] -= 1
+        degree[v] -= 1
+        removed_at[u].append(e)
+        removed_at[v].append(e)
 
-    removed_at: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1 << n)}
-    for u, v, c in sorted(deleted):
-        removed_at[u].append((u, v, c))
-        removed_at[v].append((u, v, c))
-
-    # one pass: x's turn leaves degree[x] >= d, or x's deleted edges all back
+    # one pass: x's turn leaves degree[x] >= d, or x's deleted edges all read
     # and degree[x] = n >= d; that stays so, since degrees only rise and
-    # only x's turn pops removed_at[x], so a second pass would restore nothing
-    restored: set[tuple[int, int]] = set()
-    for x in range(1 << n):
-        while degree[x] < d and removed_at[x]:
-            u, v, c = removed_at[x].pop(0)
-            if (u, v) in restored:
+    # only x's turn reads removed_at[x], so a second pass would restore nothing
+    restored: set[tuple[int, int, int]] = set()
+    for x, at in enumerate(removed_at):
+        i = 0
+        while degree[x] < d and i < len(at):
+            e = at[i]
+            i += 1
+            if e in restored:
                 continue
-            restored.add((u, v))
-            kept.append((u, v, c))
+            restored.add(e)
+            kept.append(e)
+            u, v, _ = e
             degree[u] += 1
             degree[v] += 1
     return ColoredCubeGraph(n, kept)

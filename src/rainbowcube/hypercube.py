@@ -568,7 +568,8 @@ def cube_edges(n: int) -> Iterator[tuple[int, int, int]]:
     if n > MAX_EXPLICIT_DIMENSION:
         raise LimitExceeded(f"an explicit host stores 2^{n} vertices; the limit is 2^{MAX_EXPLICIT_DIMENSION}")
     # for a fixed u, v = u + 2^q grows with q
-    return ((u, u | (1 << q), q) for u in range(1 << n) for q in range(n) if not u >> q & 1)
+    bits = [(q, 1 << q) for q in range(n)]
+    return ((u, u | b, q) for u in range(1 << n) for q, b in bits if not u & b)
 
 
 def cayley_coloring(n: int) -> ColoredCubeGraph:

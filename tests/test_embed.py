@@ -195,6 +195,28 @@ class TestExtendOne:
         with pytest.raises(PreconditionViolated, match="^step extend: 2 is not a child of 0$"):
             extend_one(pe, ExtensionRequest(0, 2, frozenset(), frozenset()))
 
+    @pytest.mark.parametrize("edges", [10, 200], ids=["listed", "in place"])
+    def test_refuses_a_target_outside_the_frame(self, edges):
+        # a frame on the subtree at vertex 2 of a path, opened as the engine
+        # opens one, as TestPremap::test_refuses_a_vertex_outside_the_frame
+        # opens it; the edge above the frame was mapped once, unseen by it
+        t, g = path_tree(edges), VirtualCayleyCube(edges)
+        _, pos, end, _ = t.preorder()
+        pe = PartialEmbedding(t, g)
+        pe.image[0] = 0
+        sub = pe.lift(pe._book.span(t, 2, pos[2] + 1, end[2]))
+        assert type(sub._book).__name__ == ("_Listed" if edges <= embed.LISTED else "InPlace")
+        with pytest.raises(PreconditionViolated, match="^step extend: vertex 1 is outside the frame$"):
+            extend_one(sub, ExtensionRequest(0, 1, frozenset(), frozenset()))
+        assert pe.image == {0: 0} and pe.trace == [] and not pe.sorted_colors
+        assert len(sub.used_colors) == len(set(sub.used_colors)) == 0 and sub._edges == set()
+        # inside the frame, a hand-built request is a step as before
+        pe.premap(1, 0b1)
+        pe.premap(2, 0b11)
+        sub = pe.lift(pe._book.span(t, 2, pos[2] + 1, end[2]))
+        extend_one(sub, ExtensionRequest(2, 3, frozenset(sub.used_colors), frozenset()))
+        assert sub._edges == {3} and len(sub.used_colors) == len(set(sub.used_colors)) == 1
+
 
 class TestEmbedHalf:
     def test_star_maps_only_root(self):

@@ -80,6 +80,8 @@ WITNESSES = {
             "test_mutants.py::test_the_stage_corpus_catches_the_mutant",
         "extend_one: PreconditionViolated(step {}: vertex {} is outside [1, {}))":
             "test_embed.py::TestExtendOne::test_refuses_a_target_outside_the_tree",
+        "extend_one: PreconditionViolated(step {}: vertex {} is outside the frame)":
+            "test_embed.py::TestExtendOne::test_refuses_a_target_outside_the_frame",
         "extend_one: PreconditionViolated(step {}: {}->{} not a frontier edge)":
             "test_embed.py::TestFrames::test_a_frame_cannot_remap_a_vertex",
         "extend_one: PreconditionViolated(step {}: {} is not a child of {})":
