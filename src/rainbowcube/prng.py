@@ -14,10 +14,11 @@ draws use plain modulo reduction, which keeps the stream layout stable.
 
 The i-th draw from state s is mix(s + i*gamma), so `draws` mixes a block
 of draws at once, each in its own 128-bit lane of one Python int: lane i,
-from 0, holds s + (i+1)*gamma, masked to its low 64 bits.  The mix stays exact lane by
-lane.  A right shift moves the next lane's low bits into bits 64-127 of
-this lane, and the xor leaves them there; masking each lane back to 64 bits
-before the multiply clears them, so the multiply sees this lane's z alone.
+from 0, holds s + (i+1)*gamma, masked to its low 64 bits.  The mix stays
+exact lane by lane.  A right shift moves the next lane's low bits into bits
+64-127 of this lane, and the xor leaves them there; masking each lane back
+to 64 bits before the multiply clears them, so the multiply sees this
+lane's z alone.
 A product of a 64-bit z and a 64-bit constant is below 2^128, so it fills
 at most its own lane and carries nothing into the next; masking it again
 is the reduction modulo 2^64.  The last shift's stray bits land in bits
