@@ -5,8 +5,9 @@ unexpected exception or uncertified `embed` output included (a
 counterexample bundle is dumped when possible); 2 verification mismatch or
 fuzz counterexample; 3 unreadable or unparsable input (an improper host, a
 malformed tree, an empty host for `embed`, an embedding file that does not
-fit the tree and host), an unwritable --out, or a number out of range
-(`gen`, `--budget`, `--jobs`, ...); 4 host minimum degree below the tree size.
+fit the tree and host), an unwritable --out, a number out of range
+(`gen`, `--budget`, `--jobs`, ...), or an `oracle` tree too large for the
+interpreter's stack; 4 host minimum degree below the tree size.
 `oracle --budget` that runs out is not an error: it reports
 exhausted=False and exits 0.  RAINBOW_SEED overrides --seed everywhere.
 """
@@ -157,7 +158,10 @@ def cmd_oracle(args) -> int:
     t = _load_tree(args.tree)
     if args.budget is not None and args.budget < 0:
         raise FormatError(f"--budget must be >= 0, got {args.budget}")
-    result = oracle_find(g, t, budget=args.budget)
+    try:
+        result = oracle_find(g, t, budget=args.budget)
+    except LimitExceeded as exc:
+        raise FormatError(str(exc)) from exc
     print(f"found={result.found} exhausted={result.exhausted} nodes={result.nodes_explored}")
     return EXIT_OK
 

@@ -16,14 +16,17 @@ blocked vertex next to the root's image.  The strategy:
 
 Each level of that recursion is a *frame*: a subtree, the legs of a spider
 or a single leg, under the tree's own vertex ids, together with a view of
-the host that bans what the rest of the tree already uses.  Every frame
-writes into the one PartialEmbedding of the whole tree and keeps only its
-own sets of mapped colors and coordinates, which its counting bounds are
-about, in one bookkeeping object that every stage asks for them: listed
-(`_Listed`) on a tree of at most LISTED edges, read in place from a ledger
-of mapped edges (frames.InPlace, loaded with the first larger tree)
-otherwise.  Tree frames are generators that one loop, `_run`, drives depth
-first on an explicit stack, so a deep tree needs no interpreter recursion.
+the host that bans what the rest of the tree already uses.  Every frame is
+a PartialEmbedding that `lift` opens; it writes into the maps of the whole
+tree's one and keeps only its own sets of mapped colors and coordinates,
+which its counting bounds are about, in one bookkeeping object that every
+stage asks for them: listed (`_Listed`) on a tree of at most LISTED edges,
+read in place from a ledger of mapped edges (frames.InPlace, loaded with
+the first larger tree) otherwise.  Tree frames are generators that one
+loop, `_run`, drives depth first on an explicit stack, so a deep tree needs
+no interpreter recursion.  The records a step reads and the listed
+bookkeeping are named tuples; PartialEmbedding, made once per frame, is a
+`__slots__` class.
 
 Every choice is deterministic (first admissible edge in coordinate order)
 unless a seed asks for randomized tie-breaking.  The per-step counting
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -193,7 +195,6 @@ class _Listed(NamedTuple):
         return view, _Listed(own, {coord_of[w] for w in premapped}), len(premapped)
 
 
-@dataclass
 class PartialEmbedding:
     """Partial map from tree vertices to cube vertices with rainbow
     bookkeeping, seen through one frame.
@@ -211,37 +212,31 @@ class PartialEmbedding:
     the ledger (frames.InPlace).
     `sorted_colors` lists the colors of every mapped edge in increasing
     order and never gains a duplicate, so the mapped part stays rainbow at
-    all times.  A caller starts from an empty map, sets the root's image in
-    `image` and adds vertices with `premap`.  Confined to one embedding run.
+    all times.  A caller gives the tree, the host and optionally the RNG and
+    `z_bad`, starts from an empty map, sets the root's image in `image` and
+    adds vertices with `premap`; every other attribute is set by the
+    initializer for the whole tree and by `lift` for a frame, into fixed
+    slots.  Confined to one embedding run.
     """
 
-    tree: RootedTree
-    graph: object
-    rng: SplitMix64 | None = None
-    z_bad: int | None = None
-    # set here for the whole tree and by `lift` for a frame, never by a caller
-    image: dict[int, int] = field(init=False, default_factory=dict)
-    color_of: dict[int, int] = field(init=False, default_factory=dict)
-    coord_of: dict[int, int] = field(init=False, default_factory=dict)
-    trace: list[TraceEntry] = field(init=False, default_factory=list)
-    vertices: Sequence[int] = field(init=False, default=())
-    sorted_colors: list[int] = field(init=False, default_factory=list)
-    is_frame: bool = field(init=False, default=False)
+    __slots__ = ("tree", "graph", "rng", "z_bad", "image", "color_of", "coord_of", "trace", "vertices",
+                 "sorted_colors", "is_frame", "_ledger", "_book", "_mapped", "_premapped", "_checked")
 
-    def __post_init__(self):
-        # the fields, then these, in this order, which `lift` keeps: the
-        # ledger; the frame's bookkeeping, chosen here for the whole tree by
-        # its size and by `lift` for each frame; its count of mapped edges:
+    def __init__(self, tree: RootedTree, graph, rng: SplitMix64 | None = None, z_bad: int | None = None):
+        self.tree, self.graph, self.rng, self.z_bad = tree, graph, rng, z_bad
+        self.image, self.color_of, self.coord_of, self.trace = {}, {}, {}, []
+        n = tree.n
+        self.vertices, self.sorted_colors, self.is_frame = range(n), [], False
+        # the ledger; the frame's bookkeeping, chosen here for the whole tree
+        # by its size and by `lift` for each frame; its count of mapped edges:
         # pre-mapped, mapped by its steps and premap, and adopted from the
         # frames it closed; how many were pre-mapped; and the last witness
         # list it checked (see _check_witnesses)
-        t, n = self.tree, self.tree.n
-        self.vertices = range(n)
         if n - 1 > LISTED:
             from . import frames  # the in-place machinery, loaded with the first tree that reads in place
 
-            self._ledger = L = frames.Ledger(t, self.sorted_colors)
-            self._book = frames.InPlace(L, frames.Span(t, 0, 1, n), None)
+            self._ledger = L = frames.Ledger(tree, self.sorted_colors)
+            self._book = frames.InPlace(L, frames.Span(tree, 0, 1, n), None)
         else:
             self._ledger, self._book = _Ledger(), _Listed(set(), set())
         self._mapped, self._premapped, self._checked = 0, 0, None
@@ -341,9 +336,7 @@ class PartialEmbedding:
         """
         view, book, inside = self._book.lift(self, vertices, banned_coords)
         # a frame shares its opener's tree, RNG, maps, trace, sorted colors
-        # and ledger; the rest is its own.  Its attributes are set one by one,
-        # in the order the initializer sets them, so that every frame keeps
-        # the instance layout attribute lookups expect
+        # and ledger; the rest is its own
         sub = object.__new__(PartialEmbedding)
         sub.tree, sub.graph, sub.rng, sub.z_bad = self.tree, view, self.rng, None
         sub.image, sub.color_of, sub.coord_of, sub.trace = self.image, self.color_of, self.coord_of, self.trace

@@ -20,7 +20,6 @@ contiguous slice, so these subtree quantities need no walk of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Iterator, NamedTuple, Sequence
@@ -235,8 +234,7 @@ def lower_halves(t: RootedTree) -> tuple[tuple[int, ...], dict[int, list[int]]]:
 # --- spiders -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpiderShape:
+class SpiderShape(NamedTuple):
     root: int
     legs: tuple[tuple[int, ...], ...]   # each leg runs root -> leaf, inclusive
     leg_lengths: tuple[int, ...]
@@ -270,8 +268,7 @@ def as_spider(t: RootedTree, v: int = 0) -> SpiderShape | None:
 # --- classification of the root's children ----------------------------------
 
 
-@dataclass(frozen=True)
-class SpiderChild:
+class SpiderChild(NamedTuple):
     """A root child whose subtree is a nonempty spider with all legs even.
 
     ``leg`` is the designated leg (lexicographically first maximal path from
@@ -287,8 +284,7 @@ class SpiderChild:
     after_mid_edge: int
 
 
-@dataclass(frozen=True)
-class ChildClassification:
+class ChildClassification(NamedTuple):
     leaves: tuple[int, ...]
     spiders: tuple[SpiderChild, ...]
     rest: tuple[int, ...]   # deficiency >= 1, sorted by (deficiency, id)
@@ -333,33 +329,35 @@ def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
 # --- the reflection injection ------------------------------------------------
 
 
-def _max_level_path(t: RootedTree, w: int) -> list[int]:
-    """Path from w to its first maximum-level descendant (children in id order)."""
-    path = [w]
-    target = t.level_max[w]
-    while t.level[path[-1]] < target:
-        nxt = next(c for c in t.children[path[-1]] if t.level_max[c] == target)
-        path.append(nxt)
-    return path
-
-
 def iota_injection(t: RootedTree) -> dict[int, int]:
     """Injective map from lower-half edges into edges beyond the upper half.
 
     Each edge is reflected about the midpoint of a maximal root path through
     it: the edge at depth d on a path to a level-l leaf maps to the edge at
     depth l-d+1 on that path.  Root-incident non-leaf edges land on
-    leaf-incident non-root edges.
+    leaf-incident non-root edges.  The path taken from an edge w runs down
+    through each vertex's first maximum-level child (children in id order)
+    to w's first maximum-level descendant.
     """
+    level, level_max, parent = t.level, t.level_max, t.parent
+    # those children chain the vertices into disjoint downward paths, each
+    # listed from its top vertex, which is no vertex's first such child; the
+    # path from w is the rest of w's chain, and a chain's levels run on by one
+    first = [next((c for c in kids if level_max[c] == level_max[v]), None)
+             for v, kids in enumerate(t.children)]
+    chain = [None] * t.n
+    for v in t.preorder().order:
+        chain[v] = chain[parent[v]] if v and first[parent[v]] == v else []
+        chain[v].append(v)
     out: dict[int, int] = {}
     ceil_set = half_ceil(t)
     # the iota lemma, so no tree fails the checks below: w at level d <= l/2
     # goes to level l - d + 1 > (l + 1)/2, past the upper-closed half, on a path
     # to level l; its image p fixes l = level_max(p) and so d: iota is one-to-one
     for w in sorted(half_floor(t)):
-        d, l = t.level[w], t.level_max[w]
-        down = _max_level_path(t, w)  # w = v_d, ..., v_l
-        image = down[l - d + 1 - d]   # v_{l-d+1}, indexed relative to v_d
+        d, l = level[w], level_max[w]
+        down = chain[w]
+        image = down[l - d + 1 - level[down[0]]]  # the vertex at level l - d + 1
         if image in ceil_set:
             raise PreconditionViolated(f"iota maps edge {w} into the upper half")
         out[w] = image

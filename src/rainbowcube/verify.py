@@ -10,7 +10,7 @@ embedding engine is tested against.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embed import embed_rainbow_tree, format_embedding, format_trace
 from .errors import DegreeTooSmall, LimitExceeded
@@ -129,19 +129,18 @@ def _path_repeat_witness(t: RootedTree, coord) -> str:
     return f"root path to leaf {leaf} repeats a coordinate in {coords}"
 
 
-@dataclass
 class OracleResult:
     """Outcome of the backtracking search.
 
     `exhausted` means the answer is definitive: either an embedding was
     found, or the whole space was covered without one.  It is False only
-    when a budget stopped the search early.
+    when a budget stopped the search early.  The fields can be assigned.
     """
 
-    found: bool
-    image: dict[int, int] | None
-    nodes_explored: int
-    exhausted: bool
+    __slots__ = ("found", "image", "nodes_explored", "exhausted")
+
+    def __init__(self, found: bool, image: dict[int, int] | None, nodes_explored: int, exhausted: bool):
+        self.found, self.image, self.nodes_explored, self.exhausted = found, image, nodes_explored, exhausted
 
 
 class _Rows(dict):
@@ -174,7 +173,9 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
     made for a next row with no unused color: that is the next loop's own
     verdict, each record there failing its color test, so the nodes are the
     plain search's.  `budget` caps the non-root placements; a search it
-    stops returns exhausted=False, counting the placement it refused.
+    stops returns exhausted=False, counting the placement it refused.  The
+    search recurses once per tree vertex: a search deeper than the
+    interpreter's stack raises LimitExceeded, naming the edge count.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -215,7 +216,10 @@ def oracle_find(g, t: RootedTree, budget: int | None = None) -> OracleResult:
         placed = True
         if last:
             own, mask, records = rows[r]
-            placed = mask and place(1, records, own, place)  # mask 0: a dead row
+            try:
+                placed = mask and place(1, records, own, place)  # mask 0: a dead row
+            except RecursionError:
+                raise LimitExceeded(f"oracle search on {last} edges is deeper than the interpreter's stack") from None
         if placed is None:
             return OracleResult(False, None, nodes, False)
         if placed:
@@ -254,8 +258,7 @@ def oracle_no_rainbow_cycle(g, max_len: int) -> bool:
     return not any(walk(s, s, 0, 0) for s in sorted(g.vertices))
 
 
-@dataclass
-class CrossCheckSummary:
+class CrossCheckSummary(NamedTuple):
     engine_found: bool
     oracle_found: bool | None
     mismatches: tuple[str, ...]

@@ -287,6 +287,16 @@ class TestOracleCommand:
         assert captured.out == "found=False exhausted=False nodes=5\n"
         assert captured.err == ""
 
+    def test_a_search_deeper_than_the_stack_exits_3(self, tmp_path, capsys):
+        host, tree = tmp_path / "q12.graph", tmp_path / "p1100.tree"
+        assert main(["gen", "refined_cayley", "--n", "12", "--splits", "400", "--seed", "1",
+                     "--out", str(host)]) == 0
+        assert main(["gen", "random_spider", "--legs", "1100", "--out", str(tree)]) == 0
+        assert main(["oracle", str(host), str(tree)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: oracle search on 1100 edges is deeper than the interpreter's stack\n"
+
 
 class TestFuzzCommand:
     def test_random_trials(self, capsys):
@@ -351,8 +361,6 @@ class TestFuzzCommand:
         assert capsys.readouterr().out == first
 
     def test_bundles_on_counterexamples(self, tmp_path, monkeypatch, capsys):
-        import dataclasses
-
         import rainbowcube.cli as cli
 
         seen = []
@@ -360,7 +368,7 @@ class TestFuzzCommand:
         def always_mismatch(g, t, **kwargs):
             seen.append((g, t))
             summary = cross_check(g, t, **kwargs)
-            return dataclasses.replace(summary, mismatches=("forced",))
+            return summary._replace(mismatches=("forced",))
 
         monkeypatch.setattr(cli, "cross_check", always_mismatch)
         bundle = tmp_path / "bundle"

@@ -2,6 +2,7 @@
 library and itself, and declares no dependency to install."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,10 +32,20 @@ def test_every_import_is_the_standard_library_or_the_package():
             assert name in sys.stdlib_module_names or name == "rainbowcube", where
             seen.add(name)
     # the parse sees the imports the package is known to make
-    assert {"__future__", "argparse", "bisect", "dataclasses", "itertools"} <= seen
+    assert {"__future__", "argparse", "bisect", "itertools", "typing"} <= seen
 
 
 def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # -S: no site hooks, whose own imports would hide the package's
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rainbowcube; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,6 @@ import itertools
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -822,12 +821,12 @@ class TestStrictChecks:
             embed_rainbow_tree(refined_cayley(6, 0, 2), build_tree([0, 0, 2, 3, 4, 5]))
 
     @pytest.mark.parametrize("where, fault, parents, message", [
-        pytest.param("classify_children", classify_with(lambda cls: replace(
-            cls, spiders=tuple(replace(sc, mid_edge=sc.after_mid_edge) for sc in cls.spiders))),
+        pytest.param("classify_children", classify_with(lambda cls: cls._replace(
+            spiders=tuple(sc._replace(mid_edge=sc.after_mid_edge) for sc in cls.spiders))),
             [0, 1, 2], "anchor set of spider child 1 is not half its subtree", id="mid-leg-edge-too-deep"),
         pytest.param("lower_halves", halves_with(lambda t, v, f: len(t.subtree_preorder(v)) - 1 if v else f),
                      [0, 1, 1], "anchor set of child 1 exceeds half its subtree", id="whole-subtrees"),
-        pytest.param("classify_children", classify_with(lambda cls: replace(cls, leaves=cls.leaves + cls.rest)),
+        pytest.param("classify_children", classify_with(lambda cls: cls._replace(leaves=cls.leaves + cls.rest)),
                      [0, 1], "anchor sets exceed half of the edges outside leaves and mid-legs",
                      id="a-child-also-counted-as-a-leaf"),
         pytest.param("lower_halves", halves_with(lambda t, v, f: 0 if v else f),

@@ -12,8 +12,10 @@ from rainbowcube.errors import (
     FormatError,
     IndexOutOfRange,
     LimitExceeded,
+    PreconditionViolated,
 )
 from rainbowcube.gen import random_spider, random_tree
+from rainbowcube.prng import SplitMix64
 from rainbowcube.tree import (
     as_spider,
     canonical_form,
@@ -382,6 +384,75 @@ class TestIotaInjection:
         for e, image in iota_injection(t).items():
             if e in e1_set:
                 assert image in e2_set
+
+
+# --- iota_injection as it was before it read each image off chains ----------
+#
+# It walks from every lower-half edge down to that edge's deepest leaf, which
+# is quadratic on a path; the reference for TestIotaAgainstPlain.
+
+
+def _max_level_path(t, w: int) -> list[int]:
+    """Path from w to its first maximum-level descendant (children in id order)."""
+    path = [w]
+    target = t.level_max[w]
+    while t.level[path[-1]] < target:
+        nxt = next(c for c in t.children[path[-1]] if t.level_max[c] == target)
+        path.append(nxt)
+    return path
+
+
+def plain_iota_injection(t) -> dict[int, int]:
+    out: dict[int, int] = {}
+    ceil_set = half_ceil(t)
+    for w in sorted(half_floor(t)):
+        d, l = t.level[w], t.level_max[w]
+        down = _max_level_path(t, w)  # w = v_d, ..., v_l
+        image = down[l - d + 1 - d]   # v_{l-d+1}, indexed relative to v_d
+        if image in ceil_set:
+            raise PreconditionViolated(f"iota maps edge {w} into the upper half")
+        out[w] = image
+    if len(set(out.values())) != len(out):
+        raise PreconditionViolated("iota is not injective")
+    return out
+
+
+def relabelled(t, seed: int):
+    """t with its non-root ids shuffled, so that id order and preorder part."""
+    ids = list(range(1, t.n))
+    SplitMix64(seed).shuffle(ids)
+    new = [0, *ids]
+    parents = [0] * (t.n - 1)
+    for v in range(1, t.n):
+        parents[new[v] - 1] = new[t.parent[v]]
+    return build_tree(parents)
+
+
+class TestIotaAgainstPlain:
+    @staticmethod
+    def same(t):
+        # the same images, inserted in the same order
+        assert list(iota_injection(t).items()) == list(plain_iota_injection(t).items()), t
+
+    def test_every_tree_to_8_edges(self):
+        for t in enumerate_trees(8):
+            self.same(t)
+            self.same(relabelled(t, t.n))
+
+    def test_seeded_random_trees(self):
+        for seed in range(60):
+            t = random_tree(seed % 40 + 1, seed)
+            self.same(t)
+            self.same(relabelled(t, seed))
+
+    def test_seeded_spiders(self):
+        rng = SplitMix64(5)
+        for _ in range(40):
+            legs = [1 + rng.randrange(30) for _ in range(1 + rng.randrange(6))]
+            t = random_spider(legs)
+            self.same(t)
+            self.same(relabelled(t, len(legs)))
+        self.same(path_tree(300))
 
 
 class TestDegreeSumIdentity:

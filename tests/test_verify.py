@@ -25,7 +25,7 @@ from rainbowcube import (
 )
 from rainbowcube.cli import main
 from rainbowcube.errors import LimitExceeded
-from rainbowcube.gen import greedy_proper, random_tree, refined_cayley, subgraph_min_degree
+from rainbowcube.gen import greedy_proper, random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.hypercube import edge_coordinate
 from rainbowcube.prng import SplitMix64
 from rainbowcube.report import Check
@@ -137,6 +137,19 @@ class TestOracle:
         assert result.nodes_explored == 5  # the root, three placements, the refused one
         with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
             oracle_find(cayley_coloring(4), path_tree(4), budget=-1)
+
+    def test_fields_can_be_assigned(self):
+        # a caller may amend a result in place, as perfbench's sharpness
+        # control test does
+        result = oracle_find(cayley_coloring(3), path_tree(4))
+        result.found, result.image, result.nodes_explored, result.exhausted = True, {}, 0, False
+        assert outcome(result) == (True, {}, 0, False)
+
+    def test_a_search_deeper_than_the_stack_is_a_limit(self):
+        g = refined_cayley(12, 1, 400)
+        message = "^oracle search on 1100 edges is deeper than the interpreter's stack$"
+        with pytest.raises(LimitExceeded, match=message):
+            oracle_find(g, random_spider((1100,)))
 
     def test_reads_each_visited_vertex_once(self, monkeypatch):
         # Q_10 colored by coordinate has 10 colors, so no 12-edge path is
