@@ -7,7 +7,10 @@ scale.
 
 The top level holds what README's library section, the CLI and the demos
 use; the rest lives in the submodules (`tree`, `gen`, `hypercube`, `embed`,
-`verify`, `errors`).
+`errors`, and the certifier's module `verify`).  The package attribute
+`rainbowcube.verify` is the function, not that module, so the module's other
+names are reached with `from rainbowcube.verify import ...` until that
+module gets a name of its own.
 """
 
 from .embed import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import gen as genmod
 from .embed import embed_rainbow_tree, format_embedding, parse_embedding
@@ -213,6 +212,10 @@ def cmd_fuzz(args) -> int:
         if workers <= 1:
             rows = [_fuzz_trial(p) for p in params]
         else:
+            # imported here, since no other command needs it and its import
+            # is about a third of the CLI's
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_fuzz_trial, params))
         summary = "fuzz: {} trials"

@@ -612,8 +612,9 @@ def extend_spider(pe: PartialEmbedding) -> PartialEmbedding:
 
       0. map leg one's first missing edge, dodging every color and
          coordinate used so far;
-      1. finish leg one as a path inside the view that bans the colors and
-         coordinates of the other legs' halves;
+      1. finish leg one as a path inside the view that bans the colors of
+         the other legs' halves, and no coordinate of theirs: the count at
+         step 1 of _spider_legs keeps the legs apart;
       2. go on with the remaining legs inside the view that bans leg one's
          colors.
 
@@ -661,14 +662,10 @@ def _spider_legs(pe: PartialEmbedding, leg1: tuple[int, ...], rest: Sequence[tup
     legs = (leg1, *rest)
     root, hi = leg1[0], end[leg1[0]]
     one = (pos[leg1[1]], pos[leg1[1]] + len(leg1) - 1)
-    # the edges, and the lower-half edges, of the legs not finished yet
-    e_total = hi - pos[root] - 1
-    halves = sum([(len(leg) - 1) // 2 for leg in rest])
+    e_total = hi - pos[root] - 1  # the edges of the legs not finished yet
     frames = [pe]
     for i, leg in enumerate(legs):
         pe = frames[-1]
-        if i:
-            halves -= (len(leg) - 1) // 2
         if not pe.graph.delta_at_least(e_total):
             raise PreconditionViolated(f"delta={pe.graph.delta()} < e(S)={e_total}")
 
@@ -681,29 +678,40 @@ def _spider_legs(pe: PartialEmbedding, leg1: tuple[int, ...], rest: Sequence[tup
             witnesses = (leg[half1],) if half1 else (legs[i + 1][1],) if i + 1 < len(legs) else ()
             _extend(pe, leg[half1 + 1], pe._book.classes(pe, COORD), "spider0", witnesses)
 
-        # step 1: finish leg one as a path, shielded from the other legs'
-        # halves, whose colors are the ones this frame has used outside leg
-        # one.  Those halves are what is mapped on the remaining legs; their
-        # coordinates are distinct, and pre-mapped in this frame, so live in
-        # its view (lift), none of them among the coordinates it bans
-        others: Sequence[int] = ()
-        shield: Set = frozenset()
-        if i + 1 < len(legs):
-            lo = pos[legs[i + 1][1]]
-            others = pe._book.span(t, root, lo, hi, one if one[0] > lo else None)
-            shield = pe._book.coords_in(pe, others, halves)
+        # step 1: finish leg one as a path in a view that bans the colors this
+        # frame has used outside it, the other legs' halves', and no more
+        # coordinates than the frame's own view.  Leg one P stays apart from
+        # each later leg Q all the same.  P's first h_P = floor(l/2) of its l
+        # edges are its lower half, and the other l - h_P <= h_P + 1 its upper
+        # edges, the first of them step 0's, whose coordinate c is apart from
+        # every lower half's (step 0's x_coor, or the input's double
+        # distinctness); Q is even, of h_Q lower-half and h_Q upper edges; the
+        # lower halves' coordinates are distinct.  Were the image of P's
+        # vertex at depth a >= 1 that of Q's at depth b >= 1, the walk up P
+        # from it and down Q would close, and a closed walk in a cube holds
+        # each coordinate an even number of times.  So each lower-half edge on
+        # it needs an upper edge of its coordinate on it, and c, if on it, a
+        # second upper edge of c:
+        #   a <= h_P, b <= h_Q: no upper edge for a + b >= 2 lower-half ones;
+        #   a <= h_P < b: b - h_Q <= h_Q upper edges for a + h_Q >= 1 + h_Q;
+        #   h_P < a: at most h_P + 1 + max(b - h_Q, 0) upper edges for
+        #     h_P + min(b, h_Q) + 2, short by one or more as b - h_Q <= h_Q.
+        # Within a leg, extend_path's certificate decides, and a leg before P
+        # was P to it in an earlier frame
         start = pos[leg[1]]
-        sub = pe.lift(pe._book.span(t, root, start, start + len(leg) - 1), shield)
+        sub = pe.lift(pe._book.span(t, root, start, start + len(leg) - 1))
         if not sub.graph.delta_at_least(len(leg) - 1):
             raise PreconditionViolated(f"leg-one view delta={sub.graph.delta()} < leg length {len(leg) - 1}")
         extend_path(sub)
         pe.adopt(sub)
         e_total -= len(leg) - 1
 
-        # step 2: the remaining legs, shielded from the colors this frame has
-        # used outside them, leg one's; each frame is adopted once its legs are done
-        if others:
-            frames.append(pe.lift(others))
+        # step 2: the remaining legs, in a view that also bans the colors this
+        # frame has used outside them, leg one's; each frame is adopted once
+        # its legs are done
+        if i + 1 < len(legs):
+            lo = pos[legs[i + 1][1]]
+            frames.append(pe.lift(pe._book.span(t, root, lo, hi, one if one[0] > lo else None)))
     for k in range(len(frames) - 1, 0, -1):
         frames[k - 1].adopt(frames[k])
 

@@ -296,8 +296,8 @@ class InPlace:
         is a pre-mapped edge's color.  So among the bans only `banned_coords` is
         new to the pre-mapped edges, and only it is checked.  Those colors are
         one class set, counted as the mapped edges less `inside`; the engine's
-        coordinate sets are disjoint (the proofs at steps 1 and 7 of _tree_frame
-        and at step 1 of _spider_legs), so their sizes add (see Union).
+        coordinate sets are disjoint (the proofs at steps 1 and 7 of _tree_frame),
+        so their sizes add (see Union).
         """
         g, L = pe.graph, self.ledger
         if type(vertices) is not Span or not (g is g.base or g is self.view):

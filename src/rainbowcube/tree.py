@@ -414,11 +414,6 @@ def _form_to_parents(form: tuple, parent: int, parents: list[int], counter: list
         _form_to_parents(child_form, v, parents, counter)
 
 
-def canonical_form(t: RootedTree, v: int = 0) -> tuple:
-    """Canonical form of the subtree at v; equal forms == rooted-isomorphic."""
-    return tuple(sorted(canonical_form(t, c) for c in t.children[v]))
-
-
 def enumerate_trees(max_edges: int) -> Iterator[RootedTree]:
     """All rooted trees with at most max_edges edges, one per isomorphism class.
 

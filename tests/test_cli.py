@@ -343,7 +343,8 @@ class TestFuzzCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # cmd_fuzz imports the pool class when it needs one, so it finds this one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         argv = ["fuzz", "--n", "3", "--trials", str(trials), "--seed", "4"]
         assert main(argv) == 0

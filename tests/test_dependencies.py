@@ -49,3 +49,13 @@ def test_importing_the_package_loads_no_dataclasses():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only fuzz --jobs runs a process pool, and cmd_fuzz imports it then
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rainbowcube.cli; "
+            "print(sorted({'concurrent.futures', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -430,23 +430,24 @@ def spider_lifts(monkeypatch) -> list:
     return lifted
 
 
-def assert_leg_one_shielded(pe, lifted, legs):
+def assert_leg_one_bans_its_openers_coordinates(opener, lifted, legs):
     """A spider's last 2k - 1 frames alternate each leg one, in order, and
     the remaining legs; each leg one's view bans exactly the coordinates of
-    the lower halves of the legs after it, the opener's view banning none."""
+    its opener's view (`opener` for the first, the frame before it for the
+    others), none of the later legs' lower halves being added."""
     spider = lifted[1 - 2 * len(legs) :]
     assert [vertices for vertices, _ in spider[::2]] == list(legs)
     assert [vertices for vertices, _ in spider[1::2]] == [
         legs[0][:1] + tuple(v for leg in legs[i:] for v in leg[1:]) for i in range(1, len(legs))]
-    for i, (_, view) in enumerate(spider[::2]):
-        halves = [e for leg in legs[i + 1 :] for e in leg[1 : (len(leg) + 1) // 2]]
-        assert halves or i == len(legs) - 1
-        assert view.banned_coords == {pe.coord_of[e] for e in halves}
+    openers = [opener] + [view for _, view in spider[1::2]]
+    for (_, view), opened_by in zip(spider[::2], openers, strict=True):
+        assert set(view.banned_coords) == set(opened_by.banned_coords)
 
 
 class TestLegOneShield:
-    """Step 1 finishes leg one in a view that bans the coordinates of the
-    other legs' lower halves, on every level of the spider."""
+    """Step 1 finishes leg one in a view that bans the other legs' colors
+    and no coordinate its opener's view does not, on every level of the
+    spider: the count at that step keeps the legs apart."""
 
     def test_extend_spider(self, monkeypatch):
         g, t = refined_cayley(8, 1, 2), random_spider([4, 2, 2])
@@ -454,7 +455,7 @@ class TestLegOneShield:
         lifted = spider_lifts(monkeypatch)
         extend_spider(pe)
         assert verify(g, t, pe.image).ok and len(lifted) == 5
-        assert_leg_one_shielded(pe, lifted, as_spider(t).legs)
+        assert_leg_one_bans_its_openers_coordinates(g, lifted, as_spider(t).legs)
 
     def test_a_spider_below_the_root(self, monkeypatch):
         # vertex 1 carries a spider with legs of length 2, 4 and 2: an even
@@ -464,7 +465,7 @@ class TestLegOneShield:
         pe = embed_rainbow_tree(g, t)
         assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
         assert lifted[0][0] == tuple(range(1, 10)) and len(lifted) == 6
-        assert_leg_one_shielded(pe, lifted, as_spider(t, 1).legs)
+        assert_leg_one_bans_its_openers_coordinates(lifted[0][1], lifted, as_spider(t, 1).legs)
 
 
 def legal_blockers(g, pe, extra_coords=2):

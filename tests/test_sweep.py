@@ -28,10 +28,10 @@ from __future__ import annotations
 import pytest
 
 import rainbowcube.embed as embed
-from rainbowcube import ColoredCubeGraph, build_tree, cayley_coloring, extend_tree, verify
+from rainbowcube import ColoredCubeGraph, build_tree, cayley_coloring, extend_spider, extend_tree, verify
 from rainbowcube.embed import choose_z_bad, embed_half
 from rainbowcube.errors import RainbowCubeError
-from rainbowcube.gen import refined_cayley, subgraph_min_degree
+from rainbowcube.gen import random_spider, refined_cayley, subgraph_min_degree
 from rainbowcube.hypercube import GraphView, cube_edges
 from rainbowcube.tree import enumerate_trees
 
@@ -128,25 +128,31 @@ class Odometer:
         return False
 
 
-def failure(g, t, start: int, rng=None) -> str | None:
+def failure(g, t, start: int, rng=None, spider: bool = False) -> str | None:
     """Why the embedding of t into g from `start`, making `rng`'s choices
     (the first candidate at every step without one), fails: the engine's
-    error or verify's report; None when it verifies."""
+    error or verify's report; None when it verifies.  The half embedding
+    is finished by `extend_tree`, or with `spider` by `extend_spider` (no
+    blocked vertex, no path-distinctness)."""
+    z = None
     try:
         pe = embed_half(g, t, start, rng=rng)
-        _, z = choose_z_bad(g, pe)
-        extend_tree(pe, z)
+        if spider:
+            extend_spider(pe)
+        else:
+            _, z = choose_z_bad(g, pe)
+            extend_tree(pe, z)
     except RainbowCubeError as exc:
         return f"{type(exc).__name__}: {exc}"
-    report = verify(g, t, pe.image, require_path_distinct=True, z_bad=z)
+    report = verify(g, t, pe.image, require_path_distinct=not spider, z_bad=z)
     return None if report.ok else str(report)
 
 
-def branches(g, t, start: int):
+def branches(g, t, start: int, spider: bool = False):
     """The failure of every admissible branch of one embedding, in order."""
     rng = Odometer()
     while True:
-        yield failure(g, t, start, rng)
+        yield failure(g, t, start, rng, spider)
         if not rng.advance():
             return
 
@@ -281,6 +287,30 @@ class TestStageSlice:
         assert [(parents, why) for parents, why in runs if why is not None] == []
         assert len(runs) == 4 * 720
         assert labels == STAGE_LABELS and calls == []
+
+
+# a spider slice: every branch of extend_spider from its half embedding, on
+# spiders whose leg one is finished while another leg's lower half is
+# mapped, at one level ([4, 2]) and at two ([2, 2, 2]); the tree slice above
+# reaches extend_spider only below a tree frame
+SPIDER_LEGS = ([4, 2], [2, 2, 2])
+
+
+class TestSpiderSlice:
+    def test_every_branch_verifies(self, monkeypatch):
+        labels, step = set(), embed.extend_one
+
+        def labelled(pe, req):
+            labels.add(req.label)
+            return step(pe, req)
+
+        monkeypatch.setattr(embed, "extend_one", labelled)
+        calls = exact_delta_calls(monkeypatch)
+        g = cayley_coloring(6)
+        runs = [(legs, why) for legs in SPIDER_LEGS for why in branches(g, random_spider(legs), 0, spider=True)]
+        assert [(legs, why) for legs, why in runs if why is not None] == []
+        assert len(runs) == 2 * 720
+        assert labels == {"half", "spider0", "path"} and calls == []
 
 
 def step_slack(monkeypatch) -> dict[str, int]:

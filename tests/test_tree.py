@@ -18,7 +18,6 @@ from rainbowcube.gen import random_spider, random_tree
 from rainbowcube.prng import SplitMix64
 from rainbowcube.tree import (
     as_spider,
-    canonical_form,
     classify_children,
     deficiency,
     degree_sum_identity,
@@ -487,6 +486,33 @@ def rooted_tree_counts(n_max):
             total += c * a[n - k + 1]
         a.append(total // n)
     return a[1:]
+
+
+def canonical_form(t, v=0):
+    """Canonical form of the subtree at v: the sorted tuple of its children's
+    forms, so equal forms mean rooted-isomorphic subtrees.  Computed over
+    the subtree's preorder backwards, children's forms before their
+    parent's, so a tree of any height takes no interpreter recursion."""
+    order, pos, end, _ = t.preorder()
+    form = {}
+    for w in reversed(order[pos[v] : end[v]]):
+        form[w] = tuple(sorted(form[c] for c in t.children[w]))
+    return form[v]
+
+
+class TestCanonicalForm:
+    def test_equal_exactly_for_isomorphic_subtrees(self):
+        # the same shape with its children in another order
+        assert canonical_form(build_tree([0, 1, 0])) == canonical_form(build_tree([0, 0, 2])) == ((), ((),))
+        assert canonical_form(build_tree([0, 1, 0])) != canonical_form(build_tree([0, 1, 1]))
+        # vertex 2 of BRANCHING_14 tops legs of 2, 5 and 1 edges
+        assert canonical_form(build_tree(BRANCHING_14), 2) == canonical_form(build_tree([0, 0, 2, 0, 4, 5, 6, 7]))
+
+    def test_a_path_deeper_than_the_recursion_limit(self):
+        form = canonical_form(path_tree(1100))
+        for _ in range(1100):
+            (form,) = form
+        assert form == ()
 
 
 class TestEnumerateTrees:
