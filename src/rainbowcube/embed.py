@@ -428,28 +428,31 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
     The frame keeps the last nonempty witness list that passed, with its
     colors and coordinates, so that step 4, whose list grows by one root
     edge per leaf, checks each witness once.  A request takes over that
-    result only if it has the same source and view, the old list is a prefix
-    of its own, and the old x_col and x_coor are subsets of its own; then
-    only the new witnesses are checked.  For the engine's requests these are
-    O(1) tests: step 4's lists are prefixes of one growing list
-    (frames.Prefix), and its sets one frame's classes up to a later stamp.
-    That decides exactly as checking every witness, since each check on an
-    old witness still passes: a mapped edge is never unmapped or remapped
-    (`record`'s callers refuse a mapped child), so it stays mapped with the
-    same color and coordinate; the source and the tree are the same, so it
-    is still incident; its color and coordinate lie in the old sets, hence
-    in the new; the list up to it is the same, so it repeats nothing before
-    it; and the view is the same object, whose bans are fixed.  The loop
-    then reaches the new witnesses with the same colors and coordinates
-    seen.  A failing check clears the kept result.
+    result only if both are a stage's requests (_Staged), whose sets are
+    Sets, it has the same source and view, the old list is a prefix of its
+    own, and the old x_col and x_coor are subsets of its own; then only the
+    new witnesses are checked.  A hand-built request has every witness
+    checked, since its sets may be lists, whose `<=` is no subset test.
+    For the engine's requests these are O(1) tests: step 4's lists are
+    prefixes of one growing list (frames.Prefix), and its sets one frame's
+    classes up to a later stamp.  That decides exactly as checking every
+    witness, since each check on an old witness still passes: a mapped
+    edge is never unmapped or remapped (`record`'s callers refuse a mapped
+    child), so it stays mapped with the same color and coordinate; the
+    source and the tree are the same, so it is still incident; its color
+    and coordinate lie in the old sets, hence in the new; the list up to it
+    is the same, so it repeats nothing before it; and the view is the same
+    object, whose bans are fixed.  The loop then reaches the new witnesses
+    with the same colors and coordinates seen.  A failing check clears the
+    kept result.
     """
     v, view, witnesses = req.source, pe.graph, req.witnesses
     checked, pe._checked = pe._checked, None
     if checked is not None:
         old, old_view, seen_colors, seen_coords = checked
         k = len(old.witnesses)
-        if not (old.source == v and old_view is view and witnesses[:k] == old.witnesses
-                and old.x_col <= req.x_col and old.x_coor <= req.x_coor):
+        if not (type(old) is type(req) is _Staged and old.source == v and old_view is view
+                and witnesses[:k] == old.witnesses and old.x_col <= req.x_col and old.x_coor <= req.x_coor):
             checked = None
     if checked is None:
         k, seen_colors, seen_coords = 0, set(), set()

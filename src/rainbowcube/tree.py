@@ -14,8 +14,11 @@ The *deficiency* e(T) - 2*e(lower half) is >= 0, zero exactly for spiders
 whose legs all have even length.
 
 The same notions apply to the subtree at any vertex v, with levels taken
-relative to v.  A tree's preorder, computed once, makes every subtree a
-contiguous slice, so these subtree quantities need no walk of their own.
+relative to v.  build_tree makes the children, level, level_max and
+preorder tables in one walk from the root.  The preorder makes every
+subtree a contiguous slice, so these subtree quantities need no walk of
+their own.  The halves table (RootedTree.halves), which only the engine
+and the deficiency read, is the one table computed on first use.
 """
 
 from __future__ import annotations
@@ -54,40 +57,22 @@ class Preorder(NamedTuple):
 
 
 class RootedTree:
-    """Immutable rooted tree with cached level, level_max, preorder and halves."""
+    """Immutable rooted tree.  build_tree makes its parent, children, level,
+    level_max and preorder tables; the halves are computed on first use."""
 
     __slots__ = ("n", "parent", "children", "level", "level_max", "_preorder", "_halves")
 
-    def __init__(self, parent: tuple, children: tuple, level: tuple, level_max: tuple):
+    def __init__(self, parent: tuple, children: tuple, level: tuple, level_max: tuple, preorder: Preorder):
         self.n = len(parent)
         self.parent = parent            # parent[0] is None
         self.children = children        # sorted tuples
         self.level = level
         self.level_max = level_max
-        self._preorder = None
+        self._preorder = preorder
         self._halves = None
 
     def preorder(self) -> Preorder:
-        """The preorder and subtree intervals, computed on first use."""
-        if self._preorder is None:
-            order = []
-            stack = [0]
-            while stack:
-                w = stack.pop()
-                order.append(w)
-                stack.extend(reversed(self.children[w]))
-            pos = [0] * self.n
-            for i, w in enumerate(order):
-                pos[w] = i
-            size = [1] * self.n
-            for w in reversed(order[1:]):
-                size[self.parent[w]] += size[w]
-            self._preorder = Preorder(
-                tuple(order),
-                tuple(pos),
-                tuple(p + k for p, k in zip(pos, size)),
-                tuple(2 * self.level[w] - self.level_max[w] for w in order),
-            )
+        """The preorder and subtree intervals."""
         return self._preorder
 
     def halves(self) -> tuple[tuple[int, ...], dict[int, list[int]]]:
@@ -148,49 +133,54 @@ class RootedTree:
 
 
 def build_tree(parents: Sequence[int]) -> RootedTree:
-    """Build and validate a rooted tree from the parents of vertices 1..n-1."""
+    """Build and validate a rooted tree from the parents of vertices 1..n-1.
+
+    Makes the children, level, level_max and preorder tables; the halves
+    are the one table left to first use (RootedTree.halves).  One walk from
+    the root lists the preorder, over child lists that are in id order as
+    they are filled.  A pass down the preorder gives the levels, and one
+    back up it, children before parents, the subtree intervals and
+    level_max.  A vertex the walk misses has a parent chain that never
+    reaches the root, so the chain from the least such vertex names the
+    loop.
+    """
     n = len(parents) + 1
-    parent: list = [None] * n
-    for i, p in enumerate(parents, start=1):
-        if not 0 <= p < n:
-            raise IndexOutOfRange(f"parent of vertex {i} is {p}, outside [0, {n})")
-        parent[i] = p
-
-    level = [0] * n
-    state = [0] * n  # 0 unseen, 1 on stack, 2 resolved
-    state[0] = 2
-    for v in range(1, n):
-        if state[v] == 2:
-            continue
-        chain = []
-        w = v
-        while state[w] == 0:
-            state[w] = 1
-            chain.append(w)
-            w = parent[w]
-        if state[w] == 1:
-            raise CycleDetected(f"parent chain from vertex {v} loops at vertex {w}")
-        base = level[w]
-        for j, u in enumerate(reversed(chain), start=1):
-            level[u] = base + j
-            state[u] = 2
-
+    parent = (None, *parents)
+    if n > 1 and not 0 <= min(parents) <= max(parents) < n:
+        i = next(i for i in range(1, n) if not 0 <= parent[i] < n)
+        raise IndexOutOfRange(f"parent of vertex {i} is {parent[i]}, outside [0, {n})")
     kids: list[list[int]] = [[] for _ in range(n)]
     for v in range(1, n):
         kids[parent[v]].append(v)
 
-    level_max = list(level)
-    for v in sorted(range(n), key=level.__getitem__, reverse=True):
-        p = parent[v]
-        if p is not None and level_max[v] > level_max[p]:
-            level_max[p] = level_max[v]
+    order, stack = [], [0]
+    while stack:
+        w = stack.pop()
+        order.append(w)
+        stack += reversed(kids[w])
+    if len(order) < n:
+        reached = set(order)
+        v = w = next(v for v in range(n) if v not in reached)
+        chain = set()
+        while w not in chain:
+            chain.add(w)
+            w = parent[w]
+        raise CycleDetected(f"parent chain from vertex {v} loops at vertex {w}")
 
-    return RootedTree(
-        tuple(parent),
-        tuple(tuple(sorted(c)) for c in kids),
-        tuple(level),
-        tuple(level_max),
-    )
+    pos, level = [0] * n, [0] * n
+    for i in range(1, n):
+        w = order[i]
+        pos[w], level[w] = i, level[parent[w]] + 1
+    end, level_max = [i + 1 for i in pos], level.copy()
+    for w in order[:0:-1]:
+        p = parent[w]
+        if end[p] < end[w]:
+            end[p] = end[w]
+        if level_max[p] < level_max[w]:
+            level_max[p] = level_max[w]
+    preorder = Preorder(tuple(order), tuple(pos), tuple(end),
+                        tuple(2 * level[w] - level_max[w] for w in order))
+    return RootedTree(parent, tuple(map(tuple, kids)), tuple(level), tuple(level_max), preorder)
 
 
 def path_tree(length: int) -> RootedTree:
@@ -221,9 +211,10 @@ def half_ceil(t: RootedTree, v: int = 0) -> frozenset[int]:
 
 def deficiency(t: RootedTree, v: int = 0) -> int:
     """e - 2*e(lower half) of the subtree at v; nonnegative, and counts odd
-    legs on spiders."""
-    vertices, in_floor = _in_half(t, v, 0)
-    return len(vertices) - 2 * sum(in_floor)
+    legs on spiders.  O(1): the subtree's interval gives e, and the tree's
+    halves the lower half's size."""
+    _, pos, end, _ = t.preorder()
+    return end[v] - pos[v] - 1 - 2 * t.halves()[0][v]
 
 
 def lower_halves(t: RootedTree) -> tuple[tuple[int, ...], dict[int, list[int]]]:
@@ -256,13 +247,16 @@ def as_spider(t: RootedTree, v: int = 0) -> SpiderShape | None:
     order, pos, end, _ = t.preorder()
     if any(len(t.children[w]) > 1 for w in order[pos[v] + 1 : end[v]]):
         return None
-    legs = []
-    for c in t.children[v]:
-        leg = [v, c]
-        while t.children[leg[-1]]:
-            leg.append(t.children[leg[-1]][0])
-        legs.append(tuple(leg))
-    return SpiderShape(v, tuple(legs), tuple(len(leg) - 1 for leg in legs))
+    legs = tuple((v, *_first_child_path(t, c)) for c in t.children[v])
+    return SpiderShape(v, legs, tuple(len(leg) - 1 for leg in legs))
+
+
+def _first_child_path(t: RootedTree, v: int) -> list[int]:
+    """v, its first child, that child's first child, and so on to a leaf."""
+    path = [v]
+    while t.children[path[-1]]:
+        path.append(t.children[path[-1]][0])
+    return path
 
 
 # --- classification of the root's children ----------------------------------
@@ -292,12 +286,10 @@ class ChildClassification(NamedTuple):
 
 def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
     """Partition the children of `root` (by default t's root) into leaves,
-    even-spider subtrees, rest.  Each deficiency is read from the tree's
-    halves, so this costs the children and the spider legs it lists."""
+    even-spider subtrees, rest.  Each deficiency is read in O(1)
+    (`deficiency`), so this costs the children and the spider legs it lists."""
     if not t.children[root]:
         raise EmptyTree("no edges to classify")
-    _, pos, end, _ = t.preorder()
-    floor_size = t.halves()[0]
     leaves = []
     spiders = []
     rest = []
@@ -305,7 +297,7 @@ def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
         if not t.children[v]:
             leaves.append(v)
             continue
-        d = end[v] - pos[v] - 1 - 2 * floor_size[v]
+        d = deficiency(t, v)
         # d = 0 forces an even spider below v, and so does d = 1 with a middle
         # edge, one odd leg aside (_tree_frame's step7-mid): iota_injection maps
         # the lower half injectively past the upper-closed half, so d counts the
@@ -315,9 +307,7 @@ def classify_children(t: RootedTree, root: int = 0) -> ChildClassification:
         # one deepest path), so each child of v heads a path; a path has a
         # middle edge exactly when it is odd
         if d == 0:
-            leg = [v]
-            while t.children[leg[-1]]:
-                leg.append(t.children[leg[-1]][0])
+            leg = _first_child_path(t, v)
             half = (len(leg) - 1) // 2
             spiders.append(SpiderChild(v, tuple(leg), half, leg[half], leg[half + 1]))
         else:

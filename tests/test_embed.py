@@ -40,7 +40,7 @@ from rainbowcube.errors import (
     VertexNotInGraph,
 )
 from rainbowcube.gen import greedy_proper, random_spider, random_tree, refined_cayley, subgraph_min_degree
-from rainbowcube.hypercube import GraphView, _Host, candidate_edges, cube_edges
+from rainbowcube.hypercube import GraphView, _Host, candidate_edges, cube_edges, unlisted
 from rainbowcube.prng import SplitMix64
 from rainbowcube.tree import as_spider, classify_children, enumerate_trees, half_floor, lower_halves
 
@@ -167,6 +167,16 @@ class TestExtendOne:
                 pe,
                 ExtensionRequest(0, 2, frozenset({5}), frozenset({0}), witnesses=(1,)),
             )
+
+    def test_a_hand_built_request_has_every_witness_checked(self):
+        # the first step's witness list is a prefix of the second's and, as
+        # lists compare, [0] <= [1, 5]; yet witness 1's color 0 lies outside
+        # {1, 5}, so the second step is refused as it is when sent alone
+        g = cayley_coloring(5)
+        pe = premapped(g, build_tree([0, 0, 0, 0]), {0: 0, 1: 1, 2: 2})
+        extend_one(pe, ExtensionRequest(0, 3, [0], [0], (1,), "a"))
+        with pytest.raises(PreconditionViolated, match="^witness edge 1 lies outside the forbidden sets$"):
+            extend_one(pe, ExtensionRequest(0, 4, [1, 5], [1, 5], (1, 2), "b"))
 
     def test_refuses_a_source_with_no_edge_record(self):
         # vertex 3's image is set by hand, so it has no edge record: a step
@@ -639,6 +649,21 @@ class TestEmbedRainbowTree:
             assert verify(g, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
             images.add(tuple(sorted(pe.image.items())))
         assert len(images) > 1
+
+    def test_into_a_view(self):
+        # a host with one color and one coordinate banned is a host of its
+        # own: the engine starts at its default start, and verify asks it
+        # for its vertices
+        for s in range(30):
+            base, rng = refined_cayley(7, s, 2), SplitMix64(s)
+            view = base.restrict({base.edge_color(0, 1 << rng.randrange(7))}, {rng.randrange(7)})
+            delta = view.delta()
+            assert type(view) is GraphView and delta >= 5
+            for edges in (delta, delta - 1, delta - 2):
+                t = random_tree(edges, rng.next_u64())
+                for seed in (None, s):
+                    pe = embed_rainbow_tree(view, t, seed=seed)
+                    assert verify(view, t, pe.image, require_path_distinct=True, z_bad=pe.z_bad).ok
 
     @given(case=hosts_and_trees())
     @settings(max_examples=60, deadline=None)
@@ -1519,6 +1544,29 @@ class TestViews:
             for seed in (None, 3):
                 embed_rainbow_tree(VirtualCayleyCube(100), t, seed=seed)
         assert "Classes" in kinds
+
+    def test_what_the_sorted_colors_lack_is_in_the_outside_part(self, monkeypatch):
+        # on a refined host a coordinate set holds skew coordinates, which
+        # are no edge's color; the part `unlisted` gives a set read in place
+        # holds each element the embedding's sorted colors lack
+        monkeypatch.setattr(embed, "LISTED", 0)
+        skew = set()
+        for s in range(6):
+            t = random_tree(8, s)
+            pe = embed_rainbow_tree(refined_cayley(8, s, 3), t, seed=s if s % 2 else None)
+            L, listed = pe._ledger, pe.sorted_colors
+            assert type(L) is frames.Ledger and L.sorted_colors is listed and L.skew
+            _, pos, end, _ = t.preorder()
+            for v in range(t.n):
+                region = frames.Span(t, v, pos[v] + 1, end[v])
+                for coords, inside, extra in itertools.product((False, True), (True, False),
+                                                               (frozenset(), frozenset({listed[0], 9, 40}))):
+                    cls = frames.Classes(L, coords, region, 0, extra=extra, inside=inside)
+                    part = set(unlisted(cls, listed))
+                    assert set(cls) - set(listed) <= part <= set(cls)
+                    if coords:
+                        skew |= part - extra
+        assert skew
 
     def test_the_in_place_code_loads_with_the_first_large_tree(self):
         # importing frames.py costs every process its compile time and memory,

@@ -17,6 +17,9 @@ A raise missing from the table fails, and so does an entry with no raise
 behind it, a test that does not exist or a proof that the module does not
 name.  Which test reaches which raise was read off a line-traced run of the
 suite; this file only reads source, so it costs what parsing does.
+`tools/linecov.py` makes such a run and prints every statement of the
+package that no test executes, so a raise it lists has no test that
+reaches it.
 """
 
 import ast

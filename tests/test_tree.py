@@ -17,6 +17,7 @@ from rainbowcube.errors import (
 from rainbowcube.gen import random_spider, random_tree
 from rainbowcube.prng import SplitMix64
 from rainbowcube.tree import (
+    Preorder,
     as_spider,
     classify_children,
     deficiency,
@@ -81,6 +82,145 @@ class TestBuildTree:
         # vertex ids need not be topologically ordered
         t = build_tree([2, 0, 0])
         assert t.level == (0, 2, 1, 1)
+
+
+# --- the two-walk tree builder ------------------------------------------------
+#
+# The builder that walked each parent chain with a three-state marker, sorted
+# the vertices by level for level_max and walked the tree again for its
+# preorder on first use; the reference for TestBuildTreeAgainstPlain.
+
+
+class PlainTree:
+    def __init__(self, parent: tuple, children: tuple, level: tuple, level_max: tuple):
+        self.n = len(parent)
+        self.parent = parent            # parent[0] is None
+        self.children = children        # sorted tuples
+        self.level = level
+        self.level_max = level_max
+        self._preorder = None
+
+    def preorder(self) -> Preorder:
+        """The preorder and subtree intervals, computed on first use."""
+        if self._preorder is None:
+            order = []
+            stack = [0]
+            while stack:
+                w = stack.pop()
+                order.append(w)
+                stack.extend(reversed(self.children[w]))
+            pos = [0] * self.n
+            for i, w in enumerate(order):
+                pos[w] = i
+            size = [1] * self.n
+            for w in reversed(order[1:]):
+                size[self.parent[w]] += size[w]
+            self._preorder = Preorder(
+                tuple(order),
+                tuple(pos),
+                tuple(p + k for p, k in zip(pos, size)),
+                tuple(2 * self.level[w] - self.level_max[w] for w in order),
+            )
+        return self._preorder
+
+
+def plain_build_tree(parents):
+    """Build and validate a rooted tree from the parents of vertices 1..n-1."""
+    n = len(parents) + 1
+    parent: list = [None] * n
+    for i, p in enumerate(parents, start=1):
+        if not 0 <= p < n:
+            raise IndexOutOfRange(f"parent of vertex {i} is {p}, outside [0, {n})")
+        parent[i] = p
+
+    level = [0] * n
+    state = [0] * n  # 0 unseen, 1 on stack, 2 resolved
+    state[0] = 2
+    for v in range(1, n):
+        if state[v] == 2:
+            continue
+        chain = []
+        w = v
+        while state[w] == 0:
+            state[w] = 1
+            chain.append(w)
+            w = parent[w]
+        if state[w] == 1:
+            raise CycleDetected(f"parent chain from vertex {v} loops at vertex {w}")
+        base = level[w]
+        for j, u in enumerate(reversed(chain), start=1):
+            level[u] = base + j
+            state[u] = 2
+
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[parent[v]].append(v)
+
+    level_max = list(level)
+    for v in sorted(range(n), key=level.__getitem__, reverse=True):
+        p = parent[v]
+        if p is not None and level_max[v] > level_max[p]:
+            level_max[p] = level_max[v]
+
+    return PlainTree(
+        tuple(parent),
+        tuple(tuple(sorted(c)) for c in kids),
+        tuple(level),
+        tuple(level_max),
+    )
+
+
+def built(build, parents):
+    """build(parents)'s tables, or the type and message of what it raised."""
+    try:
+        t = build(parents)
+    except (IndexOutOfRange, CycleDetected) as exc:
+        return type(exc), str(exc)
+    return t.parent, t.children, t.level, t.level_max, t.preorder()
+
+
+def random_parents(rng: SplitMix64) -> list[int]:
+    """The parents of 1 to 11 vertices: some out of range, or all in range
+    and most often with a cycle, or a tree's with its ids shuffled."""
+    n = 1 + rng.randrange(11)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [rng.randrange(n + 2) - 1 for _ in range(n - 1)]
+    if kind == 1:
+        return [rng.randrange(n) for _ in range(n - 1)]
+    ids = list(range(1, n))
+    rng.shuffle(ids)
+    ids.insert(0, 0)  # vertex v of a tree with parents below it is named ids[v]
+    parents = [0] * (n - 1)
+    for v in range(1, n):
+        parents[ids[v] - 1] = ids[rng.randrange(v)]
+    return parents
+
+
+class TestBuildTreeAgainstPlain:
+    """build_tree's one walk makes the tables the two-walk builder made, and
+    refuses what it refused with the same exception and message."""
+
+    @staticmethod
+    def same(parents):
+        assert built(build_tree, parents) == built(plain_build_tree, parents), parents
+
+    def test_every_tree_to_8_edges(self):
+        for t in enumerate_trees(8):
+            self.same(list(t.parent[1:]))
+
+    def test_a_long_path(self):
+        self.same(list(range(3000)))
+
+    def test_seeded_parent_arrays(self):
+        rng = SplitMix64(27)
+        outcomes = set()
+        for _ in range(20_000):
+            parents = random_parents(rng)
+            self.same(parents)
+            outcome = built(plain_build_tree, parents)
+            outcomes.add(outcome[0] if len(outcome) == 2 else "tree")
+        assert outcomes == {IndexOutOfRange, CycleDetected, "tree"}
 
 
 class TestHalves:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import tracemalloc
 
@@ -24,7 +25,7 @@ from rainbowcube import (
     write_bundle,
 )
 from rainbowcube.cli import main
-from rainbowcube.errors import LimitExceeded
+from rainbowcube.errors import DegreeTooSmall, LimitExceeded
 from rainbowcube.gen import greedy_proper, random_spider, random_tree, refined_cayley, subgraph_min_degree
 from rainbowcube.hypercube import edge_coordinate
 from rainbowcube.prng import SplitMix64
@@ -379,7 +380,42 @@ class TestOracleAgainstPlain:
             assert answers == {True, False}
 
 
+# the module; `rainbowcube.verify` is the function
+VERIFY = importlib.import_module("rainbowcube.verify")
+
+
+def raising(exc):
+    def engine(g, t):
+        raise exc
+    return engine
+
+
+def engine_repeating_the_root(g, t):
+    """The engine's embedding with vertex 2 moved onto the root's image."""
+    pe = embed_rainbow_tree(g, t)
+    pe.image[2] = pe.image[0]
+    return pe
+
+
 class TestCrossCheck:
+    @pytest.mark.parametrize("name, fault, mismatch", [
+        ("embed_rainbow_tree", raising(DegreeTooSmall("delta=1 < e(T)=2")),
+         "engine refused although delta >= e(T)"),
+        ("embed_rainbow_tree", raising(KeyError(7)), "engine raised KeyError: 7"),
+        ("embed_rainbow_tree", engine_repeating_the_root,
+         "verify failed: FAIL injective  [vertices 0 and 2 both map to 000]"),
+        ("oracle_find", lambda g, t: OracleResult(False, None, 8, True),
+         "oracle found no embedding although delta >= e(T)"),
+        ("oracle_find", lambda g, t: OracleResult(True, {0: 0, 1: 1, 2: 0}, 3, True),
+         "oracle output failed verify: FAIL injective  [vertices 0 and 2 both map to 000]"),
+    ], ids=["engine-refuses", "engine-raises", "engine-repeats-an-image", "oracle-finds-nothing",
+            "oracle-repeats-an-image"])
+    def test_each_fault_is_reported(self, name, fault, mismatch, monkeypatch):
+        # what `rainbowcube fuzz` reports when the engine or the oracle is wrong
+        monkeypatch.setattr(VERIFY, name, fault)
+        summary = cross_check(cayley_coloring(3), path_tree(2))
+        assert summary.mismatches == (mismatch,) and not summary.ok
+
     def test_exhaustive_small(self):
         for n in (2, 3):
             hosts = [cayley_coloring(n)] + [refined_cayley(n, s, 2) for s in range(3)]
