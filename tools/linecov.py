@@ -10,13 +10,14 @@ that compiles to code.  Run from anywhere, with no options:
 
     python tools/linecov.py
 
-Hypothesis installs a tracer of its own and leaves it, so the tracer is
+CPython unsets a tracer that raises, as this one does with RecursionError
+where a test exhausts the stack.  Hypothesis, which traces while no other
+tracer is set, then sets its own and unsets it.  So the tracer is
 installed again before each test.  Known false reports:
 
-- CPython unsets a tracer that raises, and where a test exhausts the stack
-  the tracer's own call raises RecursionError.  The rest of that test runs
-  untraced, so `verify.py:222` and `cli.py:163` stay listed though the
-  stack-exhaustion tests reach them.
+- The rest of a test whose tracer was unset runs untraced, so
+  `verify.py:222` and `cli.py:163` stay listed though the stack-exhaustion
+  tests reach them.
 - Lines that a test runs in a subprocess are not counted.
 """
 
@@ -54,10 +55,6 @@ class Retrace:
     def pytest_runtest_setup(self, item):
         sys.settrace(tracer)
 
-    @pytest.hookimpl(tryfirst=True)
-    def pytest_runtest_call(self, item):
-        sys.settrace(tracer)
-
 
 def code_lines(code) -> set[int]:
     """The lines that a code object and those nested in it have code on."""
@@ -77,10 +74,7 @@ def statements(source: str, path: str):
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
         body = getattr(node, "body", None)
         last = body[0].lineno - 1 if body else node.end_lineno
-        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)):
-            continue  # a docstring, or a string that does nothing
-        yield first, set(range(first, max(first, last) + 1))
+        yield first, set(range(first, max(first, last) + 1))  # `if x: y` has its body on its first line
 
 
 def main() -> int:
