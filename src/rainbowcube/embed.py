@@ -73,9 +73,10 @@ class ExtensionRequest(NamedTuple):
     inside x_coor; each one offsets a forbidden class in the degree count.
     The count reads x_col and x_coor alone, but the step takes no color
     already mapped either, inside x_col or not: the embedding is rainbow.
-    A caller passes frozensets and a tuple; the engine passes read-only
-    views (collections.abc.Set and Sequence) whose sizes never change.
-    Immutable; a named tuple, since every step makes one.
+    A caller passes frozensets and a tuple; the engine passes read-only sets
+    (collections.abc.Set) and, at step 4, the one list of earlier root edges
+    that the stage appends to after each of its steps, so a request's sizes
+    are read when its step runs.  A named tuple, since every step makes one.
     """
 
     source: int
@@ -89,7 +90,9 @@ class ExtensionRequest(NamedTuple):
 class _Staged(ExtensionRequest):
     """A request a stage makes (through `_extend`): its target lies in the
     frame, since every stage takes its targets among its frame's vertices,
-    so extend_one does not look it up there."""
+    so extend_one does not look it up there; its sets are Sets; and its
+    witness list, if a list, is step 4's, which only grows (see
+    _check_witnesses)."""
 
     __slots__ = ()
 
@@ -134,12 +137,10 @@ class _Listed(NamedTuple):
     how it holds its sets.
 
     `span` gives the vertices of a frame below: its root, then the preorder
-    positions lo .. hi - 1 less `cut`; `prefix` freezes a witness list."""
+    positions lo .. hi - 1 less `cut`."""
 
     colors: Set
     coords: set[int]
-
-    prefix = tuple
 
     @staticmethod
     def span(t: RootedTree, root: int, lo: int, hi: int, cut: tuple[int, int] | None = None) -> Sequence[int]:
@@ -230,8 +231,8 @@ class PartialEmbedding:
         # the ledger; the frame's bookkeeping, chosen here for the whole tree
         # by its size and by `lift` for each frame; its count of mapped edges:
         # pre-mapped, mapped by its steps and premap, and adopted from the
-        # frames it closed; how many were pre-mapped; and the last witness
-        # list it checked (see _check_witnesses)
+        # frames it closed; how many were pre-mapped; and what its last
+        # stage request's witness check found (see _check_witnesses)
         if n - 1 > LISTED:
             from . import frames  # the in-place machinery, loaded with the first tree that reads in place
 
@@ -425,36 +426,36 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
     inside the forbidden sets, no color or coordinate repeated, live in the
     frame's view.
 
-    The frame keeps the last nonempty witness list that passed, with its
-    colors and coordinates, so that step 4, whose list grows by one root
-    edge per leaf, checks each witness once.  A request takes over that
-    result only if both are a stage's requests (_Staged), whose sets are
-    Sets, it has the same source and view, the old list is a prefix of its
-    own, and the old x_col and x_coor are subsets of its own; then only the
-    new witnesses are checked.  A hand-built request has every witness
-    checked, since its sets may be lists, whose `<=` is no subset test.
-    For the engine's requests these are O(1) tests: step 4's lists are
-    prefixes of one growing list (frames.Prefix), and its sets one frame's
-    classes up to a later stamp.  That decides exactly as checking every
-    witness, since each check on an old witness still passes: a mapped
-    edge is never unmapped or remapped (`record`'s callers refuse a mapped
-    child), so it stays mapped with the same color and coordinate; the
-    source and the tree are the same, so it is still incident; its color
-    and coordinate lie in the old sets, hence in the new; the list up to it
-    is the same, so it repeats nothing before it; and the view is the same
-    object, whose bans are fixed.  The loop then reaches the new witnesses
-    with the same colors and coordinates seen.  A failing check clears the
-    kept result.
+    After a stage's request (_Staged) the frame keeps its witness list, the
+    count checked, its source, view and forbidden sets, and the colors and
+    coordinates seen, so that step 4, whose one list grows by one root edge
+    per leaf, checks each witness once.  The next request takes that over
+    only if it is a stage's too and carries the same list object, the same
+    source and view, and supersets of both forbidden sets; then only the
+    witnesses past the count are checked.  Step 4 is the only stage that
+    passes a list, and it only appends; hand-built requests are never
+    _Staged, so every one of their witnesses is still checked, whatever
+    their caller does to a list between steps.  For the engine's requests
+    these are O(1) tests: one list object, and one frame's classes up to a
+    later stamp.  That decides exactly as checking every witness, since
+    each check on an old witness still passes: a mapped edge is never
+    unmapped or remapped (`record`'s callers refuse a mapped child), so it
+    stays mapped with the same color and coordinate; the source and the
+    tree are the same, so it is still incident; its color and coordinate
+    lie in the old sets, hence in the new; the list up to it is the same,
+    so it repeats nothing before it; and the view is the same object, whose
+    bans are fixed.  The loop then reaches the new witnesses with the same
+    colors and coordinates seen.  A failing check clears the kept result.
     """
     v, view, witnesses = req.source, pe.graph, req.witnesses
-    checked, pe._checked = pe._checked, None
-    if checked is not None:
-        old, old_view, seen_colors, seen_coords = checked
-        k = len(old.witnesses)
-        if not (type(old) is type(req) is _Staged and old.source == v and old_view is view
-                and witnesses[:k] == old.witnesses and old.x_col <= req.x_col and old.x_coor <= req.x_coor):
-            checked = None
-    if checked is None:
+    kept, pe._checked = pe._checked, None
+    staged = type(req) is _Staged
+    if kept is not None:
+        listed, k, source, old_view, old_col, old_coor, seen_colors, seen_coords = kept
+        if not (staged and listed is witnesses and source == v and old_view is view
+                and old_col <= req.x_col and old_coor <= req.x_coor):
+            kept = None
+    if kept is None:
         k, seen_colors, seen_coords = 0, set(), set()
 
     parent, color_of, coord_of = pe.tree.parent, pe.color_of, pe.coord_of
@@ -474,7 +475,8 @@ def _check_witnesses(pe: PartialEmbedding, req: ExtensionRequest) -> None:
             raise PreconditionViolated(f"witness edge {wit} is not live in the current host")
         seen_colors.add(c)
         seen_coords.add(q)
-    pe._checked = (req, view, seen_colors, seen_coords)
+    if staged:
+        pe._checked = (witnesses, len(witnesses), v, view, x_col, x_coor, seen_colors, seen_coords)
 
 
 def _extend(pe: PartialEmbedding, target: int, x_coor: Set, label: str,
@@ -861,12 +863,13 @@ def _tree_frame(pe: PartialEmbedding, z_bad: int) -> Frame:
 
     # step 4: the root-leaf edges, witness-backed by earlier root edges.  Step
     # 3's edges dodge anchor_coords but not each other, and each step-4 edge
-    # dodges every coordinate before it
+    # dodges every coordinate before it.  Every step passes the one list,
+    # which gains its leaf only once the step has returned
     if ell:
         coords = anchored_coords + len({pe.coord_of[sc.mid_edge] for sc in cls.spiders[1:]})
         witnesses = [sc.vertex for sc in cls.spiders]
         for i, u in enumerate(cls.leaves):
-            _extend(pe, u, book.classes(pe, COORD, coords + i), "step4", book.prefix(witnesses))
+            _extend(pe, u, book.classes(pe, COORD, coords + i), "step4", witnesses)
             witnesses.append(u)
 
     # the later anchors of steps 5 and 7, read beside a second spider or a

@@ -210,33 +210,6 @@ class Union(Set):
         return frozenset().union(*(unlisted(part, listed) for part in self._parts))
 
 
-class Prefix(Sequence):
-    """The first `n` items of a list that only grows, read in place."""
-
-    __slots__ = ("_items", "_n")
-
-    def __init__(self, items, n=None):
-        self._items, self._n = items, len(items) if n is None else n
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, i):
-        if type(i) is not slice:
-            return self._items[: self._n][i]
-        r = range(self._n)[i]
-        if r.start == 0 and r.step == 1:  # a prefix of a prefix is one too
-            return Prefix(self._items, r.stop)
-        return [self._items[j] for j in r]
-
-    def __eq__(self, other):
-        if type(other) is Prefix and other._items is self._items:
-            return other._n == self._n
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    __hash__ = None
-
-
 class InPlace:
     """A frame's bookkeeping on a tree of more than embed.LISTED edges: its
     `region`, a Span, whose mapped edges, colors and coordinates it reads
@@ -249,7 +222,6 @@ class InPlace:
         self.ledger, self.region, self.view, self.ranked = ledger, region, view, None
 
     span = Span
-    prefix = Prefix
 
     def classes(self, pe, coords, size=None, extra=frozenset()):
         """Counted as one per mapped edge, unless `size` is given, and `extra`:

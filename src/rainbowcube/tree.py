@@ -109,10 +109,6 @@ class RootedTree:
             self._halves = tuple(mark), bucket
         return self._halves
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def n_edges(self) -> int:
         return self.n - 1
 

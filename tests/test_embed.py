@@ -86,6 +86,16 @@ class TestEndpointsMustDiffer:
                     assert acc != 0
 
 
+class CountedReads(dict):
+    """A dict that counts its `[]` reads."""
+
+    count = 0
+
+    def __getitem__(self, key):
+        self.count += 1
+        return super().__getitem__(key)
+
+
 class TestExtendOne:
     def test_picks_first_coordinate(self):
         g = cayley_coloring(3)
@@ -178,6 +188,62 @@ class TestExtendOne:
         with pytest.raises(PreconditionViolated, match="^witness edge 1 lies outside the forbidden sets$"):
             extend_one(pe, ExtensionRequest(0, 4, [1, 5], [1, 5], (1, 2), "b"))
 
+    def test_a_hand_built_list_sent_again_has_every_witness_checked(self):
+        # the same list object, its first witness replaced by an unmapped edge
+        # after the first step: only stage requests take over a checked list
+        pe = premapped(cayley_coloring(5), build_tree([0, 0, 0, 0]), {0: 0, 1: 1, 2: 2})
+        wl = [1]
+        extend_one(pe, ExtensionRequest(0, 3, frozenset({0, 1}), frozenset({0, 1}), wl))
+        wl[0] = 4
+        wl.append(2)
+        with pytest.raises(PreconditionViolated, match="^witness edge 4 is unmapped$"):
+            extend_one(pe, ExtensionRequest(0, 4, frozenset({0, 1}), frozenset({0, 1}), wl))
+
+    @pytest.mark.parametrize("change, message", [
+        ("none", None),
+        ("x_col", "witness edge 2 lies outside the forbidden sets"),
+        ("x_coor", "witness edge 2 lies outside the forbidden sets"),
+        ("view", "witness edge 2 is not live in the current host"),
+        ("source", "witness edge 2 is not incident to 1"),
+    ])
+    def test_a_stage_request_takes_over_a_checked_list_only_where_it_still_holds(self, change, message):
+        # two stage requests with one list, grown in between as step 4 grows
+        # it; the second changes what the first checked against, so its old
+        # witness, edge 2 (color and coordinate 1), is checked again
+        g = cayley_coloring(5)
+        pe = premapped(g, build_tree([0, 0, 0, 0, 1]), {0: 0, 1: 1, 2: 2})
+        wl = [2]
+        extend_one(pe, embed._Staged(0, 3, frozenset({0, 1}), frozenset({0, 1}), wl, "step4"))
+        wl.append(1)
+        source, target, x_col, x_coor = 0, 4, frozenset({0, 1, 2}), frozenset({0, 1, 2})
+        if change == "x_col":
+            x_col = frozenset({0, 2})
+        elif change == "x_coor":
+            x_coor = frozenset({0, 2})
+        elif change == "view":
+            pe.graph = g.restrict({1}, ())
+        elif change == "source":
+            source, target = 1, 5
+        req = embed._Staged(source, target, x_col, x_coor, wl, "step4")
+        if message is None:
+            assert extend_one(pe, req).trace[-1][-1] == 2
+        else:
+            with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+                extend_one(pe, req)
+
+    @pytest.mark.parametrize("g, edges", [(cayley_coloring(12), 12), (VirtualCayleyCube(40), 40),
+                                          (VirtualCayleyCube(200), 200)], ids=["explicit", "listed", "in place"])
+    def test_each_star_witness_is_checked_once(self, g, edges):
+        # step 4 of a star: leaf i has the i - 1 leaves before it as witnesses,
+        # and each is read once, when the step after it is checked
+        t = build_tree([0] * edges)
+        assert type(PartialEmbedding(t, g)._book).__name__ == ("_Listed" if edges <= embed.LISTED else "InPlace")
+        pe = embed_half(g, t, 0)
+        pe.color_of = reads = CountedReads(pe.color_of)
+        extend_tree(pe, choose_z_bad(g, pe)[1])
+        assert [label for label, *_ in pe.trace] == ["step4"] * edges
+        assert reads.count == edges - 1
+
     def test_refuses_a_source_with_no_edge_record(self):
         # vertex 3's image is set by hand, so it has no edge record: a step
         # below it is refused, as premap refuses, and mapped edges stay
@@ -267,6 +333,11 @@ class TestExtendPath:
         before = dict(pe.image)
         extend_path(pe)
         assert pe.image == before
+
+    def test_one_vertex(self):
+        pe = embed_half(cayley_coloring(2), path_tree(0), 0)
+        assert extend_path(pe) is pe
+        assert pe.image == {0: 0} and pe.trace == [] and not pe.coord_of
 
     def test_four_edges(self):
         g = cayley_coloring(4)
@@ -1580,13 +1651,6 @@ class TestViews:
         assert out.stdout.split() == ["False", "True"]
 
     def test_sequences_read_in_place(self):
-        items = [5, 6, 7]
-        first = frames.Prefix(items, 2)
-        items.append(8)
-        assert list(first) == [5, 6] and first[-1] == 6 and first[1:] == [6]
-        assert first[:1] == (5,) and first == frames.Prefix(items, 2) != frames.Prefix(items, 3)
-        with pytest.raises(IndexError):
-            first[2]
         # a spider's legs after its first, less a leg cut out of them
         t = random_spider([2, 3, 1, 2])
         order, pos, end, _ = t.preorder()

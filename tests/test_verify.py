@@ -50,6 +50,12 @@ class TestVerify:
             "avoids_vertex",
         ]
 
+    def test_a_passing_report_has_no_first_failure(self):
+        g, t = cayley_coloring(3), path_tree(3)
+        pe = embed_rainbow_tree(g, t)
+        report = verify(g, t, pe.image, z_bad=pe.z_bad)
+        assert report.ok and report.failed() == () and report.first_failure() is None
+
     def test_collision_reported(self):
         g = cayley_coloring(2)
         t = build_tree([0, 0])  # two leaves

@@ -77,13 +77,9 @@ def statements(source: str, path: str):
         yield first, set(range(first, max(first, last) + 1))  # `if x: y` has its body on its first line
 
 
-def main() -> int:
-    sys.path.insert(0, str(PACKAGE.parent))
-    sys.settrace(tracer)
-    try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[Retrace()])
-    finally:
-        sys.settrace(None)
+def report() -> None:
+    """Print each statement of the package that the tracer saw no line of
+    run, and their number."""
     missed = 0
     for path in sorted(executed):
         source = Path(path).read_text()
@@ -94,6 +90,16 @@ def main() -> int:
                 print(f"{Path(path).name}:{first}  {text[first - 1].strip()}")
                 missed += 1
     print(f"{missed} statements not executed")
+
+
+def main() -> int:
+    sys.path.insert(0, str(PACKAGE.parent))
+    sys.settrace(tracer)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[Retrace()])
+    finally:
+        sys.settrace(None)
+    report()
     return int(status)
 
 
