@@ -2,22 +2,22 @@
 
 Every generator is a pure function of its parameters and seed, drawing from
 SplitMix64 in a fixed order, so outputs are bit-identical across runs and
-platforms.  Each host generator builds, and so checks, one host: the one
-it returns.  It reads the edges of Q_n from ``cube_edges`` in the order
-``edges()`` gives, so every draw is made in that order.  Draws come from
-``SplitMix64.draws``, a block at a time, in the order the per-draw calls
-made them, so the hosts are those of one call per draw.  ``cayley_coloring``
-and ``refined_cayley`` stream those edges into the constructor, which reads
-them in that order; ``refined_cayley`` draws the subclasses one block of
-edges at a time as the constructor reads them, so no edge list is held.
+platforms.  Each host generator writes its host's flat color list (one slot
+per vertex and coordinate, as ``hypercube`` describes) and builds, and so
+checks, one host from it with ``ColoredCubeGraph.from_slots``.  It works on
+edge indices into ``edge_table``, which lists the edges of Q_n in the order
+``cube_edges`` and ``edges()`` give, so every draw is made in that order.
+Draws come from ``SplitMix64.draws``, a block at a time, in the order the
+per-draw calls made them, so the hosts are those of one call per draw;
+``refined_cayley`` draws the subclasses one block of edges at a time as it
+writes their slots, so it never holds all its draws.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
 
-from .hypercube import ColoredCubeGraph, cayley_coloring, cube_edges
+from .hypercube import ColoredCubeGraph, cayley_coloring, cayley_slots, edge_table
 from .prng import _CHUNK, SplitMix64
 from .tree import RootedTree, build_tree
 
@@ -31,21 +31,23 @@ def refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:
     Refining a proper coloring keeps it proper; edge q gets color
     q*splits + subclass, so splits=1 reproduces cayley_coloring(n) exactly.
     """
-    return ColoredCubeGraph(n, _refined_edges(n, seed, splits))
+    return ColoredCubeGraph.from_slots(n, _refined_slots(n, seed, splits))
 
 
-def _refined_edges(n: int, seed: int, splits: int) -> Iterator[tuple[int, int, int]]:
-    """An iterator over the edges of refined_cayley(n, seed, splits), in
-    sorted order; it draws the subclasses one block of edges at a time, as
-    it reaches the block, so it holds neither the edges nor their draws."""
+def _refined_slots(n: int, seed: int, splits: int) -> list[int]:
+    """The flat color list of refined_cayley(n, seed, splits), its edges'
+    subclasses drawn in edge order, one block of draws at a time."""
     if splits < 1:
         raise ValueError(f"splits must be >= 1, got {splits}")
-    edges = cube_edges(n)
     if splits == 1:
-        return edges
-    draws, total = SplitMix64(seed).draws, n << (n - 1)
+        return cayley_slots(n)
+    coords, low, high = edge_table(n)
+    draws, total = SplitMix64(seed).draws, len(coords)
     zs = chain.from_iterable(map(draws, (min(_CHUNK, total - i) for i in range(0, total, _CHUNK))))
-    return ((u, v, q * splits + z % splits) for (u, v, q), z in zip(edges, zs))
+    colors = [-1] * (n << n)
+    for i, j, q, z in zip(low, high, coords, zs):
+        colors[i] = colors[j] = q * splits + z % splits
+    return colors
 
 
 def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
@@ -55,20 +57,23 @@ def greedy_proper(n: int, seed: int) -> ColoredCubeGraph:
     edges are visited in a seeded shuffle; each takes the smallest color id
     absent at both endpoints, so at most 2n-1 colors appear.
     """
+    coords, low, high = edge_table(n)
     rng = SplitMix64(seed)
-    kept = [(u, v) for (u, v, _), z in zip(cube_edges(n), rng.draws(n << (n - 1))) if z % 100 < KEEP_PERCENT]
+    kept = [e for e, z in enumerate(rng.draws(len(coords))) if z % 100 < KEEP_PERCENT]
     rng.shuffle(kept)
-    palette_at: dict[int, set[int]] = {}
-    edges = []
-    for u, v in kept:
-        used = palette_at.setdefault(u, set()) | palette_at.setdefault(v, set())
-        c = 0
-        while c in used:
-            c += 1
-        palette_at[u].add(c)
-        palette_at[v].add(c)
-        edges.append((u, v, c))
-    return ColoredCubeGraph(n, edges)
+    colors = [-1] * (n << n)
+    # bit c of used[x] is set when an edge at x has color c, so the lowest
+    # bit clear at both ends is the smallest color absent at both
+    used = [0] * (1 << n)
+    for e in kept:
+        i, j = low[e], high[e]
+        u, v = i // n, j // n
+        taken = used[u] | used[v]
+        bit = ~taken & (taken + 1)
+        used[u] |= bit
+        used[v] |= bit
+        colors[i] = colors[j] = bit.bit_length() - 1
+    return ColoredCubeGraph.from_slots(n, colors)
 
 
 def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
@@ -79,17 +84,18 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     rng = SplitMix64(seed)
-    all_edges = list(_refined_edges(n, rng.next_u64(), 1 + rng.randrange(3)))
-    rng.shuffle(all_edges)
-    n_delete = rng.randrange(len(all_edges) // 2 + 1)
-    deleted = all_edges[:n_delete]
-    kept = all_edges[n_delete:]
+    colors = _refined_slots(n, rng.next_u64(), 1 + rng.randrange(3))
+    _, low, high = edge_table(n)
+    order = list(range(len(low)))
+    rng.shuffle(order)
+    # in edge order, which is the edges' sorted order
+    deleted = sorted(order[: rng.randrange(len(order) // 2 + 1)])
 
     # every vertex has degree n in Q_n, less its deleted edges
     degree = [n] * (1 << n)
-    removed_at: list[list[tuple[int, int, int]]] = [[] for _ in range(1 << n)]
-    for e in sorted(deleted):
-        u, v, _ = e
+    removed_at: list[list[int]] = [[] for _ in range(1 << n)]
+    for e in deleted:
+        u, v = low[e] // n, high[e] // n
         degree[u] -= 1
         degree[v] -= 1
         removed_at[u].append(e)
@@ -98,7 +104,7 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
     # one pass: x's turn leaves degree[x] >= d, or x's deleted edges all read
     # and degree[x] = n >= d; that stays so, since degrees only rise and
     # only x's turn reads removed_at[x], so a second pass would restore nothing
-    restored: set[tuple[int, int, int]] = set()
+    restored: set[int] = set()
     for x, at in enumerate(removed_at):
         i = 0
         while degree[x] < d and i < len(at):
@@ -107,11 +113,12 @@ def subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
             if e in restored:
                 continue
             restored.add(e)
-            kept.append(e)
-            u, v, _ = e
-            degree[u] += 1
-            degree[v] += 1
-    return ColoredCubeGraph(n, kept)
+            degree[low[e] // n] += 1
+            degree[high[e] // n] += 1
+    for e in deleted:
+        if e not in restored:
+            colors[low[e]] = colors[high[e]] = -1
+    return ColoredCubeGraph.from_slots(n, colors)
 
 
 def random_tree(m_edges: int, seed: int) -> RootedTree:

@@ -29,10 +29,11 @@ beyond the mapped colors, it asks each set for that part (``unlisted``).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Sequence
 from heapq import merge
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import xor
 from typing import Iterable, Iterator
 
@@ -53,6 +54,17 @@ Bans = tuple[Collection[int], ...]
 
 # the widest cube built explicitly (2^16 vertices); VirtualCayleyCube goes beyond
 MAX_EXPLICIT_DIMENSION = 16
+
+
+def explicit_dimension(n: int, name: str) -> int:
+    """`n`, checked as the dimension of an explicit host: at least 1
+    (ValueError, naming it `name`) and at most MAX_EXPLICIT_DIMENSION
+    (LimitExceeded)."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n > MAX_EXPLICIT_DIMENSION:
+        raise LimitExceeded(f"an explicit host stores 2^{n} vertices; the limit is 2^{MAX_EXPLICIT_DIMENSION}")
+    return n
 
 
 def unlisted(bans: Collection[int], listed: Sequence[int]) -> Iterable[int]:
@@ -125,7 +137,7 @@ class _Host:
 
 def _clash(x: int, row: Sequence[int], dimension: int) -> str | None:
     """The first two edges of one color in x's row, in coordinate order, as
-    text; the caller has found that they exist."""
+    text, or None when the row has none."""
     seen: dict[int, int] = {}
     for q, c in enumerate(row):
         if c < 0:
@@ -136,32 +148,56 @@ def _clash(x: int, row: Sequence[int], dimension: int) -> str | None:
         seen[c] = q
 
 
+def _symmetric(colors: list[int], n: int) -> bool:
+    """Whether every slot of the flat color list of Q_n equals its partner:
+    slot x*n + q and the slot of x ^ 2^q at q hold the two ends of one edge."""
+    for q in range(n):
+        step = n << q  # from the slot of x to its partner's, when bit q of x is 0
+        # the vertices whose bit q is 0, against their partners: by 2^q
+        # strided slices, each r + k*2^(q+1) for one r < 2^q, or by
+        # 2^(n-q-1) runs of 2^q vertices, whichever are fewer
+        if q < n - q - 1:
+            for a in range(q, step, n):
+                if colors[a :: 2 * step] != colors[a + step :: 2 * step]:
+                    return False
+        else:
+            for b in range(0, n << n, 2 * step):
+                if colors[b + q : b + step : n] != colors[b + step + q : b + 2 * step : n]:
+                    return False
+    return True
+
+
 class ColoredCubeGraph(_Host):
     """Explicit edge-colored subgraph of Q_N.  Immutable after construction.
 
-    ``edges`` is an iterable of (u, v, color) triples, read once, so it may
-    be a generator; endpoints are added to the vertex set automatically.
-    ``vertices`` is read after the last edge, so a generator of edges may
-    still add to it.  Every check raises ValueError, in this order:
+    A host comes from one of two entry points, each ending in one row pass
+    over the module's flat color list.  The constructor takes ``edges``, an
+    iterable of (u, v, color) triples, read once, so it may be a generator;
+    endpoints are added to the vertex set automatically.  ``vertices`` is
+    read after the last edge, so a generator of edges may still add to it.
+    ``from_slots`` takes the flat color list itself, as the generators
+    write it.  Every check raises ValueError, in this order:
 
-    - as each edge is read: an endpoint out of range, endpoints that differ
-      in other than one bit, or a negative color; a repeated edge is not
-      checked further, its color unread;
-    - once the edges end: the first repeated edge, as a duplicate;
-    - then a vertex out of range;
-    - last, an improper coloring, naming its first clash in vertex and then
-      coordinate order.
+    - the constructor, as each edge is read: an endpoint out of range,
+      endpoints that differ in other than one bit, or a negative color; a
+      repeated edge is not checked further, its color unread; once the
+      edges end, the first repeated edge, as a duplicate;
+    - ``from_slots``: a list whose length is not 2^N * N, then the first
+      slot below -1, then the first edge whose two slots differ;
+    - the row pass: a vertex out of range, then an improper coloring,
+      naming its first clash in vertex and then coordinate order.
 
     An error that the edges iterable raises itself (``parse_graph``'s
     numbered format errors) ends the read where it is raised, so it comes
-    before the last three groups.  N is at most MAX_EXPLICIT_DIMENSION
-    (LimitExceeded beyond), checked before anything is read.
+    before the duplicate and the row pass.  N is at most
+    MAX_EXPLICIT_DIMENSION (LimitExceeded beyond), checked before anything
+    is read.
 
-    The store is the module's flat color list, each edge written at both
-    ends.  The constructor's one pass over its rows checks properness and
-    finds the minimum degree and the least vertex, so delta() and
-    default_start() cost O(1); incident() and admissible() build the records
-    they return, admissible() only those that survive the bans.
+    The store is the flat color list, each edge held at both ends.  The row
+    pass checks properness and finds the minimum degree and the least
+    vertex, so delta() and default_start() cost O(1); incident() and
+    admissible() build the records they return, admissible() only those
+    that survive the bans.
     """
 
     __slots__ = ("dimension", "_colors", "_vertices", "_delta", "_start")
@@ -172,13 +208,7 @@ class ColoredCubeGraph(_Host):
         edges: Iterable[tuple[int, int, int]] = (),
         vertices: Iterable[int] = (),
     ):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        if dimension > MAX_EXPLICIT_DIMENSION:
-            raise LimitExceeded(
-                f"an explicit host stores 2^{dimension} vertices; the limit is 2^{MAX_EXPLICIT_DIMENSION}"
-            )
-        self.dimension = n = dimension
+        self.dimension = n = explicit_dimension(dimension, "dimension")
         top = 1 << n
         colors = [-1] * (top * n)
         repeat = None
@@ -201,24 +231,63 @@ class ColoredCubeGraph(_Host):
             colors[i] = colors[v * n + q] = c
         if repeat is not None:
             raise ValueError(f"duplicate edge {repeat}")
+        # what from_slots checks holds here by construction: the list has
+        # 2^n * n slots, the loop writes only colors >= 0 into slots of -1,
+        # and it writes each at both ends of its edge
+        self._row_pass(colors, vertices)
+
+    @classmethod
+    def from_slots(cls, dimension: int, colors: Iterable[int], vertices: Iterable[int] = ()) -> ColoredCubeGraph:
+        """The host whose flat color list is `colors`, copied: slot x*N + q
+        holds the color of the edge at x in coordinate q, or -1 when that
+        edge is absent.  Its vertices are those of its edges and of
+        `vertices`.  The checks and their order are the class docstring's."""
+        n = explicit_dimension(dimension, "dimension")
+        colors = list(colors)
+        if len(colors) != n << n:
+            raise ValueError(f"a slot list of Q_{n} holds {n << n} colors, got {len(colors)}")
+        if min(colors) < -1:
+            s = next(s for s, c in enumerate(colors) if c < -1)
+            raise ValueError(f"vertex {s // n}, coordinate {s % n}: color {colors[s]} is below -1")
+        if not _symmetric(colors, n):
+            # in slot order an edge's lower end comes first
+            u, q = next((x, q) for x in range(1 << n) for q in range(n)
+                        if colors[x * n + q] != colors[(x ^ 1 << q) * n + q])
+            v = u | 1 << q
+            raise ValueError(f"edge {(u, v)}: color {colors[u * n + q]} at {u} but {colors[v * n + q]} at {v}")
+        g = cls.__new__(cls)
+        g.dimension = n
+        g._row_pass(colors, vertices)
+        return g
+
+    def _row_pass(self, colors: list[int], vertices: Iterable[int]) -> None:
+        """Check the declared vertices and the properness of `colors`, a
+        flat color list of the host's dimension whose slots are at least -1
+        and equal their partners, then keep it with the vertex set, the
+        minimum degree and the least vertex."""
+        n = self.dimension
+        top = 1 << n
         verts = set(vertices)
         for v in verts:
             if not 0 <= v < top:
-                raise ValueError(f"vertex {v} outside [0, 2^{dimension})")
-        # one pass over the rows (x's row is slots x*n to x*n + n - 1): the
-        # vertices that edges touch, properness (a row's colors other than
-        # -1 are distinct) and the minimum degree
-        delta = n
-        for x, row in enumerate(zip(*[iter(colors)] * n)):
-            absent = row.count(-1)
-            if absent == n:
-                if x in verts:
-                    delta = 0
-                continue
-            verts.add(x)
-            if len(set(row)) < n - absent + (absent > 0):
-                raise ValueError(_clash(x, row, n))
-            delta = min(delta, n - absent)
+                raise ValueError(f"vertex {v} outside [0, 2^{n})")
+        # x's row is slots x*n to x*n + n - 1, and absent[x] counts its -1s
+        absent = list(map(tuple.count, zip(*[iter(colors)] * n), repeat(-1)))
+        # a row with a absent slots has at most n - a distinct colors, plus
+        # -1 when a > 0, and has all of them exactly when it is proper; so
+        # the rows' distinct values sum to this bound exactly when every
+        # row is proper
+        if sum(map(len, map(set, zip(*[iter(colors)] * n)))) != top * n - sum(absent) + top - absent.count(0):
+            for x, row in enumerate(zip(*[iter(colors)] * n)):
+                clash = _clash(x, row, n)
+                if clash is not None:
+                    raise ValueError(clash)
+        if n in absent:
+            # a row with no edge is a vertex only when declared
+            verts.update(compress(range(top), map(n.__ne__, absent)))
+            delta = n - max(map(absent.__getitem__, verts), default=0)
+        else:
+            verts, delta = range(top), n - max(absent)
         self._colors = colors
         self._vertices = frozenset(verts)
         self._delta = delta
@@ -563,13 +632,39 @@ def cube_edges(n: int) -> Iterator[tuple[int, int, int]]:
     """An iterator over every edge (u, v, coordinate) of Q_n with u < v, in
     sorted order: the order ``edges()`` gives.  Guarded, when called, to
     1 <= n <= MAX_EXPLICIT_DIMENSION; use VirtualCayleyCube beyond."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_EXPLICIT_DIMENSION:
-        raise LimitExceeded(f"an explicit host stores 2^{n} vertices; the limit is 2^{MAX_EXPLICIT_DIMENSION}")
+    explicit_dimension(n, "n")
     # for a fixed u, v = u + 2^q grows with q
     bits = [(q, 1 << q) for q in range(n)]
     return ((u, u | b, q) for u in range(1 << n) for q, b in bits if not u & b)
+
+
+# by n, the edge table of Q_n (see edge_table); built on first use, so
+# that importing the package costs nothing
+_EDGE_TABLES: dict[int, tuple[array, array, array]] = {}
+
+
+def edge_table(n: int) -> tuple[array, array, array]:
+    """The edges of Q_n in ``cube_edges`` order, as three arrays: each
+    edge's coordinate q, and its slots u*n + q and v*n + q in a flat color
+    list.  Built once per n and shared, so no caller may change it; it
+    takes about 1.0 MB at n = 14 and 4.7 MB at n = 16.  Guarded as
+    :func:`cube_edges` is."""
+    table = _EDGE_TABLES.get(n)
+    if table is None:
+        # a slot is below 2^16 * 16 = 2^20, so it fits an array("i")
+        coords, low, high = array("B"), array("i"), array("i")
+        for u, v, q in cube_edges(n):
+            coords.append(q)
+            low.append(u * n + q)
+            high.append(v * n + q)
+        table = _EDGE_TABLES[n] = (coords, low, high)
+    return table
+
+
+def cayley_slots(n: int) -> list[int]:
+    """The flat color list of cayley_coloring(n): slot x*n + q holds q.
+    Guarded as :func:`cube_edges` is."""
+    return list(range(n)) * (1 << explicit_dimension(n, "n"))
 
 
 def cayley_coloring(n: int) -> ColoredCubeGraph:
@@ -578,7 +673,7 @@ def cayley_coloring(n: int) -> ColoredCubeGraph:
     Uses n colors, each class a perfect matching of 2^(n-1) edges, and the
     coloring is proper.  Guarded as :func:`cube_edges` is.
     """
-    return ColoredCubeGraph(n, cube_edges(n))
+    return ColoredCubeGraph.from_slots(n, cayley_slots(n))
 
 
 def candidate_edges(

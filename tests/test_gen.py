@@ -12,7 +12,6 @@ import rainbowcube.prng as prng
 from rainbowcube import ColoredCubeGraph, cayley_coloring, format_graph
 from rainbowcube.gen import (
     KEEP_PERCENT,
-    _refined_edges,
     generate,
     greedy_proper,
     random_spider,
@@ -136,9 +135,19 @@ class TestSplitMix64:
 # --- the per-draw generators -------------------------------------------------
 #
 # The host generators as they were before their draws came from
-# SplitMix64.draws: one randrange call per draw and, in subgraph_min_degree,
-# dicts by vertex read with pop(0).  Bodies copied verbatim, but for the
-# names.  They are the reference the generators must match edge for edge.
+# SplitMix64.draws and before they wrote slot lists: one randrange call per
+# draw, (u, v, color) edges streamed into the constructor and, in
+# subgraph_min_degree, dicts by vertex read with pop(0).  Bodies copied
+# verbatim, but for the names.  They are the reference the generators must
+# match slot for slot.
+
+
+def plain_cayley_coloring(n: int) -> ColoredCubeGraph:
+    return ColoredCubeGraph(n, cube_edges(n))
+
+
+def plain_refined_cayley(n: int, seed: int, splits: int) -> ColoredCubeGraph:
+    return ColoredCubeGraph(n, plain_refined_edges(n, seed, splits))
 
 
 def plain_refined_edges(n: int, seed: int, splits: int):
@@ -204,7 +213,11 @@ def plain_subgraph_min_degree(n: int, d: int, seed: int) -> ColoredCubeGraph:
 
 
 def same_host(a: ColoredCubeGraph, b: ColoredCubeGraph) -> bool:
-    return list(a.edges()) == list(b.edges()) and a.vertices == b.vertices
+    """The same slots, vertices, edges, minimum degree and least vertex."""
+    same = a._colors == b._colors and a.vertices == b.vertices and list(a.edges()) == list(b.edges())
+    if not a.vertices:
+        return same and not b.vertices
+    return same and (a.delta(), a.default_start()) == (b.delta(), b.default_start())
 
 
 class TestAgainstPlain:
@@ -222,15 +235,19 @@ class TestAgainstPlain:
             assert same_host(greedy_proper(n, seed), plain_greedy_proper(n, seed))
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_cayley_coloring(self, n):
+        assert same_host(cayley_coloring(n), plain_cayley_coloring(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_refined_edges(self, n):
         for splits in (1, 2, 3, 7):
             for seed in self.SEEDS:
-                assert list(_refined_edges(n, seed, splits)) == list(plain_refined_edges(n, seed, splits))
+                assert same_host(refined_cayley(n, seed, splits), plain_refined_cayley(n, seed, splits))
 
     def test_refined_edges_across_blocks(self):
         # Q_12 has 96 blocks of draws; the stream crosses each boundary in step
         for seed in (0, 2**64 - 1):
-            assert list(_refined_edges(12, seed, 3)) == list(plain_refined_edges(12, seed, 3))
+            assert same_host(refined_cayley(12, seed, 3), plain_refined_cayley(12, seed, 3))
 
 
 class TestRefinedCayley:

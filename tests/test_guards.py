@@ -185,9 +185,9 @@ WITNESSES = {
             "test_hypercube.py::TestEdgeCoordinate::test_two_bits_differ",
         "parse_vertex: FormatError(bad vertex {} for dimension {})":
             "test_hypercube.py::TestGraphFormat::test_rejects_malformed",
-        "ColoredCubeGraph.__init__: ValueError(dimension must be >= 1, got {})":
+        "explicit_dimension: ValueError({} must be >= 1, got {})":
             "test_hypercube.py::TestFlatStoreModel::test_dimension_zero_is_refused",
-        "ColoredCubeGraph.__init__: LimitExceeded(an explicit host stores 2^{} vertices; the limit is 2^{})":
+        "explicit_dimension: LimitExceeded(an explicit host stores 2^{} vertices; the limit is 2^{})":
             "test_hypercube.py::TestFlatStoreModel::test_dimension_guard",
         "ColoredCubeGraph.__init__: ValueError(edge {}: endpoint out of range)":
             "test_hypercube.py::TestFlatStoreModel::test_negative_and_out_of_range_endpoints",
@@ -197,9 +197,15 @@ WITNESSES = {
             "test_hypercube.py::TestFlatStoreModel::test_duplicate_and_negative_messages",
         "ColoredCubeGraph.__init__: ValueError(duplicate edge {})":
             "test_hypercube.py::TestFlatStoreModel::test_duplicate_and_negative_messages",
-        "ColoredCubeGraph.__init__: ValueError(vertex {} outside [0, 2^{}))":
+        "ColoredCubeGraph.from_slots: ValueError(a slot list of Q_{} holds {} colors, got {})":
+            "test_hypercube.py::TestFromSlots::test_a_corrupted_list_is_refused",
+        "ColoredCubeGraph.from_slots: ValueError(vertex {}, coordinate {}: color {} is below -1)":
+            "test_hypercube.py::TestFromSlots::test_a_corrupted_list_is_refused",
+        "ColoredCubeGraph.from_slots: ValueError(edge {}: color {} at {} but {} at {})":
+            "test_hypercube.py::TestFromSlots::test_every_lone_slot_change_is_caught",
+        "ColoredCubeGraph._row_pass: ValueError(vertex {} outside [0, 2^{}))":
             "test_hypercube.py::TestFlatStoreModel::test_check_order",
-        "ColoredCubeGraph.__init__: ValueError({})":
+        "ColoredCubeGraph._row_pass: ValueError({})":
             "test_hypercube.py::TestValidate::test_first_clash_named",
         "ColoredCubeGraph.edge_color: KeyError({})":
             "test_hypercube.py::TestFlatStoreModel::test_edge_color_on_a_non_edge",
@@ -223,10 +229,6 @@ WITNESSES = {
             "test_hypercube.py::TestLazyCandidates::test_every_operation_agrees_with_the_filter",
         "FreeCoordinates.__getitem__: IndexError(candidate index out of range) #2":
             "test_hypercube.py::TestLazyCandidates::test_every_operation_agrees_with_the_filter",
-        "cube_edges: ValueError(n must be >= 1, got {})":
-            "test_cli.py::TestGenCommand::test_bad_values_exit_3",
-        "cube_edges: LimitExceeded(an explicit host stores 2^{} vertices; the limit is 2^{})":
-            "test_hypercube.py::TestCayleyColoring::test_materialization_guard",
         "parse_graph.cube: FormatError(dimension must be >= 1)":
             "test_hypercube.py::TestGraphFormat::test_rejects_malformed",
         "parse_graph.cube: FormatError(dimension must be <= {} for an explicit host)":

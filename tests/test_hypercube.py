@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rainbowcube
 from rainbowcube import (
     ColoredCubeGraph,
     VirtualCayleyCube,
@@ -345,6 +350,110 @@ class TestFlatStoreModel:
     def test_dimension_zero_is_refused(self, host):
         with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
             host(0)
+
+
+def cayley_slots(n: int) -> list[int]:
+    return list(range(n)) * (1 << n)
+
+
+def corrupted(n: int, changes: dict[int, int]) -> list[int]:
+    """cayley_coloring(n)'s slot list with the slots of `changes` rewritten."""
+    colors = cayley_slots(n)
+    for s, c in changes.items():
+        colors[s] = c
+    return colors
+
+
+# one corrupted slot list per check of from_slots and of the row pass:
+# (name, dimension, colors, declared vertices, message)
+CORRUPTED_SLOTS = [
+    ("asymmetric-coordinate-0", 3, corrupted(3, {2 * 3 + 0: 5}), (),
+     r"^edge \(2, 3\): color 5 at 2 but 0 at 3$"),
+    ("asymmetric-coordinate-0-upper-end", 6, corrupted(6, {3 * 6 + 0: -1}), (),
+     r"^edge \(2, 3\): color 0 at 2 but -1 at 3$"),
+    ("asymmetric-coordinate-n-1", 3, corrupted(3, {1 * 3 + 2: 7}), (),
+     r"^edge \(1, 5\): color 7 at 1 but 2 at 5$"),
+    ("asymmetric-coordinate-n-1-wide", 6, corrupted(6, {40 * 6 + 5: 9}), (),
+     r"^edge \(8, 40\): color 5 at 8 but 9 at 40$"),
+    ("below-minus-one", 3, corrupted(3, {1 * 3 + 1: -2, 3 * 3 + 1: -2}), (),
+     r"^vertex 1, coordinate 1: color -2 is below -1$"),
+    ("improper-row", 2, corrupted(2, {0 * 2 + 1: 0, 2 * 2 + 1: 0}), (),
+     r"^vertex 00: edges to 01 and 10 share color 0$"),
+    ("short", 3, cayley_slots(3)[:-3], (), r"^a slot list of Q_3 holds 24 colors, got 21$"),
+    ("long", 3, cayley_slots(3) + [0], (), r"^a slot list of Q_3 holds 24 colors, got 25$"),
+    ("vertex-out-of-range", 3, cayley_slots(3), (2, 8), r"^vertex 8 outside \[0, 2\^3\)$"),
+    ("negative-vertex", 3, [-1] * 24, (-1,), r"^vertex -1 outside \[0, 2\^3\)$"),
+    # the checks' order: length, then values, then pairs, then the row pass
+    ("length-before-values", 2, [-2] * 7, (), r"^a slot list of Q_2 holds 8 colors, got 7$"),
+    ("values-before-pairs", 3, corrupted(3, {0: 5, 23: -3}), (), r"^vertex 7, coordinate 2: color -3 is below -1$"),
+    ("pairs-before-row-pass", 2, corrupted(2, {0 * 2 + 1: 0, 3 * 2 + 0: 1}), (9,),
+     r"^edge \(0, 2\): color 0 at 0 but 1 at 2$"),
+    ("vertices-before-properness", 2, corrupted(2, {0 * 2 + 1: 0, 2 * 2 + 1: 0}), (4,),
+     r"^vertex 4 outside \[0, 2\^2\)$"),
+]
+
+# one corrupted list refused under `python -O`, as the suite refuses it
+ASYMMETRIC_UNDER_O = """
+import sys
+from rainbowcube import ColoredCubeGraph
+colors = list(range(3)) * 8
+colors[1 * 3 + 2] = 7
+try:
+    ColoredCubeGraph.from_slots(3, colors)
+except ValueError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+class TestFromSlots:
+    """The slot-list entry point refuses every list that is not a host's,
+    and builds from every other list the host the constructor builds."""
+
+    @pytest.mark.parametrize("name,n,colors,declared,message", CORRUPTED_SLOTS, ids=[c[0] for c in CORRUPTED_SLOTS])
+    def test_a_corrupted_list_is_refused(self, name, n, colors, declared, message):
+        with pytest.raises(ValueError, match=message):
+            ColoredCubeGraph.from_slots(n, colors, declared)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_lone_slot_change_is_caught(self, n):
+        # each slot of every coordinate, either end of its edge, through
+        # both kinds of slice that compare a coordinate's pairs
+        for s in range(n << n):
+            x, q = divmod(s, n)
+            u, v = x & ~(1 << q), x | 1 << q
+            ends = (99, q) if x == u else (q, 99)
+            with pytest.raises(ValueError, match=rf"^edge \({u}, {v}\): color {ends[0]} at {u} but {ends[1]} at {v}$"):
+                ColoredCubeGraph.from_slots(n, corrupted(n, {s: 99}))
+
+    @pytest.mark.parametrize("optimize", [0, 1])
+    def test_a_corrupted_list_is_refused_under_O(self, optimize):
+        src = Path(rainbowcube.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, *["-O"] * optimize, "-c", ASYMMETRIC_UNDER_O],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == f"{optimize} edge (1, 5): color 7 at 1 but 2 at 5\n"
+
+    @pytest.mark.parametrize("name,n,edges,declared", MODEL_HOSTS, ids=[h[0] for h in MODEL_HOSTS])
+    def test_the_constructors_slots_give_its_host(self, name, n, edges, declared):
+        g = ColoredCubeGraph(n, edges, declared)
+        h = ColoredCubeGraph.from_slots(n, iter(g._colors), declared)
+        assert (h._colors, h.vertices, list(h.edges())) == (g._colors, g.vertices, list(g.edges()))
+        if g.vertices:
+            assert (h.delta(), h.default_start()) == (g.delta(), g.default_start())
+
+    def test_the_list_is_copied(self):
+        colors = cayley_slots(2)
+        g = ColoredCubeGraph.from_slots(2, colors)
+        colors[0] = colors[2] = 5
+        assert g.edge_color(0, 1) == 0
+
+    def test_dimension_guard(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            ColoredCubeGraph.from_slots(0, [])
+        with pytest.raises(LimitExceeded, match="^an explicit host stores 2\\^17 vertices; the limit is 2\\^16$"):
+            ColoredCubeGraph.from_slots(17, [])
 
 
 def test_vertex_text_check_decides_as_the_set_test():
