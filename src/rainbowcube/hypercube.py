@@ -282,15 +282,11 @@ class ColoredCubeGraph(_Host):
                 clash = _clash(x, row, n)
                 if clash is not None:
                     raise ValueError(clash)
-        if n in absent:
-            # a row with no edge is a vertex only when declared
-            verts.update(compress(range(top), map(n.__ne__, absent)))
-            delta = n - max(map(absent.__getitem__, verts), default=0)
-        else:
-            verts, delta = range(top), n - max(absent)
+        # a row with no edge is a vertex only when declared
+        verts = frozenset(chain(verts, compress(range(top), map(n.__ne__, absent))))
         self._colors = colors
-        self._vertices = frozenset(verts)
-        self._delta = delta
+        self._vertices = verts
+        self._delta = n - max(map(absent.__getitem__, verts), default=0)
         self._start = min(verts, default=None)
 
     @property
@@ -663,8 +659,9 @@ def edge_table(n: int) -> tuple[array, array, array]:
 
 def cayley_slots(n: int) -> list[int]:
     """The flat color list of cayley_coloring(n): slot x*n + q holds q.
-    Guarded as :func:`cube_edges` is."""
-    return list(range(n)) * (1 << explicit_dimension(n, "n"))
+    Guarded as :func:`cube_edges` is, before the list is built."""
+    n = explicit_dimension(n, "n")
+    return list(range(n)) * (1 << n)
 
 
 def cayley_coloring(n: int) -> ColoredCubeGraph:

@@ -532,6 +532,20 @@ class TestBadNumbersExit3:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
+        ["gen", "cayley"],
+        ["gen", "refined_cayley", "--splits", "1"],
+        ["gen", "refined_cayley", "--splits", "2"],
+        ["gen", "greedy_proper"],
+        ["gen", "subgraph_min_degree", "--min-degree", "3"],
+    ])
+    def test_gen_past_the_explicit_limit(self, argv, capsys):
+        # refused before any slot is built: 2^40 of them could not be
+        assert main(argv + ["--n", str(2**40)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: an explicit host stores 2^{2**40} vertices; the limit is 2^16\n"
+
+    @pytest.mark.parametrize("argv", [
         ["gen", "cayley", "--n", "2"],
         ["fuzz", "--n", "3", "--trials", "1"],
         ["fuzz", "--n", "3", "--exhaustive"],

@@ -10,6 +10,7 @@ import pytest
 import rainbowcube
 import rainbowcube.prng as prng
 from rainbowcube import ColoredCubeGraph, cayley_coloring, format_graph
+from rainbowcube.errors import LimitExceeded
 from rainbowcube.gen import (
     KEEP_PERCENT,
     generate,
@@ -248,6 +249,23 @@ class TestAgainstPlain:
         # Q_12 has 96 blocks of draws; the stream crosses each boundary in step
         for seed in (0, 2**64 - 1):
             assert same_host(refined_cayley(12, seed, 3), plain_refined_cayley(12, seed, 3))
+
+
+class TestPastTheExplicitLimit:
+    """Every host generator refuses a dimension past the explicit limit
+    before it builds anything that size: 2^40 slots could not be allocated,
+    so a generator that built first would fail with MemoryError instead."""
+
+    @pytest.mark.parametrize("make", [
+        cayley_coloring,
+        lambda n: refined_cayley(n, 1, 1),
+        lambda n: refined_cayley(n, 1, 2),
+        lambda n: greedy_proper(n, 1),
+        lambda n: subgraph_min_degree(n, 3, 1),
+    ], ids=["cayley", "refined_splits_1", "refined_splits_2", "greedy", "subgraph"])
+    def test_refused_first(self, make):
+        with pytest.raises(LimitExceeded, match=f"^an explicit host stores 2\\^{2**40} vertices; the limit is 2\\^16$"):
+            make(2**40)
 
 
 class TestRefinedCayley:
